@@ -8,12 +8,11 @@ multiple of log N(p), collected here into exact PrimeLog sums.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from .quadarith import (RealQuadElem, PrimeLog, factor_principal_ideal,
-                        primes_of_F_above, splitting_in_E_over_F, rho,
-                        is_fundamental_discriminant, kronecker)
-from math import gcd
+                        splitting_in_E_over_F, rho,
+                        is_fundamental_discriminant)
 
 
 def check_gz_hypotheses(d1, d2):
@@ -38,7 +37,6 @@ class WhittakerValue:
     derivative coefficient as a multiple of log N(p)."""
     value: Fraction
     deriv_coeff: Fraction
-    s_form: str
 
 
 def whittaker_good(kind, e):
@@ -47,13 +45,11 @@ def whittaker_good(kind, e):
     if e < 0:
         raise ValueError("ord must be nonnegative")
     if kind == "split":
-        return WhittakerValue(value=Fraction(1 + e), deriv_coeff=Fraction(0),
-                              s_form=f"sum_{{n=0}}^{{{e}}} X^n at X=1")
+        return WhittakerValue(value=Fraction(1 + e), deriv_coeff=Fraction(0))
     if kind == "inert":
         value = Fraction(1 + (-1) ** e, 2)
         deriv = Fraction(1 + e, 2) if e % 2 else Fraction(0)
-        return WhittakerValue(value=value, deriv_coeff=deriv,
-                              s_form=f"sum_{{n=0}}^{{{e}}} (-X)^n at X=1")
+        return WhittakerValue(value=value, deriv_coeff=deriv)
     raise ValueError("kind must be 'split' or 'inert'")
 
 
@@ -103,33 +99,45 @@ def _diff_primes(fact, d1, d2):
             if e % 2 == 1 and splitting_in_E_over_F(P, d1, d2) == "inert"]
 
 
-def gz_rhs(d1, d2):
-    """Arithmetic side of the singular moduli factorization: the exact
-    PrimeLog equal to sum over classes of log |j(tau1) - j(tau2)|^(8/(w1 w2)).
+def _cm_sum(d1, d2, level2):
+    """The double sum shared by both formulas: over t in t_range with
+    exactly one prime P of F inert in E/F at odd order e, the term
+    (1 + e)/2 * rho(t P^-1) * log N(P).  The level-2 sum keeps only the t
+    with 4 | N(t), i.e. m^2 = D mod 16, and divides by P_t^2 inside rho.
     """
-    check_gz_hypotheses(d1, d2)
+    D = d1 * d2
     total = PrimeLog()
     for t in t_range(d1, d2):
+        if level2 and (t.m * t.m - D) % 16 != 0:
+            continue
         fact = factor_principal_ideal(t, d1, d2)
+        Pt = p_t_of(fact)[0] if level2 else None
         diff = _diff_primes(fact, d1, d2)
         if len(diff) != 1:
             continue
         P, e = diff[0]
         red = dict(fact)
         red[P] = e - 1
+        if level2:
+            red[Pt] -= 2
         r = rho(red, d1, d2)
         if r:
             total.add(P.p, Fraction(1 + e, 2) * r * P.residue_degree())
     return total
 
 
-def p_t_of(t, d1, d2):
-    """The unique prime of F above 2 at which t has positive valuation,
-    together with that valuation.  Needs d1 = d2 = 1 mod 8 and 2 | N(t)."""
-    D = d1 * d2
-    if D % 8 != 1:
-        raise ValueError("2 must split in F")
-    fact = factor_principal_ideal(t, d1, d2)
+def gz_rhs(d1, d2):
+    """Arithmetic side of the singular moduli factorization: the exact
+    PrimeLog equal to sum over classes of log |j(tau1) - j(tau2)|^(8/(w1 w2)).
+    """
+    check_gz_hypotheses(d1, d2)
+    return _cm_sum(d1, d2, level2=False)
+
+
+def p_t_of(fact):
+    """The unique prime P_t of F above 2 at which t has positive valuation,
+    together with that valuation, read from the factorization of t O_F.
+    Needs d1 = d2 = 1 mod 8 (2 splits in F) and 2 | N(t)."""
     above2 = [(P, e) for P, e in fact.items() if P.p == 2 and e > 0]
     if len(above2) != 1:
         raise ArithmeticError("expected exactly one prime above 2 dividing t")
@@ -141,24 +149,7 @@ def yz_rhs(d1, d2):
     PrimeLog equal to sum over classes of log |omega2(tau1) - omega2(tau2)|^2.
     """
     check_yz_hypotheses(d1, d2)
-    D = d1 * d2
-    total = PrimeLog()
-    for t in t_range(d1, d2):
-        if t.m % 2 == 0 or (t.m * t.m - D) % 16 != 0:
-            continue
-        fact = factor_principal_ideal(t, d1, d2)
-        Pt, _ = p_t_of(t, d1, d2)
-        diff = _diff_primes(fact, d1, d2)
-        if len(diff) != 1:
-            continue
-        P, e = diff[0]
-        red = dict(fact)
-        red[P] = e - 1
-        red[Pt] = red.get(Pt, 0) - 2
-        r = rho(red, d1, d2)
-        if r:
-            total.add(P.p, Fraction(1 + e, 2) * r * P.residue_degree())
-    return total
+    return _cm_sum(d1, d2, level2=True)
 
 
 def yz_rhs_whittaker(d1, d2):

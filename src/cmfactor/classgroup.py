@@ -74,33 +74,18 @@ def odd_norm_representative(form, d):
     matrix g with form . g equal to the returned form.
 
     Requires d = 1 mod 8 so that odd-norm representatives exist in every
-    class.  Breadth-first search over the generators T, T^-1, S.
+    class.  g is the identity when a is odd; else S = (0, -1; 1, 0) when c
+    is odd, giving (c, -b, a); else T S = (1, -1; 1, 0), giving the first
+    coefficient a + b + c, which is odd because a and c are even and b is
+    odd (d is odd).
     """
     if d >= 0 or d % 8 != 1:
         raise ValueError("odd-norm representatives need d = 1 mod 8")
-    ident = (1, 0, 0, 1)
-    if form[0] % 2 == 1:
-        return form, ident
-
-    def mul(g, h):
-        return (g[0] * h[0] + g[1] * h[2], g[0] * h[1] + g[1] * h[3],
-                g[2] * h[0] + g[3] * h[2], g[2] * h[1] + g[3] * h[3])
-
-    gens = {"T": (1, 1, 0, 1), "Ti": (1, -1, 0, 1), "S": (0, -1, 1, 0)}
-    seen = {form}
-    frontier = [(form, ident)]
-    for _ in range(12):
-        nxt = []
-        for f, g in frontier:
-            for h in gens.values():
-                f2 = form_action(f, h)
-                if f2 in seen:
-                    continue
-                g2 = mul(g, h)
-                if f2[0] % 2 == 1:
-                    assert form_action(form, g2) == f2
-                    return f2, g2
-                seen.add(f2)
-                nxt.append((f2, g2))
-        frontier = nxt
-    raise ArithmeticError("no odd-norm representative found")
+    a, b, c = form
+    if a % 2 == 1:
+        g = (1, 0, 0, 1)
+    elif c % 2 == 1:
+        g = (0, -1, 1, 0)
+    else:
+        g = (1, -1, 1, 0)
+    return form_action(form, g), g

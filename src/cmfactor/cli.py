@@ -6,15 +6,13 @@ Exit codes: 0 verified/ok, 2 verification failed (sides disagree),
 
 import argparse
 import json
-import os
 import sys
-from fractions import Fraction
 from math import floor, log10
 
 import mpmath
 
 from .quadarith import RealQuadElem, factor_principal_ideal, diff_set, rho
-from .arithside import whittaker2_Ma, whittaker_good
+from .arithside import whittaker2_Ma
 from . import numeric
 from .verify import gz_verify, yz_verify, borcherds_verify
 
@@ -71,10 +69,6 @@ def main(argv=None):
     ap = argparse.ArgumentParser(prog="cmfactor",
                                  description="CM value factorization of "
                                              "differences of modular functions")
-    ap.add_argument("--threads", type=int,
-                    default=int(os.environ.get("CMFACTOR_THREADS", "1")),
-                    help="reserved for worker parallelism; evaluation is "
-                         "sequential in this implementation")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     for name in ("gz", "yz"):

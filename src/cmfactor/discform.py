@@ -104,16 +104,10 @@ def weil_matrix(g):
         if tok == "S":
             out = mat_mul(out, S)
         else:
-            n = tok[1]
-            step = T if n > 0 else _mat_T_inv()
-            for _ in range(abs(n)):
-                out = mat_mul(out, step)
+            # T is diagonal with entries +-1, so it is its own inverse
+            for _ in range(abs(tok[1])):
+                out = mat_mul(out, T)
     return out
-
-
-def _mat_T_inv():
-    # T is diagonal with entries +-1, so it is its own inverse here
-    return weil_T()
 
 
 @dataclass

@@ -1,11 +1,14 @@
 """Arbitrary-precision evaluation of eta, j, and the level-2 Hauptmodul.
 
-All evaluators take a point in the upper half plane and a working precision in
-bits, and are accurate to roughly that precision relative to the natural scale
-of the function (guard bits are added internally).
+One kernel serves both CM-value functions: the eta quotient
+t(tau) = (eta(tau)/eta(2 tau))^24, from which j = (t + 256)^3 / t^2 and
+omega2 = 4096 / t (Enge, "The complexity of class polynomial computation via
+floating point approximations", Math. Comp. 2009).  All evaluators take a
+point in the upper half plane and a working precision in bits, and are
+accurate to roughly that precision relative to the natural scale of the
+function (guard bits are added internally).
 """
 
-from functools import lru_cache
 from math import ceil, log
 
 import mpmath
@@ -26,74 +29,58 @@ def _series_order(tau, prec):
     return max(8, ceil((prec + 16) * log(2) / (2 * 3.14159265 * y)) + 8)
 
 
-@lru_cache(maxsize=None)
-def _sigma3_table(order):
-    sums = [0] * (order + 1)
-    for d in range(1, order + 1):
-        dk = d ** 3
-        for n in range(d, order + 1, d):
-            sums[n] += dk
-    return tuple(sums)
-
-
-def _eta_raw(tau, order):
-    """eta(tau) via the pentagonal number expansion, at current precision."""
-    q = mpmath.expjpi(2 * tau)
+def _euler_product(q, order):
+    """prod_{n >= 1} (1 - q^n) through q^order, by the pentagonal number
+    theorem, at current precision.  The exponents k(3k-1)/2 and k(3k+1)/2
+    differ by k, and k(3k+1)/2 and (k+1)(3k+2)/2 by 2k + 1, so each power
+    of q is a running product, not a call to **."""
     total = mpmath.mpc(1)
+    qk = q                   # q^k
+    q_step = q * q * q       # q^(2k+1)
+    q2 = q * q
+    qe = q                   # q^(k(3k-1)/2)
     k = 1
-    while True:
-        e1 = k * (3 * k - 1) // 2
-        e2 = k * (3 * k + 1) // 2
-        if e1 > order:
-            break
-        sign = -1 if k % 2 else 1
-        term = q ** e1
-        if e2 <= order:
-            term = term + q ** e2
-        total += sign * term
+    while k * (3 * k - 1) // 2 <= order:
+        qe2 = qe * qk        # q^(k(3k+1)/2)
+        term = qe + qe2 if k * (3 * k + 1) // 2 <= order else qe
+        total = total - term if k % 2 else total + term
+        qe = qe2 * q_step
+        qk *= q
+        q_step *= q2
         k += 1
-    return mpmath.expjpi(tau / 12) * total
+    return total
 
 
 def eval_eta(tau, prec):
     tau = _to_mpc(tau)
     with mpmath.workprec(prec + GUARD_BITS):
-        val = _eta_raw(tau, _series_order(tau, prec))
-        return +mpmath.mpc(val)
+        q = mpmath.expjpi(2 * tau)
+        prod = _euler_product(q, _series_order(tau, prec))
+        return +(mpmath.expjpi(tau / 12) * prod)
+
+
+def _eta_quotient(tau, prec):
+    """t(tau) = (eta(tau)/eta(2 tau))^24 = q^-1 (prod (1 - q^n) /
+    prod (1 - q^2n))^24, at the caller's working precision."""
+    order = _series_order(tau, prec)
+    q = mpmath.expjpi(2 * tau)
+    ratio = _euler_product(q, order) / _euler_product(q * q, order // 2)
+    return ratio ** 24 / q
 
 
 def eval_j(tau, prec):
-    """Klein j-invariant via E4^3 / Delta."""
+    """Klein j-invariant, (t + 256)^3 / t^2."""
     tau = _to_mpc(tau)
     with mpmath.workprec(prec + GUARD_BITS):
-        order = _series_order(tau, prec)
-        q = mpmath.expjpi(2 * tau)
-        sig = _sigma3_table(order)
-        qp = mpmath.mpc(1)
-        e4 = mpmath.mpc(1)
-        for n in range(1, order + 1):
-            qp *= q
-            e4 += 240 * sig[n] * qp
-        delta = _eta_raw(tau, order) ** 24
-        return +(e4 ** 3 / delta)
+        t = _eta_quotient(tau, prec)
+        return +((t + 256) ** 3 / (t * t))
 
 
 def eval_omega2(tau, prec):
-    """Level-2 Hauptmodul 2^12 Delta(2 tau)/Delta(tau)."""
+    """Level-2 Hauptmodul 2^12 Delta(2 tau)/Delta(tau) = 4096 / t."""
     tau = _to_mpc(tau)
     with mpmath.workprec(prec + GUARD_BITS):
-        order = _series_order(tau, prec)
-        ratio = _eta_raw(2 * tau, order) / _eta_raw(tau, order)
-        return +(4096 * ratio ** 24)
-
-
-def eval_f2(tau, prec):
-    """Weber function f2 = sqrt(2) eta(2 tau)/eta(tau); f2^24 = omega2."""
-    tau = _to_mpc(tau)
-    with mpmath.workprec(prec + GUARD_BITS):
-        order = _series_order(tau, prec)
-        ratio = _eta_raw(2 * tau, order) / _eta_raw(tau, order)
-        return +(mpmath.sqrt(2) * ratio)
+        return +(4096 / _eta_quotient(tau, prec))
 
 
 def recognize_integer(x, tol_bits=32):
@@ -108,6 +95,26 @@ def recognize_integer(x, tol_bits=32):
     if residual >= mpmath.mpf(2) ** (-tol_bits):
         return None
     return n, residual
+
+
+def integer_polynomial(roots):
+    """Expand prod (X - r) over the roots at current precision and round it:
+    the integer coefficients, leading first, or None when a coefficient does
+    not round with residual below 2^-32."""
+    poly = [mpmath.mpc(1)]
+    for r in roots:
+        nxt = [mpmath.mpc(0)] * (len(poly) + 1)
+        for i, c in enumerate(poly):
+            nxt[i] += c
+            nxt[i + 1] -= c * r
+        poly = nxt
+    ints = []
+    for c in poly:
+        rec = recognize_integer(c)
+        if rec is None:
+            return None
+        ints.append(rec[0])
+    return ints
 
 
 def class_polynomial(d, prec=None):
@@ -127,23 +134,9 @@ def class_polynomial(d, prec=None):
         prec = 64 + ceil(1.2 * bits)
     for _ in range(4):
         with mpmath.workprec(prec + GUARD_BITS):
-            roots = [eval_j(heegner_point(f, d), prec) for f in forms]
-            poly = [mpmath.mpc(1)]
-            for r in roots:
-                nxt = [mpmath.mpc(0)] * (len(poly) + 1)
-                for i, c in enumerate(poly):
-                    nxt[i] += c
-                    nxt[i + 1] -= c * r
-                poly = nxt
-            ints = []
-            ok = True
-            for c in poly:
-                rec = recognize_integer(c)
-                if rec is None:
-                    ok = False
-                    break
-                ints.append(rec[0])
-            if ok:
-                return ints
+            ints = integer_polynomial([eval_j(heegner_point(f, d), prec)
+                                       for f in forms])
+        if ints is not None:
+            return ints
         prec *= 2
     raise ArithmeticError(f"class polynomial for d={d} did not stabilize")

@@ -234,11 +234,6 @@ def splitting_in_E_over_F(P, d1, d2):
     return "split"
 
 
-def chi_EF(P, d1, d2):
-    """Value of the quadratic character of E/F at an (unramified) prime P."""
-    return 1 if splitting_in_E_over_F(P, d1, d2) == "split" else -1
-
-
 def factor_principal_ideal(t, d1, d2):
     """Factor the principal ideal t O_F as a dict PrimeOfF -> exponent.
 

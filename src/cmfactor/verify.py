@@ -1,7 +1,11 @@
 """End-to-end verification: evaluate both sides of each CM value formula at
-working precision, recognize the analytic side as an integer, factor it, and
-compare exponent-by-exponent with the arithmetic side; plus exact checks of
-the underlying Borcherds product identities.
+working precision, recognize the analytic side as an integer N, and check N
+exactly against the arithmetic side; plus exact checks of the underlying
+Borcherds product identities.
+
+One driver serves both formulas.  A formula only chooses the evaluator (j or
+omega2), the CM points (reduced forms, or their odd-norm representatives),
+the scale of the arithmetic side and whether the resultant oracle runs.
 """
 
 from dataclasses import dataclass, field
@@ -13,9 +17,8 @@ import mpmath
 from . import numeric
 from .classgroup import (reduced_forms, heegner_point, units_w,
                          odd_norm_representative)
-from .quadarith import PrimeLog, valuation
-from .arithside import (gz_rhs, yz_rhs, check_gz_hypotheses,
-                        check_yz_hypotheses)
+from .quadarith import valuation
+from .arithside import gz_rhs, yz_rhs
 
 MAX_RETRIES = 3
 
@@ -50,179 +53,123 @@ def auto_prec(d1, d2):
     return 64 + ceil(1.2 * h1 * h2 * per_pair)
 
 
-def _trial_factor(n, bound):
-    """Factor |n| by primes <= bound; returns (exponents, leftover)."""
-    n = abs(n)
-    out = {}
-    for p in range(2, bound + 1):
-        if n == 1:
-            break
-        if n % p == 0:
-            v = 0
-            while n % p == 0:
-                n //= p
-                v += 1
-            out[p] = v
-    return out, n
-
-
 def _sylvester_resultant(f, g):
     """Exact resultant of integer polynomials (leading coefficient first),
-    via fraction-free Gaussian elimination of the Sylvester matrix."""
+    via Bareiss fraction-free elimination of the Sylvester matrix."""
     m, n = len(f) - 1, len(g) - 1
-    if m == 0 and n == 0:
-        return 1
     size = m + n
-    rows = []
-    for i in range(n):
-        rows.append([0] * i + list(f) + [0] * (n - 1 - i))
-    for i in range(m):
-        rows.append([0] * i + list(g) + [0] * (m - 1 - i))
-    rows = [[Fraction(x) for x in r] for r in rows]
-    det = Fraction(1)
-    for col in range(size):
-        piv = next((r for r in range(col, size) if rows[r][col] != 0), None)
+    rows = ([[0] * i + list(f) + [0] * (n - 1 - i) for i in range(n)]
+            + [[0] * i + list(g) + [0] * (m - 1 - i) for i in range(m)])
+    sign, prev = 1, 1
+    for k in range(size):
+        piv = next((r for r in range(k, size) if rows[r][k] != 0), None)
         if piv is None:
             return 0
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, size):
-            factor = rows[r][col] * inv
-            if factor == 0:
-                continue
-            for c in range(col, size):
-                rows[r][c] -= factor * rows[col][c]
-    assert det.denominator == 1
-    return det.numerator
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            sign = -sign
+        pk = rows[k]
+        for r in range(k + 1, size):
+            row = rows[r]
+            # exact: every entry is a minor of the original matrix
+            row[k + 1:] = [(row[c] * pk[k] - row[k] * pk[c]) // prev
+                           for c in range(k + 1, size)]
+        prev = pk[k]
+    return sign * prev
+
+
+def _factor_check(n, predicted, scale, notes):
+    """Exact test of |n| = prod p^(e_p / scale) over the predicted primes.
+    Returns the valuations of n at those primes and whether they match;
+    a mismatch is explained in notes."""
+    cofactor = abs(n)
+    fact = {}
+    for p in predicted:
+        if cofactor % p == 0:
+            fact[p] = valuation(cofactor, p)
+            cofactor //= p ** fact[p]
+    match = cofactor == 1
+    if not match:
+        notes.append(f"cofactor {cofactor} after the predicted primes")
+    for p, e in predicted.items():
+        if fact.get(p, 0) * scale != e:
+            match = False
+            notes.append(f"exponent of {p}: {fact.get(p, 0)} * {scale} "
+                         f"!= {e}")
+    return fact, match
+
+
+def _verify(kind, d1, d2, prec, evaluate, points, scale, rhs, oracle):
+    """The driver: CM values at the points of d1 and of d2, their pair
+    product recognized as an integer N, the factor check against rhs at the
+    given scale, the resultant oracle if asked for, and the log residual."""
+    if prec is None:
+        prec = auto_prec(d1, d2)
+    report = VerificationReport(kind=kind, d1=d1, d2=d2, prec=prec,
+                                status="precision",
+                                rhs_exponents=rhs.exponents())
+    for attempt in range(MAX_RETRIES + 1):
+        if attempt:
+            prec *= 2
+            report.notes.append(f"retry at {prec} bits")
+        report.prec = prec
+        with mpmath.workprec(prec + 32):
+            vals1 = [evaluate(heegner_point(f, d1), prec) for f in points[0]]
+            vals2 = [evaluate(heegner_point(f, d2), prec) for f in points[1]]
+            product = mpmath.mpc(1)
+            logsum = mpmath.mpf(0)
+            for v2 in vals2:
+                for v1 in vals1:
+                    diff = v2 - v1
+                    product *= diff
+                    logsum += mpmath.log(abs(diff))
+            rec = numeric.recognize_integer(product)
+            # a coefficient that fails to round is a precision failure too
+            polys = ([numeric.integer_polynomial(vals1),
+                      numeric.integer_polynomial(vals2)]
+                     if oracle and rec is not None else [])
+        if rec is not None and None not in polys:
+            break
+    else:
+        return report
+
+    n, _ = rec
+    report.product_integer = n
+    report.factorization, report.factor_match = _factor_check(
+        n, report.rhs_exponents, scale, report.notes)
+    if oracle:
+        res = _sylvester_resultant(*polys)
+        report.resultant_match = res == (-1) ** (len(vals1) * len(vals2)) * n
+
+    with mpmath.workprec(prec + 32):
+        report.lhs_log = mpmath.mpf(scale.numerator) / scale.denominator * logsum
+        report.rhs_log = rhs.value(prec + 32)
+        report.residual = abs(report.lhs_log - report.rhs_log)
+    tight = report.residual < mpmath.mpf(2) ** (-(prec // 4))
+    report.status = ("ok" if report.factor_match and tight
+                     and report.resultant_match is not False else "mismatch")
+    return report
 
 
 def gz_verify(d1, d2, prec=None):
     """Verify the singular moduli factorization for coprime fundamental
     discriminants d1, d2."""
-    check_gz_hypotheses(d1, d2)
-    if prec is None:
-        prec = auto_prec(d1, d2)
-    D = d1 * d2
     rhs = gz_rhs(d1, d2)
+    points = (reduced_forms(d1), reduced_forms(d2))
     scale = Fraction(8, units_w(d1) * units_w(d2))
-    report = VerificationReport(kind="gz", d1=d1, d2=d2, prec=prec,
-                                status="precision",
-                                rhs_exponents=rhs.exponents())
-
-    for attempt in range(MAX_RETRIES + 1):
-        with mpmath.workprec(prec + 32):
-            js1 = [numeric.eval_j(heegner_point(f, d1), prec)
-                   for f in reduced_forms(d1)]
-            js2 = [numeric.eval_j(heegner_point(f, d2), prec)
-                   for f in reduced_forms(d2)]
-            product = mpmath.mpc(1)
-            logsum = mpmath.mpf(0)
-            for j2 in js2:
-                for j1 in js1:
-                    diff = j2 - j1
-                    product *= diff
-                    logsum += mpmath.log(abs(diff))
-            rec = numeric.recognize_integer(product)
-        if rec is not None:
-            break
-        prec *= 2
-        report.notes.append(f"retry at {prec} bits")
-    else:
-        report.prec = prec
-        return report
-
-    n, _ = rec
-    report.prec = prec
-    report.product_integer = n
-    bound = max(D // 4, 3)
-    fact, leftover = _trial_factor(n, bound)
-    report.factorization = fact
-    if leftover != 1:
-        report.notes.append(f"prime {leftover} beyond bound {bound}")
-    report.factor_match = (leftover == 1 and
-                           {p: Fraction(e) * scale for p, e in fact.items()}
-                           == rhs.exponents())
-
-    h1, h2 = len(js1), len(js2)
-    res = _sylvester_resultant(numeric.class_polynomial(d1),
-                               numeric.class_polynomial(d2))
-    report.resultant_match = (res == (-1) ** (h1 * h2) * n)
-
-    with mpmath.workprec(prec + 32):
-        lhs_log = mpmath.mpf(scale.numerator) / scale.denominator * logsum
-        rhs_log = rhs.value(prec + 32)
-        residual = abs(lhs_log - rhs_log)
-    report.lhs_log = lhs_log
-    report.rhs_log = rhs_log
-    report.residual = residual
-    tight = residual < mpmath.mpf(2) ** (-(prec // 4))
-    report.status = ("ok" if report.factor_match and report.resultant_match
-                     and tight else "mismatch")
-    return report
+    return _verify("gz", d1, d2, prec, numeric.eval_j, points, scale, rhs,
+                   oracle=True)
 
 
 def yz_verify(d1, d2, prec=None):
     """Verify the level-2 Hauptmodul factorization for distinct coprime
-    fundamental discriminants d1 = d2 = 1 mod 8."""
-    check_yz_hypotheses(d1, d2)
-    if prec is None:
-        prec = auto_prec(d1, d2)
-    D = d1 * d2
+    fundamental discriminants d1 = d2 = 1 mod 8.  The arithmetic side
+    computes log |prod|^2, hence the scale 2."""
     rhs = yz_rhs(d1, d2)
-    report = VerificationReport(kind="yz", d1=d1, d2=d2, prec=prec,
-                                status="precision",
-                                rhs_exponents=rhs.exponents())
-
-    def points(d):
-        return [odd_norm_representative(f, d)[0] for f in reduced_forms(d)]
-
-    for attempt in range(MAX_RETRIES + 1):
-        with mpmath.workprec(prec + 32):
-            ws1 = [numeric.eval_omega2(heegner_point(f, d1), prec)
-                   for f in points(d1)]
-            ws2 = [numeric.eval_omega2(heegner_point(f, d2), prec)
-                   for f in points(d2)]
-            product = mpmath.mpc(1)
-            logsum = mpmath.mpf(0)
-            for w2 in ws2:
-                for w1 in ws1:
-                    diff = w2 - w1
-                    product *= diff
-                    logsum += mpmath.log(abs(diff))
-            rec = numeric.recognize_integer(product)
-        if rec is not None:
-            break
-        prec *= 2
-        report.notes.append(f"retry at {prec} bits")
-    else:
-        report.prec = prec
-        return report
-
-    n, _ = rec
-    report.prec = prec
-    report.product_integer = n
-    bound = max(D // 16, 3)
-    fact, leftover = _trial_factor(n, bound)
-    report.factorization = fact
-    if leftover != 1:
-        report.notes.append(f"prime {leftover} beyond bound {bound}")
-    # the formula computes log |prod|^2, so doubled exponents must agree
-    report.factor_match = (leftover == 1 and
-                           {p: Fraction(2 * e) for p, e in fact.items()}
-                           == rhs.exponents())
-    with mpmath.workprec(prec + 32):
-        lhs_log = 2 * logsum
-        rhs_log = rhs.value(prec + 32)
-        residual = abs(lhs_log - rhs_log)
-    report.lhs_log = lhs_log
-    report.rhs_log = rhs_log
-    report.residual = residual
-    tight = residual < mpmath.mpf(2) ** (-(prec // 4))
-    report.status = "ok" if report.factor_match and tight else "mismatch"
-    return report
+    points = tuple([odd_norm_representative(f, d)[0] for f in reduced_forms(d)]
+                   for d in (d1, d2))
+    return _verify("yz", d1, d2, prec, numeric.eval_omega2, points,
+                   Fraction(2), rhs, oracle=False)
 
 
 def borcherds_verify(case, n1=8, n2=8):

@@ -104,15 +104,15 @@ def test_t_range():
 
 
 def test_p_t_of():
+    def pt(m):
+        return p_t_of(factor_principal_ideal(RealQuadElem(m, 105), -7, -15))
+
     # D = 105: odd m with m^2 = 105 mod 16 means m = +-3, +-5 mod 8
     for m in (-5, -3, 3, 5):
-        t = RealQuadElem(m, 105)
-        P, e = p_t_of(t, -7, -15)
+        P, e = pt(m)
         assert P.p == 2 and P.kind == "split" and e >= 1
     # opposite-sign m picks the conjugate branch
-    b1 = p_t_of(RealQuadElem(3, 105), -7, -15)[0].branch
-    b2 = p_t_of(RealQuadElem(-3, 105), -7, -15)[0].branch
-    assert b1 == -b2
+    assert pt(3)[0].branch == -pt(-3)[0].branch
 
 
 def test_gz_rhs_anchor_163_3():

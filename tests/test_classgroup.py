@@ -9,6 +9,7 @@ import pytest
 from cmfactor.classgroup import (units_w, reduced_forms, class_number,
                                  heegner_point, form_action,
                                  odd_norm_representative)
+from cmfactor.quadarith import is_fundamental_discriminant
 
 
 @pytest.mark.parametrize("d,h", [(-3, 1), (-4, 1), (-7, 1), (-8, 1),
@@ -111,6 +112,20 @@ def test_odd_norm_representative_properties():
             assert rep[1] ** 2 - 4 * rep[0] * rep[2] == d
             assert form_action(form, g) == rep
             assert g[0] * g[3] - g[1] * g[2] == 1
+
+
+def test_odd_norm_representative_closed_form():
+    # the certificate is I, S or T S: at most two generators reach an odd
+    # first coefficient, because b is odd
+    allowed = {(1, 0, 0, 1), (0, -1, 1, 0), (1, -1, 1, 0)}
+    discs = [d for d in range(-399, 0)
+             if d % 8 == 1 and is_fundamental_discriminant(d)]
+    assert len(discs) > 20
+    for d in discs:
+        for form in reduced_forms(d):
+            rep, g = odd_norm_representative(form, d)
+            assert g in allowed
+            assert form_action(form, g) == rep and rep[0] % 2 == 1
 
 
 def test_odd_norm_representative_identity_when_already_odd():

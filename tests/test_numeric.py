@@ -3,7 +3,7 @@
 import mpmath
 import pytest
 
-from cmfactor.numeric import (eval_eta, eval_j, eval_omega2, eval_f2,
+from cmfactor.numeric import (eval_eta, eval_j, eval_omega2,
                               recognize_integer, class_polynomial)
 
 
@@ -54,12 +54,15 @@ def test_omega2_level2_invariance():
         assert abs(a - eval_omega2(tau / (2 * tau + 1), 128)) < mpmath.mpf(2) ** -90
 
 
-def test_omega2_is_f2_to_the_24():
-    with mpmath.workprec(192):
+def test_level2_modular_equation():
+    # j(2 tau) = (omega2(tau) + 256)^3 / omega2(tau)^2; the two sides use the
+    # eta values at (tau, 2 tau) and at (2 tau, 4 tau)
+    with mpmath.workprec(264):
         tau = mpmath.mpc(mpmath.mpf("0.11"), mpmath.mpf("0.93"))
-        a = eval_omega2(tau, 128)
-        b = eval_f2(tau, 160) ** 24
-        assert abs(a - b) < mpmath.mpf(2) ** -95 * abs(a)
+        w = eval_omega2(tau, 200)
+        want = (w + 256) ** 3 / w ** 2
+        got = eval_j(2 * tau, 200)
+        assert abs(got - want) < mpmath.mpf(2) ** -190 * abs(want)
 
 
 def test_omega2_far_in_the_cusp():

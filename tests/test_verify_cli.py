@@ -8,15 +8,16 @@ from fractions import Fraction
 
 import pytest
 
-from cmfactor.verify import (gz_verify, yz_verify, auto_prec, _trial_factor,
-                             _sylvester_resultant)
-from cmfactor.cli import main, EXIT_OK, EXIT_MISMATCH, EXIT_HYPOTHESIS
+from cmfactor import numeric, verify
+from cmfactor.verify import (gz_verify, yz_verify, auto_prec,
+                             _sylvester_resultant, MAX_RETRIES)
+from cmfactor.cli import (main, EXIT_OK, EXIT_MISMATCH, EXIT_HYPOTHESIS,
+                          EXIT_PRECISION)
+from cmfactor.quadarith import PrimeLog
 
-
-def test_trial_factor():
-    assert _trial_factor(-720, 10) == ({2: 4, 3: 2, 5: 1}, 1)
-    assert _trial_factor(7 * 101, 10) == ({7: 1}, 101)
-    assert _trial_factor(1, 10) == ({}, 1)
+# one small admissible pair per formula
+DRIVER_CASES = [("gz", gz_verify, "gz_rhs", -3, -67),
+                ("yz", yz_verify, "yz_rhs", -7, -15)]
 
 
 def test_sylvester_resultant_hand_checks():
@@ -46,6 +47,34 @@ def test_gz_verify_minus3_minus67():
     # j(-67 point) = -147197952000 = -2^15 3^3 5^3 11^3, j(-3 point) = 0
     assert r.product_integer == -147197952000
     assert r.factorization == {2: 15, 3: 3, 5: 3, 11: 3}
+
+
+@pytest.mark.parametrize("kind,fn,rhs_name,d1,d2", DRIVER_CASES)
+def test_driver_reports_a_wrong_arithmetic_side(monkeypatch, kind, fn,
+                                                rhs_name, d1, d2):
+    # the predicted 2^1 is wrong for both products and their odd primes are
+    # not predicted: both the cofactor and the exponent of 2 disagree
+    monkeypatch.setattr(verify, rhs_name, lambda a, b: PrimeLog({2: 1}))
+    r = fn(d1, d2)
+    assert r.status == "mismatch" and not r.factor_match
+    assert any(n.startswith("cofactor") for n in r.notes)
+    assert any(n.startswith("exponent of 2") for n in r.notes)
+    with redirect_stdout(io.StringIO()):
+        assert main([kind, "--d1", str(d1), "--d2", str(d2)]) == EXIT_MISMATCH
+
+
+@pytest.mark.parametrize("kind,fn,rhs_name,d1,d2", DRIVER_CASES)
+def test_driver_reports_exhausted_precision(monkeypatch, kind, fn, rhs_name,
+                                            d1, d2):
+    monkeypatch.setattr(numeric, "recognize_integer", lambda *a, **k: None)
+    r = fn(d1, d2)
+    assert r.status == "precision" and r.product_integer is None
+    retries = [n for n in r.notes if n.startswith("retry at")]
+    assert len(retries) == MAX_RETRIES == len(r.notes)
+    assert r.prec == auto_prec(d1, d2) * 2 ** MAX_RETRIES
+    with redirect_stdout(io.StringIO()):
+        code = main([kind, "--d1", str(d1), "--d2", str(d2)])
+    assert code == EXIT_PRECISION
 
 
 def test_gz_verify_rejects_bad_inputs():
