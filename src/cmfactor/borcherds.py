@@ -9,9 +9,10 @@ q1^rlp q2^-rl, and the product runs over n >= 0, m + n >= 0, (m, n) != (0,0).
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil
 
-from .series import FracQSeries, e2_series
-from .discform import VVForm, restrict_to_M
+from .series import e2_series
+from .discform import restrict_to_M
 
 
 @dataclass(frozen=True)
@@ -26,7 +27,7 @@ def weyl_vector(f_M, chamber="Wplus"):
 
     rl = -c(0)/24 and rlp = constant term of f_M E2 / 24; for a form whose
     principal part is a single q^-1 the latter equals -c(-1) + c(0)/24, which
-    is asserted as a cross-check.
+    is checked.
     """
     if chamber != "Wplus":
         raise ValueError("only the chamber with l_M in its closure is supported")
@@ -35,8 +36,8 @@ def weyl_vector(f_M, chamber="Wplus"):
     depth = max(0, -int(f_M.lo()))
     e2 = e2_series(depth + 1)
     rlp = sum(f_M.coeff(-k) * e2.coeff(k) for k in range(0, depth + 1)) / 24
-    if depth <= 1:
-        assert rlp == -f_M.coeff(-1) + c0 / 24
+    if depth <= 1 and rlp != -f_M.coeff(-1) + c0 / 24:
+        raise ArithmeticError("Weyl vector cross-check failed")
     return WeylVector(rl=rl, rlp=rlp)
 
 
@@ -74,42 +75,37 @@ def _expand_product(exponents, rho, C, N1, N2):
     """Common engine: C q1^rlp q2^-rl prod (1 - q1^n q2^m)^a (1 + ...)^b over
     n >= 0, m >= -1, m + n >= 0, (m,n) != (0,0), where (a, b) = exponents(mn).
 
-    Exponents at mn < -1 must vanish (checked); terms are pruned outside a
-    working box big enough that every kept coefficient is exact.
+    Exponents at mn < -1 must vanish (checked) and all exponents must be
+    integers (checked), so the expansion runs on integer keys and integer
+    binomial coefficients; the Weyl shift and C are applied at the end.
+    Terms are pruned outside a working box big enough that every kept
+    coefficient is exact.
     """
-    from math import ceil
     need1 = ceil(max(0, -rho.rlp))
     need2 = ceil(max(0, rho.rl))
     C1 = N1 + 1 + need1
     C2 = N2 + 1 + need2 + C1
     lo2 = -C1 - 1
-    terms = {(0, 0): Fraction(1)}
+    terms = {(0, 0): 1}
 
     def mul_factor(n, m, sign, expo):
         nonlocal terms
-        fac = {(0, 0): Fraction(1)}
-        coef = Fraction(1)
+        fac = []
+        coef = 1
         j = 1
-        while True:
-            if n > 0 and n * j > C1:
-                break
-            if n == 0 and m * j > C2:
-                break
-            coef *= Fraction(expo - (j - 1), j)
+        while n * j <= C1 if n > 0 else m * j <= C2:
+            coef = coef * (expo - j + 1) // j
             if coef == 0:
                 break
-            fac[(n * j, m * j)] = coef * (1 if sign > 0 else (-1) ** j)
+            fac.append((n * j, m * j, coef if sign > 0 or j % 2 == 0 else -coef))
             j += 1
-        if len(fac) == 1:
-            return
-        new = {}
+        new = dict(terms)
         for (e1, e2), c in terms.items():
-            for (f1, f2), d in fac.items():
+            for f1, f2, d in fac:
                 E1, E2 = e1 + f1, e2 + f2
                 if E1 > C1 or E2 > C2 or E2 < lo2:
                     continue
-                key = (E1, E2)
-                new[key] = new.get(key, Fraction(0)) + c * d
+                new[E1, E2] = new.get((E1, E2), 0) + c * d
         terms = {k: v for k, v in new.items() if v}
 
     for n in range(0, C1 + 1):
@@ -121,11 +117,10 @@ def _expand_product(exponents, rho, C, N1, N2):
             if a.denominator != 1 or b.denominator != 1:
                 raise ArithmeticError("non-integral product exponent")
             if a:
-                mul_factor(n, m, -1, a)
+                mul_factor(n, m, -1, int(a))
             if b:
-                mul_factor(n, m, +1, b)
+                mul_factor(n, m, +1, int(b))
     s1, s2 = rho.rlp, -rho.rl
-    C = Fraction(C)
     out = {(e1 + s1, e2 + s2): C * c for (e1, e2), c in terms.items()}
     return BiQSeries(coeffs=out, cut1=Fraction(N1), cut2=Fraction(N2))
 

@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 verified/ok, 2 verification failed (sides disagree),
-3 hypothesis violation (bad inputs), 4 precision exhausted.
+3 hypothesis violation (bad inputs), 4 precision exhausted, 64 usage error
+(bad command line).
 """
 
 import argparse
@@ -20,6 +21,16 @@ EXIT_OK = 0
 EXIT_MISMATCH = 2
 EXIT_HYPOTHESIS = 3
 EXIT_PRECISION = 4
+EXIT_USAGE = 64         # sysexits EX_USAGE
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit with EXIT_USAGE, not with
+    argparse's 2, which is EXIT_MISMATCH here.  Subparsers inherit it."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _num_str(x, prec):
@@ -66,9 +77,9 @@ def _emit_report(r, as_json):
 
 
 def main(argv=None):
-    ap = argparse.ArgumentParser(prog="cmfactor",
-                                 description="CM value factorization of "
-                                             "differences of modular functions")
+    ap = _Parser(prog="cmfactor",
+                 description="CM value factorization of "
+                             "differences of modular functions")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     for name in ("gz", "yz"):

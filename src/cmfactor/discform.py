@@ -115,7 +115,7 @@ class VVForm:
     """A vector-valued q-expansion with one FracQSeries per coset.
 
     Exponents in component mu are congruent to Q(mu) mod 1 for honest forms;
-    that is asserted where it matters, not enforced on construction.
+    that is checked where it matters (`restrict_to_M`), not on construction.
     """
     components: dict
     weight: Fraction = Fraction(0)
@@ -133,30 +133,12 @@ def constant_vvform(values, cutoff=8):
     return VVForm(components=comps)
 
 
-def _as_q_half(s):
-    """Reinterpret a series in x as a series in q with x = q^(1/2)."""
-    return FracQSeries(2 * s.den, dict(s.coeffs), s.cutoff / 2)
-
-
-def _even_part(s):
-    """Even-exponent part of an x-series with den 1 (integer exponents)."""
-    assert s.den == 1
-    return FracQSeries(1, {k: c for k, c in s.coeffs.items() if k % 2 == 0},
-                       s.cutoff)
-
-
-def _odd_part(s):
-    assert s.den == 1
-    return FracQSeries(1, {k: c for k, c in s.coeffs.items() if k % 2 == 1},
-                       s.cutoff)
-
-
 def build_weber_f(order):
     """The weight-0 input form whose Borcherds lift on the level-2 lattice is
     the difference omega2(z1) - omega2(z2) of level-2 Hauptmoduls.
 
-    Built from scalar ingredients in x = q^(1/2):
-      g    = x^-2 prod(1 + x^(2n))^-24 + 12       (= 2^12/omega2 + 12 in q)
+    Built from scalar ingredients, with x = q^(1/2):
+      g    = q^-1 prod(1 + q^n)^-24 + 12          (= 2^12/omega2 + 12)
       g|S  = 2^12 x prod(1 + x^n)^24 + 12
       g|ST = g|S with x -> -x
     and symmetrized over the cosets:
@@ -164,25 +146,17 @@ def build_weber_f(order):
       f_mu2 = 12 + even(g|S), f_mu3 = odd(g|S).
     Components are exact below q^(order+1).
     """
-    xorder = 2 * order + 4
-    a24 = prod_one_plus(xorder) ** 24
-    binv24 = (prod_one_plus(xorder, step=2) ** 24).inverse()
-    xcut = Fraction(xorder)
-
-    g = FracQSeries(1, {k - 2: c for k, c in binv24.coeffs.items()},
-                    binv24.cutoff - 2) + 12
-    gs = FracQSeries(1, {k + 1: 4096 * c for k, c in a24.coeffs.items()},
-                     a24.cutoff + 1) + 12
-    g = g.truncate(min(g.cutoff, xcut))
-    gs = gs.truncate(min(gs.cutoff, xcut))
-    even = _even_part(gs)
-    odd = _odd_part(gs)
-
+    g = FracQSeries.dense(1, -1, (prod_one_plus(order + 2) ** -24).a) + 12
+    # a[i] is the coefficient of x^(i+1) in g|S, i < 2 order + 3
+    a = [4096 * c for c in (prod_one_plus(2 * order + 2) ** 24).a]
+    even = FracQSeries.dense(1, 0, [12] + a[1::2])
+    odd = [0] * len(a)
+    odd[::2] = a[::2]
     comps = {
-        "mu0": _as_q_half(g + even),
-        "mu1": _as_q_half(even - 12),
-        "mu2": _as_q_half(even + 12),
-        "mu3": _as_q_half(odd),
+        "mu0": g + even,
+        "mu1": even - 12,
+        "mu2": even + 12,
+        "mu3": FracQSeries.dense(2, 1, odd),
     }
     return VVForm(components=comps)
 
@@ -191,8 +165,6 @@ def restrict_to_M(f):
     """Restriction to the sublattice index-2 dual pair: the scalar form
     f_mu0 + f_mu2, which has integer exponents."""
     s = f.components["mu0"] + f.components["mu2"]
-    for k in s.coeffs:
-        if k % s.den != 0:
-            raise ArithmeticError("restriction has fractional exponents")
-    return FracQSeries(1, {k // s.den: c for k, c in s.coeffs.items()},
-                       s.cutoff)
+    if any(c for i, c in enumerate(s.a) if (s.off + i) % s.den):
+        raise ArithmeticError("restriction has fractional exponents")
+    return FracQSeries(1, {int(e): c for e, c in s.terms()}, s.cutoff)

@@ -1,55 +1,89 @@
-"""Exact q-expansions with rational exponents and rational coefficients.
+"""Exact q-expansions with rational exponents and integer coefficients.
 
-A FracQSeries is a truncated series sum c_e q^e where the exponents e are
-rationals with a common denominator `den` and every coefficient with e < cutoff
-is stored exactly.  Exponents may be negative (principal parts).
+A FracQSeries is a truncated series sum_i (a[i] / cden) q^((off + i) / den):
+a dense list `a` of Python ints, an integer exponent offset `off`, an
+exponent denominator `den` and one common coefficient denominator `cden`.
+Every term below the cutoff (off + len(a)) / den is stored, and a[0] != 0
+unless the series is zero.  Exponents may be negative (principal parts).
+The classical expansions here all have cden == 1; a larger cden only comes
+from inverting a series whose leading coefficient is not a unit.
 """
 
 from fractions import Fraction
+from math import ceil, gcd, lcm
+
+
+def _miller(a, k):
+    """(numerators, denominator) of the first len(a) coefficients of A^k, for
+    an integer list A with A[0] != 0 and any integer k.
+
+    J.C.P. Miller's recurrence m A0 B_m = sum_{j=1..m} (k j - m + j) A_j
+    B_{m-j} (Knuth, TAOCP vol. 2, 4.7) runs on V(x) = A(A0 x) / A0, whose
+    coefficients A_j A0^(j-1) are integers with V0 = 1, so that V^k has
+    integer coefficients and every division by m is exact.  A^k is then
+    A0^k V^k(x / A0).  Zero coefficients of A are skipped, so a sparse A
+    costs O(len(a) * nonzeros).
+    """
+    n, a0 = len(a), a[0]
+    js = [j for j in range(1, n) if a[j]]
+    vs = [a[j] * a0 ** (j - 1) for j in js]
+    b = [1] * n
+    t = 0
+    for m in range(1, n):
+        if t < len(js) and js[t] <= m:
+            t += 1
+        b[m] = sum(((k + 1) * j - m) * v * b[m - j]
+                   for j, v in zip(js[:t], vs)) // m
+    if a0 == 1:
+        return b, 1
+    e = min(0, k - n + 1)           # smallest power of a0 that occurs
+    nums = [c * a0 ** (k - m - e) for m, c in enumerate(b)]
+    den = a0 ** -e
+    return (nums, den) if den > 0 else ([-c for c in nums], -den)
 
 
 class FracQSeries:
 
     def __init__(self, den, coeffs, cutoff):
-        # coeffs maps integer numerators k to the coefficient of q^(k/den)
+        """The series sum_k coeffs[k] q^(k/den), exact below cutoff."""
         if den <= 0:
             raise ValueError("den must be positive")
-        self.den = den
-        self.cutoff = Fraction(cutoff)
-        self.coeffs = {}
+        end = ceil(Fraction(cutoff) * den)
+        coeffs = {k: Fraction(c) for k, c in coeffs.items() if k < end}
+        cden = lcm(*(c.denominator for c in coeffs.values()))
+        off = min(coeffs, default=end)
+        a = [0] * (end - off)
         for k, c in coeffs.items():
-            c = Fraction(c)
-            if c != 0:
-                if Fraction(k, den) >= self.cutoff:
-                    continue
-                self.coeffs[k] = c
-        self._reduce_den()
+            a[k - off] = c.numerator * (cden // c.denominator)
+        self._set(den, off, a, cden)
 
-    def _reduce_den(self):
-        if self.den == 1:
-            return
-        from math import gcd
-        g = self.den
-        for k in self.coeffs:
-            g = gcd(g, k)
-            if g == 1:
-                return
-        if g > 1:
-            self.coeffs = {k // g: c for k, c in self.coeffs.items()}
-            self.den //= g
+    def _set(self, den, off, a, cden):
+        lead = next((i for i, c in enumerate(a) if c), len(a))
+        if cden > 1:
+            g = gcd(cden, *a)
+            a, cden = [c // g for c in a], cden // g
+        self.den, self.off, self.a, self.cden = den, off + lead, a[lead:], cden
 
     @classmethod
-    def zero(cls, cutoff):
-        return cls(1, {}, cutoff)
+    def dense(cls, den, off, a, cden=1):
+        """The series sum_i (a[i] / cden) q^((off + i) / den), exact below
+        q^((off + len(a)) / den)."""
+        s = cls.__new__(cls)
+        s._set(den, off, a, cden)
+        return s
 
     @classmethod
     def monomial(cls, e, c, cutoff):
         e = Fraction(e)
-        return cls(e.denominator, {e.numerator: Fraction(c)}, cutoff)
+        return cls(e.denominator, {e.numerator: c}, cutoff)
 
     @classmethod
     def constant(cls, c, cutoff):
-        return cls(1, {0: Fraction(c)}, cutoff)
+        return cls(1, {0: c}, cutoff)
+
+    @property
+    def cutoff(self):
+        return Fraction(self.off + len(self.a), self.den)
 
     def lo(self):
         """Smallest exponent with a nonzero stored coefficient.
@@ -57,52 +91,57 @@ class FracQSeries:
         For an identically-zero truncation this returns the cutoff, which is
         a valid lower bound for any terms the series may have.
         """
-        if not self.coeffs:
-            return self.cutoff
-        return Fraction(min(self.coeffs), self.den)
+        return Fraction(self.off, self.den)
 
     def coeff(self, e):
         e = Fraction(e)
         if e >= self.cutoff:
             raise ValueError(f"coefficient of q^{e} beyond cutoff {self.cutoff}")
-        if self.den % e.denominator != 0:
+        i = e * self.den - self.off
+        if i < 0 or i.denominator != 1:
             return Fraction(0)
-        num = e.numerator * (self.den // e.denominator)
-        return self.coeffs.get(num, Fraction(0))
+        return Fraction(self.a[int(i)], self.cden)
 
     def terms(self):
         """Sorted list of (exponent, coefficient) pairs."""
-        return [(Fraction(k, self.den), c) for k, c in sorted(self.coeffs.items())]
+        return [(Fraction(self.off + i, self.den), Fraction(c, self.cden))
+                for i, c in enumerate(self.a) if c]
 
     def truncate(self, cutoff):
-        cutoff = Fraction(cutoff)
         if cutoff > self.cutoff:
             raise ValueError("cannot extend a truncated series")
-        return FracQSeries(self.den,
-                           {k: c for k, c in self.coeffs.items()
-                            if Fraction(k, self.den) < cutoff},
-                           cutoff)
+        end = ceil(Fraction(cutoff) * self.den)
+        return self.dense(self.den, min(self.off, end),
+                          self.a[:max(0, end - self.off)], self.cden)
 
-    def _common_den(self, other):
-        from math import gcd
-        den = self.den * other.den // gcd(self.den, other.den)
-        a = {k * (den // self.den): c for k, c in self.coeffs.items()}
-        b = {k * (den // other.den): c for k, c in other.coeffs.items()}
-        return den, a, b
+    def _spread(self, den):
+        """(offset, coefficient list) of self over the exponent denominator
+        den, a multiple of self.den."""
+        r = den // self.den
+        if r == 1:
+            return self.off, self.a
+        a = [0] * (r * len(self.a))
+        a[::r] = self.a
+        return r * self.off, a
 
     def __add__(self, other):
         if not isinstance(other, FracQSeries):
             other = FracQSeries.constant(other, self.cutoff)
-        den, a, b = self._common_den(other)
-        for k, c in b.items():
-            a[k] = a.get(k, Fraction(0)) + c
-        return FracQSeries(den, a, min(self.cutoff, other.cutoff))
+        den = lcm(self.den, other.den)
+        cden = lcm(self.cden, other.cden)
+        parts = [(*s._spread(den), cden // s.cden) for s in (self, other)]
+        off = min(o for o, _, _ in parts)
+        end = min(o + len(a) for o, a, _ in parts)
+        out = [0] * (end - off)
+        for o, a, scale in parts:
+            for i, c in enumerate(a[:max(0, end - o)], o - off):
+                out[i] += scale * c
+        return self.dense(den, off, out, cden)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FracQSeries(self.den, {k: -c for k, c in self.coeffs.items()},
-                           self.cutoff)
+        return self.dense(self.den, self.off, [-c for c in self.a], self.cden)
 
     def __sub__(self, other):
         if not isinstance(other, FracQSeries):
@@ -115,82 +154,48 @@ class FracQSeries:
     def __mul__(self, other):
         if not isinstance(other, FracQSeries):
             c = Fraction(other)
-            return FracQSeries(self.den, {k: c * v for k, v in self.coeffs.items()},
-                               self.cutoff)
-        den, a, b = self._common_den(other)
-        lo_a = min(a) if a else self.cutoff * den
-        lo_b = min(b) if b else other.cutoff * den
-        cutoff = min(self.cutoff + Fraction(lo_b, den),
-                     other.cutoff + Fraction(lo_a, den))
-        bound = cutoff * den
-        prod = {}
-        for ka, ca in a.items():
-            for kb, cb in b.items():
-                k = ka + kb
-                if k >= bound:
-                    continue
-                prod[k] = prod.get(k, Fraction(0)) + ca * cb
-        return FracQSeries(den, prod, cutoff)
+            return self.dense(self.den, self.off,
+                              [c.numerator * x for x in self.a],
+                              self.cden * c.denominator)
+        den = lcm(self.den, other.den)
+        (oa, a), (ob, b) = self._spread(den), other._spread(den)
+        # exact below min(cutoff + other.lo, other.cutoff + lo)
+        n = min(len(a), len(b))
+        if a.count(0) < b.count(0):
+            a, b = b, a             # loop over the sparser factor
+        out = [0] * n
+        for i, x in enumerate(a[:n]):
+            if x:
+                out[i:] = [o + x * y for o, y in zip(out[i:], b)]
+        return self.dense(den, oa + ob, out, self.cden * other.cden)
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        # binary powering; cutoff bookkeeping is handled by __mul__
-        base = self
-        result = None
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        if result is None:
-            return FracQSeries.constant(1, self.cutoff)
-        return result
+    def __pow__(self, k):
+        """self ** k for any integer k, exact below k lo + (cutoff - lo)."""
+        if not self.a:
+            if k <= 0:
+                raise ZeroDivisionError("power of the zero series")
+            return self.dense(self.den, k * self.off, [])
+        nums, cden = _miller(self.a, k)
+        scale = self.cden ** abs(k)
+        if k < 0:
+            nums, scale = [scale * c for c in nums], 1
+        return self.dense(self.den, k * self.off, nums, cden * scale)
 
     def inverse(self):
         """Multiplicative inverse, valid where enough terms are known."""
-        if not self.coeffs:
-            raise ZeroDivisionError("inverse of zero series")
-        from math import ceil
-        den = self.den
-        lo_num = min(self.coeffs)
-        nterms = ceil(self.cutoff * den) - lo_num
-        # dense unit part a[0] + a[1] x + ... with x = q^(1/den)
-        a = [Fraction(0)] * nterms
-        for k, c in self.coeffs.items():
-            a[k - lo_num] = c
-        if a[0] == 0:
-            raise ZeroDivisionError("leading coefficient vanished")
-        inv0 = 1 / a[0]
-        b = [Fraction(0)] * nterms
-        b[0] = inv0
-        for k in range(1, nterms):
-            acc = Fraction(0)
-            for j in range(1, k + 1):
-                if a[j] != 0 and b[k - j] != 0:
-                    acc += a[j] * b[k - j]
-            if acc != 0:
-                b[k] = -inv0 * acc
-        cutoff = Fraction(nterms - lo_num, den)
-        return FracQSeries(den, {k - lo_num: b[k] for k in range(nterms) if b[k]},
-                           cutoff)
+        return self ** -1
 
     def subst_power(self, r):
         """Substitute q -> q^r for a positive integer r."""
-        return FracQSeries(self.den, {k * r: c for k, c in self.coeffs.items()},
-                           self.cutoff * r)
+        off, a = self._spread(r * self.den)
+        return self.dense(self.den, off, a, self.cden)
 
     def __eq__(self, other):
         if not isinstance(other, FracQSeries):
             return NotImplemented
-        cutoff = min(self.cutoff, other.cutoff)
-        den, a, b = self._common_den(other)
-        bound = cutoff * den
-        keys = {k for k in a if k < bound} | {k for k in b if k < bound}
-        return all(a.get(k, 0) == b.get(k, 0) for k in keys)
+        return not any((self - other).a)
 
     def __repr__(self):
         shown = self.terms()[:6]
@@ -200,31 +205,20 @@ class FracQSeries:
 
 def euler_product(order):
     """prod_{n>=1} (1 - q^n) through q^order, by the pentagonal number sums."""
-    coeffs = {0: Fraction(1)}
-    k = 1
-    while True:
-        done = True
+    a = [0] * (order + 1)
+    k = 0
+    while k * (3 * k - 1) // 2 <= order:
         for e in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
             if e <= order:
-                coeffs[e] = Fraction(-1 if k % 2 else 1)
-                done = False
-        if done:
-            break
+                a[e] = -1 if k % 2 else 1
         k += 1
-    return FracQSeries(1, coeffs, order + 1)
+    return FracQSeries.dense(1, 0, a)
 
 
-def prod_one_plus(order, step=1):
-    """prod_{n>=1} (1 + q^(n*step)) through q^order."""
-    coeffs = {0: Fraction(1)}
-    m = step
-    while m <= order:
-        for k in sorted(coeffs, reverse=True):
-            t = k + m
-            if t <= order:
-                coeffs[t] = coeffs.get(t, Fraction(0)) + coeffs[k]
-        m += step
-    return FracQSeries(1, coeffs, order + 1)
+def prod_one_plus(order):
+    """prod_{n>=1} (1 + q^n) = prod (1 - q^(2n)) / prod (1 - q^n) through
+    q^order."""
+    return euler_product(order // 2).subst_power(2) * euler_product(order) ** -1
 
 
 def _divisor_power_sums(k, order):
@@ -239,52 +233,39 @@ def _divisor_power_sums(k, order):
 def e2_series(order):
     """Quasimodular Eisenstein series E2 = 1 - 24 sum sigma_1(n) q^n."""
     s = _divisor_power_sums(1, order)
-    coeffs = {0: Fraction(1)}
-    for n in range(1, order + 1):
-        coeffs[n] = Fraction(-24 * s[n])
-    return FracQSeries(1, coeffs, order + 1)
+    return FracQSeries.dense(1, 0, [1] + [-24 * c for c in s[1:]])
 
 
 def e4_series(order):
     """Eisenstein series E4 = 1 + 240 sum sigma_3(n) q^n."""
     s = _divisor_power_sums(3, order)
-    coeffs = {0: Fraction(1)}
-    for n in range(1, order + 1):
-        coeffs[n] = Fraction(240 * s[n])
-    return FracQSeries(1, coeffs, order + 1)
+    return FracQSeries.dense(1, 0, [1] + [240 * c for c in s[1:]])
 
 
 def eta_series(order):
-    """q^(1/24) prod (1 - q^n), keeping pentagonal terms q^(n + 1/24), n <= order."""
-    p = euler_product(order)
-    return FracQSeries(24, {24 * k + 1: c for k, c in p.coeffs.items()},
-                       Fraction(24 * order + 2, 24))
+    """q^(1/24) prod (1 - q^n), exact below q^(order + 1 + 1/24)."""
+    return FracQSeries.dense(24, 1, euler_product(order)._spread(24)[1])
 
 
 def delta_series(order):
     """Discriminant form Delta = q prod (1 - q^n)^24 through q^order."""
-    p = euler_product(order) ** 24
-    return FracQSeries(1, {k + 1: c for k, c in p.coeffs.items() if k + 1 <= order},
-                       order + 1)
+    return FracQSeries.dense(1, 1, (euler_product(order) ** 24).a[:order])
 
 
 def j_series(order):
-    """The j-function q-expansion q^-1 + 744 + 196884 q + ... through q^order."""
-    e4 = e4_series(order + 1)
-    disc_over_q = euler_product(order + 1) ** 24
-    jq = (e4 ** 3) * disc_over_q.inverse()
-    return FracQSeries(1, {k - 1: c for k, c in jq.coeffs.items()}, order + 1)
+    """The j-function q-expansion q^-1 + 744 + 196884 q + ... through q^order:
+    E4^3 / (q prod (1 - q^n)^24)."""
+    jq = e4_series(order + 1) ** 3 * euler_product(order + 1) ** -24
+    return FracQSeries.dense(1, -1, jq.a)
 
 
 def omega2_series(order):
     """The Hauptmodul 2^12 Delta(2z)/Delta(z) = 2^12 q prod (1 + q^n)^24."""
-    p = prod_one_plus(order - 1) ** 24
-    return FracQSeries(1, {k + 1: 4096 * c for k, c in p.coeffs.items()},
-                       order + 1)
+    p = prod_one_plus(order) ** 24
+    return FracQSeries.dense(1, 1, [4096 * c for c in p.a[:order]])
 
 
 def eta_quotient_2_series(order):
-    """eta(2z)/eta(z) = q^(1/24) prod (1 + q^n), through q^(order + 1/24)."""
-    p = prod_one_plus(order)
-    return FracQSeries(24, {24 * k + 1: c for k, c in p.coeffs.items()},
-                       Fraction(24 * order + 2, 24))
+    """eta(2z)/eta(z) = q^(1/24) prod (1 + q^n), exact below
+    q^(order + 1 + 1/24)."""
+    return FracQSeries.dense(24, 1, prod_one_plus(order)._spread(24)[1])

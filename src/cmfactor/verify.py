@@ -176,6 +176,8 @@ def borcherds_verify(case, n1=8, n2=8):
     """Exact series verification of a Borcherds product identity through the
     box q1^n1 q2^n2.  Cases: weber, j, eta1, eta2, f2.  Returns (ok, detail).
     """
+    if n1 < 0 or n2 < 0:
+        raise ValueError(f"box ({n1},{n2}) must have nonnegative sides")
     from .series import (j_series, omega2_series, eta_series,
                          eta_quotient_2_series)
     from .discform import build_weber_f, constant_vvform
@@ -189,8 +191,9 @@ def borcherds_verify(case, n1=8, n2=8):
         return prod.compare(bi_difference(omega2_series(max(n1, n2) + 1), n1, n2))
     if case == "j":
         order = (n1 + 2) * (n1 + n2 + 3) + 1
-        prod = product_expansion_j(j_series(order) - 744, n1, n2)
-        return prod.compare(bi_difference(j_series(max(n1, n2) + 1), n1, n2))
+        j = j_series(order)
+        prod = product_expansion_j(j - 744, n1, n2)
+        return prod.compare(bi_difference(j.truncate(max(n1, n2) + 2), n1, n2))
     if case == "eta1":
         f = constant_vvform({"mu0": 1, "mu1": 1}, cutoff=(n1 + 1) * (n1 + n2 + 2) + 1)
         prod = product_expansion_level2(f, 1, n1, n2)

@@ -132,11 +132,11 @@ def test_criterion_5_companion_corrected_values():
 
 
 def test_criterion_6_borcherds_identities():
-    for case, order in [("weber", 8), ("j", 8),
-                        ("eta1", 10), ("eta2", 10), ("f2", 10)]:
+    for case, order in [("weber", 12), ("j", 12),
+                        ("eta1", 24), ("eta2", 24), ("f2", 24)]:
         ok, bad = borcherds_verify(case, order, order)
         assert ok, (case, bad[:3])
-    _passline(6, "5 product identities exact through (8,8)/(10,10)")
+    _passline(6, "5 product identities exact through (12,12)/(24,24)")
 
 
 def test_criterion_7_weyl_vectors():

@@ -1,13 +1,15 @@
 """Exact bivariate product expansions: Weyl vectors, leading terms, and
 small-box product identities."""
 
+import random
 from fractions import Fraction
+from math import ceil, comb
 
 import pytest
 
 from cmfactor.borcherds import (WeylVector, weyl_vector, BiQSeries,
                                 product_expansion_level2, product_expansion_j,
-                                bi_difference, bi_product)
+                                bi_difference, bi_product, _expand_product)
 from cmfactor.discform import build_weber_f, restrict_to_M, constant_vvform
 from cmfactor.series import (FracQSeries, j_series, omega2_series,
                              eta_series, eta_quotient_2_series)
@@ -115,3 +117,50 @@ def test_compare_reports_mismatches():
     ok, bad = a.compare(b)
     assert not ok
     assert bad == [((Fraction(0), Fraction(0)), Fraction(1), Fraction(2))]
+
+
+def _naive_expand(exponents, rho, C, N1, N2):
+    # Fraction reference for borcherds._expand_product: the same product over
+    # the same working box, with binomial coefficients from math.comb
+    # (binom(-a, j) = (-1)^j binom(a + j - 1, j)) and every term shifted by
+    # the Weyl vector and scaled by C from the start
+    C1 = N1 + 1 + ceil(max(0, -rho.rlp))
+    C2 = N2 + 1 + ceil(max(0, rho.rl)) + C1
+    s1, s2 = rho.rlp, -rho.rl
+    terms = {(s1, s2): Fraction(C)}
+    for n in range(C1 + 1):
+        for m in range(-1 if n else 1, C2 + 1):
+            for sign, expo in zip((-1, 1), exponents(m * n)):
+                if m + n < 0 or not expo:
+                    continue
+                new = {}
+                for (e1, e2), c in terms.items():
+                    j = 0
+                    while e1 - s1 + n * j <= C1 and e2 - s2 + m * j <= C2:
+                        d = (comb(expo, j) if expo > 0 else
+                             (-1) ** j * comb(j - expo - 1, j)) * sign ** j
+                        key = (e1 + n * j, e2 + m * j)
+                        if d and key[1] - s2 >= -C1 - 1:
+                            new[key] = new.get(key, 0) + c * d
+                        j += 1
+                terms = {k: v for k, v in new.items() if v}
+    return terms
+
+
+def test_integer_expansion_matches_fraction_reference():
+    rng = random.Random(11)
+    for _ in range(20):
+        ta, tb = ([rng.choice([0, rng.randint(-30, 30),
+                               rng.randint(-10 ** 6, 10 ** 6)])
+                   for _ in range(200)] for _ in "ab")
+        rho = WeylVector(rl=Fraction(rng.randint(-30, 30), 24),
+                         rlp=Fraction(rng.randint(-30, 30), 24))
+        C = rng.choice([1, -1, -4096, 7])
+        N1, N2 = rng.randint(0, 2), rng.randint(0, 2)
+
+        def exponents(k):
+            return (ta[k + 1], tb[k + 1]) if k >= -1 else (0, 0)
+
+        got = _expand_product(exponents, rho, C, N1, N2)
+        assert got.coeffs == _naive_expand(exponents, rho, C, N1, N2)
+        assert (got.cut1, got.cut2) == (N1, N2)

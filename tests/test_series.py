@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmfactor.series import (FracQSeries, euler_product, prod_one_plus,
                              e2_series, e4_series, eta_series, delta_series,
@@ -136,3 +137,58 @@ def test_truncate_cannot_extend():
         s.truncate(99)
     t = s.truncate(3)
     assert t.cutoff == 3
+
+
+# c_0 q^(off/den) + c_1 q^((off+1)/den) + ... + O(q^((off+n)/den)) with
+# integer coefficients; c_0 != 0 need not be a unit
+int_series = st.builds(
+    lambda den, off, lead, rest: FracQSeries(
+        den, {off + i: c for i, c in enumerate([lead] + rest)},
+        Fraction(off + 1 + len(rest), den)),
+    st.integers(1, 3), st.integers(-3, 3),
+    st.integers(-6, 6).filter(bool), st.lists(st.integers(-9, 9), max_size=10))
+
+PROPERTY = settings(max_examples=60, deadline=None)
+
+
+def _power_cutoff(s, k):
+    # k lo + (cutoff - lo): the relative precision of s is kept
+    return k * s.lo() + s.cutoff - s.lo()
+
+
+def _repeated_product(s, k):
+    p = s
+    for _ in range(k - 1):
+        p = p * s
+    return p
+
+
+@PROPERTY
+@given(int_series, st.integers(-12, 12))
+def test_power_is_repeated_product(s, k):
+    p = s ** k
+    assert p.cutoff == _power_cutoff(s, k)
+    if k > 0:
+        assert p == _repeated_product(s, k)
+    else:
+        # s^k times |k| factors s is 1 + O(q^(cutoff - lo))
+        one = p * _repeated_product(s, -k) if k else p
+        assert one.cutoff == s.cutoff - s.lo()
+        assert one == FracQSeries.constant(1, one.cutoff)
+
+
+@PROPERTY
+@given(int_series)
+def test_inverse_is_a_unit(s):
+    p = s * s.inverse()
+    assert p.cutoff == s.cutoff - s.lo()
+    assert p == FracQSeries.constant(1, p.cutoff)
+    assert s.inverse() == s ** -1
+
+
+@PROPERTY
+@given(int_series, st.integers(-4, 4), st.integers(-4, 4))
+def test_power_of_a_power(s, a, b):
+    p = (s ** a) ** b
+    assert p.cutoff == _power_cutoff(s, a * b)
+    assert p == s ** (a * b)

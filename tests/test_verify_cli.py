@@ -9,10 +9,10 @@ from fractions import Fraction
 import pytest
 
 from cmfactor import numeric, verify
-from cmfactor.verify import (gz_verify, yz_verify, auto_prec,
-                             _sylvester_resultant, MAX_RETRIES)
+from cmfactor.verify import (gz_verify, yz_verify, borcherds_verify,
+                             auto_prec, _sylvester_resultant, MAX_RETRIES)
 from cmfactor.cli import (main, EXIT_OK, EXIT_MISMATCH, EXIT_HYPOTHESIS,
-                          EXIT_PRECISION)
+                          EXIT_PRECISION, EXIT_USAGE)
 from cmfactor.quadarith import PrimeLog
 
 # one small admissible pair per formula
@@ -107,6 +107,28 @@ def test_cli_gz_ok_exit_code():
 def test_cli_hypothesis_exit_code(capsys):
     assert main(["gz", "--d1", "-3", "--d2", "-12"]) == EXIT_HYPOTHESIS
     assert main(["yz", "--d1", "-3", "--d2", "-7"]) == EXIT_HYPOTHESIS
+
+
+@pytest.mark.parametrize("argv", [
+    ["--threads", "2", "gz", "--d1", "-3", "--d2", "-4"],   # unknown option
+    ["gz", "--d1", "x", "--d2", "-4"],                      # not an integer
+    ["gz", "--d1", "-3"],                                   # missing --d2
+])
+def test_cli_usage_error_exit_code(capsys, argv):
+    # a bad command line must not read as "sides disagree" (EXIT_MISMATCH)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE != EXIT_MISMATCH
+    assert "usage: cmfactor" in capsys.readouterr().err
+
+
+def test_borcherds_check_rejects_negative_boxes(capsys):
+    for n1, n2 in [(-3, -3), (-1, 4), (4, -1)]:
+        with pytest.raises(ValueError):
+            borcherds_verify("weber", n1, n2)
+    argv = ["borcherds-check", "--case", "weber", "--order", "-3"]
+    assert main(argv) == EXIT_HYPOTHESIS
+    assert "exact match" not in capsys.readouterr().out
 
 
 def test_cli_json_deterministic():
