@@ -8,11 +8,12 @@ multiple of log N(p), collected here into exact PrimeLog sums.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 
 from .quadarith import (RealQuadElem, PrimeLog, factor_principal_ideal,
-                        splitting_in_E_over_F, rho,
-                        is_fundamental_discriminant)
+                        factor_principal_ideals, splitting_in_E_over_F, rho,
+                        diff_set, is_fundamental_discriminant)
 
 
 def check_gz_hypotheses(d1, d2):
@@ -53,6 +54,7 @@ def whittaker_good(kind, e):
     raise ValueError("kind must be 'split' or 'inert'")
 
 
+@lru_cache(maxsize=1024)
 def whittaker2_Ma(a, o, s):
     """Value at s of the normalized 2-adic Whittaker function attached to
     the parity-a section, for ord_2(t) = o (o < 0 means t not integral,
@@ -94,11 +96,6 @@ def t_range(d1, d2):
     return out
 
 
-def _diff_primes(fact, d1, d2):
-    return [(P, e) for P, e in fact.items()
-            if e % 2 == 1 and splitting_in_E_over_F(P, d1, d2) == "inert"]
-
-
 def _cm_sum(d1, d2, level2):
     """The double sum shared by both formulas: over t in t_range with
     exactly one prime P of F inert in E/F at odd order e, the term
@@ -107,15 +104,17 @@ def _cm_sum(d1, d2, level2):
     """
     D = d1 * d2
     total = PrimeLog()
-    for t in t_range(d1, d2):
-        if level2 and (t.m * t.m - D) % 16 != 0:
-            continue
-        fact = factor_principal_ideal(t, d1, d2)
+    ts = [t for t in t_range(d1, d2)
+          if not level2 or (t.m * t.m - D) % 16 == 0]
+    facts = factor_principal_ideals(ts, d1, d2)
+    for t in ts:
+        fact = facts[t.m]
         Pt = p_t_of(fact)[0] if level2 else None
-        diff = _diff_primes(fact, d1, d2)
+        diff = diff_set(fact, d1, d2)
         if len(diff) != 1:
             continue
-        P, e = diff[0]
+        P = diff[0]
+        e = fact[P]
         red = dict(fact)
         red[P] = e - 1
         if level2:
@@ -158,14 +157,15 @@ def yz_rhs_whittaker(d1, d2):
     with the parity-1 channel vanishing identically."""
     check_yz_hypotheses(d1, d2)
     total = PrimeLog()
-    for t in t_range(d1, d2):
-        if t.m % 2 == 0:
-            continue
-        fact = factor_principal_ideal(t, d1, d2)
-        diff = _diff_primes(fact, d1, d2)
+    ts = [t for t in t_range(d1, d2) if t.m % 2]
+    facts = factor_principal_ideals(ts, d1, d2)
+    for t in ts:
+        fact = facts[t.m]
+        diff = diff_set(fact, d1, d2)
         if len(diff) != 1:
             continue
-        P, e = diff[0]
+        P = diff[0]
+        e = fact[P]
         if P.p == 2:
             raise ArithmeticError("primes above 2 split in E/F here")
         ords2 = {1: 0, -1: 0}

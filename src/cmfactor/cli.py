@@ -132,7 +132,7 @@ def main(argv=None):
                 print(f"  {P.kind} prime above {P.p}"
                       + (f" (branch {P.branch:+d})" if P.branch else "")
                       + f": exponent {e}")
-            diff = diff_set(t, args.d1, args.d2)
+            diff = diff_set(fact, args.d1, args.d2)
             print("Diff:", [(P.p, P.kind) for P in diff])
             print("rho(t O_F) =", rho(fact, args.d1, args.d2))
             for P in diff:

@@ -118,13 +118,9 @@ class VVForm:
     that is checked where it matters (`restrict_to_M`), not on construction.
     """
     components: dict
-    weight: Fraction = Fraction(0)
 
     def coeff(self, n, coset):
         return self.components[coset].coeff(n)
-
-    def cutoff(self):
-        return min(s.cutoff for s in self.components.values())
 
 
 def constant_vvform(values, cutoff=8):

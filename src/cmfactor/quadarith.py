@@ -9,6 +9,7 @@ so D = d1 d2 is a fundamental discriminant of F and E/F is unramified.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 
 import mpmath
@@ -67,13 +68,12 @@ def factorize(n):
     if n == 0:
         raise ValueError("cannot factor zero")
     out = {}
-    for p in range(2, isqrt(n) + 1):
-        if n % p == 0:
-            v = 0
-            while n % p == 0:
-                n //= p
-                v += 1
-            out[p] = v
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            n //= p
+            out[p] = out.get(p, 0) + 1
+        p += 1
     if n > 1:
         out[n] = 1
     return out
@@ -92,9 +92,13 @@ def is_fundamental_discriminant(d):
 
 def _squarefree(n):
     n = abs(n)
-    for p, e in factorize(n).items():
-        if e > 1:
-            return False
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return False
+        p += 1
     return True
 
 
@@ -215,6 +219,7 @@ def primes_of_F_above(p, D):
     return (PrimeOfF(p, "ramified"),)
 
 
+@lru_cache(maxsize=4096)
 def splitting_in_E_over_F(P, d1, d2):
     """'split' or 'inert': behaviour of the prime P of F in E = F(sqrt(d1)).
 
@@ -234,56 +239,93 @@ def splitting_in_E_over_F(P, d1, d2):
     return "split"
 
 
-def factor_principal_ideal(t, d1, d2):
-    """Factor the principal ideal t O_F as a dict PrimeOfF -> exponent.
+def _primes_upto(n):
+    """The primes p <= n, by the sieve of Eratosthenes."""
+    sieve = bytearray(2) + bytearray([1]) * (n - 1)
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p, is_prime in enumerate(sieve) if is_prime]
 
-    t must have nonzero norm.  For split p the valuations at the two branches
-    are separated with the canonical p-adic root of D; exponents at primes
-    not dividing t O_F are omitted.
+
+def _prime_above(p, chi, m):
+    """The prime of F above p (chi = kronecker(D, p) >= 0) that divides
+    t = (m + sqrt(D))/2.  At a split p, N(t) = (m + s)/2 * (m - s)/2 with
+    s^2 = D, and p divides at most one factor, so with padic_sqrt's
+    canonical root s it is branch +1 iff p | (m + s)/2: iff 2 (m mod p) > p
+    for odd p, and iff m = 3 mod 4 for p = 2."""
+    if chi == 0:
+        return PrimeOfF(p, "ramified")
+    plus = m % 4 == 3 if p == 2 else 2 * (m % p) > p
+    return PrimeOfF(p, "split", 1 if plus else -1)
+
+
+def factor_principal_ideals(ts, d1, d2):
+    """Factor t O_F for every t in ts, as a dict t.m -> {PrimeOfF: exponent},
+    with one sieve over m.
+
+    Each t must have nonzero norm.  The t with p | N(t) = (m^2 - D)/4 for an
+    odd prime p are those with m = +-sqrt(D) mod p, found from one square
+    root of D per prime.  Primes inert in F never divide t O_F, and what is
+    left of N(t) after sieving with every p <= isqrt(max |N(t)|) is 1 or a
+    prime.  Exponents at primes not dividing t O_F are omitted.
     """
     D = d1 * d2
-    if t.D != D:
-        raise ValueError("element lives in a different field")
-    n = t.norm()
-    if n == 0:
-        raise ValueError("t must have nonzero norm")
-    fact = {}
-    for p, v in factorize(n).items():
-        primes = primes_of_F_above(p, D)
-        if len(primes) == 1 and primes[0].kind == "inert":
-            if v % 2 != 0:
-                raise ArithmeticError("odd valuation at an inert prime")
-            fact[primes[0]] = v // 2
-        elif len(primes) == 1:
-            fact[primes[0]] = v
+    norms = {}
+    for t in ts:
+        if t.D != D:
+            raise ValueError("element lives in a different field")
+        n = abs(t.norm())
+        if n == 0:
+            raise ValueError("t must have nonzero norm")
+        norms[t.m] = n
+    rest = dict(norms)
+    facts = {m: {} for m in norms}
+    lo, hi = min(norms, default=0), max(norms, default=0)
+    for p in _primes_upto(isqrt(max(norms.values(), default=0))):
+        chi = kronecker(D, p)
+        if chi == -1:
+            continue
+        if p == 2:
+            ms = norms
         else:
-            k = v + 2
-            s = padic_sqrt(D, p, k)
-            pk = p ** k
-            # ord at the branch where sqrt(D) -> s is v_p((m + s)/2); the /2
-            # costs one bit of certainty when p = 2
-            cap = k - 1 if p == 2 else k
-            vals = []
-            for root in (s, pk - s):
-                num = (t.m + root) % pk
-                w = k if num == 0 else valuation(num, p)
-                if p == 2:
-                    w -= 1
-                vals.append(w)
-            vp, vm = vals
-            if vp >= cap and vm >= cap:
-                raise ArithmeticError("p-adic precision loss")
-            if vp >= cap:
-                vp = v - vm
-            elif vm >= cap:
-                vm = v - vp
-            if vp + vm != v:
-                raise ArithmeticError("split valuations do not add up")
-            if vp:
-                fact[PrimeOfF(p, "split", 1)] = vp
-            if vm:
-                fact[PrimeOfF(p, "split", -1)] = vm
-    return fact
+            r = tonelli(D, p)
+            # m = +-r mod p and m = D mod 2, through [lo, hi]
+            ms = []
+            for c in {r, -r % p}:
+                first = lo + (c - lo) % p
+                first += p * ((first - D) % 2)
+                ms.extend(range(first, hi + 1, 2 * p))
+        for m in ms:
+            n = rest.get(m)
+            if n is None or n % p:
+                continue
+            v = 0
+            while n % p == 0:
+                n //= p
+                v += 1
+            rest[m] = n
+            facts[m][_prime_above(p, chi, m)] = v
+    for m, n in rest.items():
+        fact = facts[m]
+        if n > 1:
+            chi = kronecker(D, n)
+            if chi == -1:
+                raise ArithmeticError("odd valuation at an inert prime")
+            fact[_prime_above(n, chi, m)] = 1
+        norm = 1
+        for P, e in fact.items():
+            norm *= P.ideal_norm() ** e
+        if norm != norms[m]:
+            raise ArithmeticError("factorization does not multiply to N(t)")
+    return facts
+
+
+def factor_principal_ideal(t, d1, d2):
+    """Factor the principal ideal t O_F as a dict PrimeOfF -> exponent: the
+    one-element case of factor_principal_ideals.  Exponents at primes not
+    dividing t O_F are omitted."""
+    return factor_principal_ideals([t], d1, d2)[t.m]
 
 
 def rho(fact, d1, d2):
@@ -304,12 +346,11 @@ def rho(fact, d1, d2):
     return count
 
 
-def diff_set(t, d1, d2):
-    """Primes of F inert in E/F at which t O_F has odd valuation."""
-    fact = factor_principal_ideal(t, d1, d2)
-    out = [P for P, e in fact.items()
-           if e % 2 == 1 and splitting_in_E_over_F(P, d1, d2) == "inert"]
-    return sorted(out)
+def diff_set(fact, d1, d2):
+    """Primes of F inert in E/F at which the ideal with factorization `fact`
+    has odd valuation, sorted."""
+    return sorted(P for P, e in fact.items()
+                  if e % 2 == 1 and splitting_in_E_over_F(P, d1, d2) == "inert")
 
 
 class PrimeLog:

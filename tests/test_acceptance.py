@@ -168,7 +168,8 @@ def test_criterion_8_property_suites():
         for m in range(-isqrt(D - 1), isqrt(D - 1) + 1):
             if (m - D) % 2:
                 continue
-            assert len(diff_set(RealQuadElem(m, D), d1, d2)) % 2 == 1
+            fact = factor_principal_ideal(RealQuadElem(m, D), d1, d2)
+            assert len(diff_set(fact, d1, d2)) % 2 == 1
 
     # rho against brute-force ideal enumeration for norms <= 500
     def count_ideals(fact, d1, d2):

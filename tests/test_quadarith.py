@@ -3,14 +3,18 @@ splitting in the biquadratic extension, and the norm-counting function."""
 
 import random
 from fractions import Fraction
+from math import gcd, prod
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cmfactor.quadarith import (jacobi, kronecker, valuation, factorize,
-                                is_fundamental_discriminant, padic_sqrt,
-                                RealQuadElem, PrimeOfF, primes_of_F_above,
-                                splitting_in_E_over_F, factor_principal_ideal,
-                                rho, diff_set, PrimeLog)
+                                is_fundamental_discriminant, _squarefree,
+                                padic_sqrt, RealQuadElem, PrimeOfF,
+                                primes_of_F_above, splitting_in_E_over_F,
+                                factor_principal_ideal,
+                                factor_principal_ideals, rho, diff_set,
+                                PrimeLog)
 
 PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
 
@@ -162,6 +166,104 @@ def test_factor_norm_consistency_and_conjugation():
                 assert conj.get(mirror, 0) == e
 
 
+def reference_factor(t, d1, d2):
+    """Per-element reference for factor_principal_ideals: trial division of
+    N(t), and the canonical p-adic root of D to separate the two primes
+    above a split p."""
+    D = d1 * d2
+    fact = {}
+    for p, v in factorize(t.norm()).items():
+        primes = primes_of_F_above(p, D)
+        if primes[0].kind == "inert":
+            assert v % 2 == 0
+            fact[primes[0]] = v // 2
+        elif primes[0].kind == "ramified":
+            fact[primes[0]] = v
+        else:
+            k = v + 2
+            s = padic_sqrt(D, p, k)
+            pk = p ** k
+            # ord at the branch where sqrt(D) -> s is v_p((m + s)/2); the /2
+            # costs one bit of certainty when p = 2
+            cap = k - 1 if p == 2 else k
+            vals = []
+            for root in (s, pk - s):
+                num = (t.m + root) % pk
+                w = k if num == 0 else valuation(num, p)
+                vals.append(w - 1 if p == 2 else w)
+            vp, vm = vals
+            assert not (vp >= cap and vm >= cap)
+            if vp >= cap:
+                vp = v - vm
+            elif vm >= cap:
+                vm = v - vp
+            assert vp + vm == v
+            for branch, w in ((1, vp), (-1, vm)):
+                if w:
+                    fact[PrimeOfF(p, "split", branch)] = w
+    return fact
+
+
+NEG_FUND = [d for d in range(-3, -200, -1) if is_fundamental_discriminant(d)]
+COPRIME_PAIRS = [(d1, d2) for i, d1 in enumerate(NEG_FUND)
+                 for d2 in NEG_FUND[i + 1:] if gcd(d1, d2) == 1]
+
+
+def two_in_F(pair):
+    """How 2 behaves in F = Q(sqrt(d1 d2)): D = 1 mod 8 splits it, D even
+    ramifies it, D = 5 mod 8 leaves it inert."""
+    D = pair[0] * pair[1]
+    return "ramified" if D % 2 == 0 else ("split" if D % 8 == 1 else "inert")
+
+
+PAIRS_BY_TWO = {kind: [q for q in COPRIME_PAIRS if two_in_F(q) == kind]
+                for kind in ("split", "ramified", "inert")}
+pairs_any_two = st.sampled_from(sorted(PAIRS_BY_TWO)).flatmap(
+    lambda kind: st.sampled_from(PAIRS_BY_TWO[kind]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=pairs_any_two, start=st.integers(-3000, 3000),
+       count=st.integers(1, 40))
+@example(pair=(-7, -15), start=-9, count=1)      # 2 split, one element
+@example(pair=(-4, -43), start=-12, count=1)     # 2 ramified, one element
+@example(pair=(-8, -23), start=-13, count=13)    # 2 ramified, whole t-range
+@example(pair=(-7, -23), start=-12, count=12)    # 2 split, whole t-range
+@example(pair=(-3, -7), start=2, count=1)        # 2 inert, one element
+def test_range_sieve_equals_per_element_reference(pair, start, count):
+    d1, d2 = pair
+    D = d1 * d2
+    first = start + (start - D) % 2
+    ts = [RealQuadElem(first + 2 * i, D) for i in range(count)]
+    got = factor_principal_ideals(ts, d1, d2)
+    assert got == {t.m: reference_factor(t, d1, d2) for t in ts}
+    assert all(prod(P.ideal_norm() ** e for P, e in got[t.m].items())
+               == abs(t.norm()) for t in ts)
+
+
+def test_factor_principal_ideals_rejects_bad_elements():
+    with pytest.raises(ValueError):   # wrong field
+        factor_principal_ideal(RealQuadElem(1, 21), -7, -15)
+    with pytest.raises(ValueError):
+        factor_principal_ideals([RealQuadElem(1, 105), RealQuadElem(1, 21)],
+                                -7, -15)
+    with pytest.raises(ValueError):   # zero norm: D = 16 is a square
+        factor_principal_ideal(RealQuadElem(4, 16), -4, -4)
+    with pytest.raises(ValueError):
+        factor_principal_ideals([RealQuadElem(m, 16) for m in (2, 4, 6)],
+                                -4, -4)
+    assert factor_principal_ideals([], -7, -15) == {}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10 ** 7))
+def test_factorize_and_squarefree(n):
+    fact = factorize(n)
+    assert prod(p ** e for p, e in fact.items()) == n
+    assert all(factorize(p) == {p: 1} for p in fact)
+    assert _squarefree(n) == all(e == 1 for e in fact.values())
+
+
 def count_ideals_oracle(fact, d1, d2):
     """Enumerate exponent vectors of the primes of E above each prime of F
     and count those whose relative norm matches; the splitting data comes
@@ -219,7 +321,8 @@ def test_diff_set_has_odd_size(d1, d2):
         if (m - D) % 2:
             continue
         t = RealQuadElem(m, D)
-        assert len(diff_set(t, d1, d2)) % 2 == 1, (D, m)
+        fact = factor_principal_ideal(t, d1, d2)
+        assert len(diff_set(fact, d1, d2)) % 2 == 1, (D, m)
 
 
 def test_primelog_algebra():
