@@ -8,7 +8,7 @@ multiple of log N(p), collected here into exact PrimeLog sums.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from math import gcd, isqrt
 
 from .quadarith import (RealQuadElem, PrimeLog, factor_principal_ideal,
@@ -54,7 +54,7 @@ def whittaker_good(kind, e):
     raise ValueError("kind must be 'split' or 'inert'")
 
 
-@lru_cache(maxsize=1024)
+@cache   # keys (a, o, s): a in {0, 1}, o <= log2 N(t)
 def whittaker2_Ma(a, o, s):
     """Value at s of the normalized 2-adic Whittaker function attached to
     the parity-a section, for ord_2(t) = o (o < 0 means t not integral,

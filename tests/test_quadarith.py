@@ -2,6 +2,7 @@
 splitting in the biquadratic extension, and the norm-counting function."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd, prod
 
@@ -13,8 +14,8 @@ from cmfactor.quadarith import (jacobi, kronecker, valuation, factorize,
                                 padic_sqrt, RealQuadElem, PrimeOfF,
                                 primes_of_F_above, splitting_in_E_over_F,
                                 factor_principal_ideal,
-                                factor_principal_ideals, rho, diff_set,
-                                PrimeLog)
+                                factor_principal_ideals, SIEVE_FROM, rho,
+                                diff_set, PrimeLog)
 
 PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
 
@@ -222,14 +223,18 @@ pairs_any_two = st.sampled_from(sorted(PAIRS_BY_TWO)).flatmap(
     lambda kind: st.sampled_from(PAIRS_BY_TWO[kind]))
 
 
+# counts below SIEVE_FROM are trial-divided, counts from it on are sieved
 @settings(max_examples=150, deadline=None)
 @given(pair=pairs_any_two, start=st.integers(-3000, 3000),
-       count=st.integers(1, 40))
+       count=st.integers(1, 2 * SIEVE_FROM))
 @example(pair=(-7, -15), start=-9, count=1)      # 2 split, one element
 @example(pair=(-4, -43), start=-12, count=1)     # 2 ramified, one element
+@example(pair=(-3, -7), start=2, count=1)        # 2 inert, one element
 @example(pair=(-8, -23), start=-13, count=13)    # 2 ramified, whole t-range
 @example(pair=(-7, -23), start=-12, count=12)    # 2 split, whole t-range
-@example(pair=(-3, -7), start=2, count=1)        # 2 inert, one element
+@example(pair=(-7, -95), start=-26, count=26)    # 2 split, whole t-range
+@example(pair=(-8, -95), start=-27, count=27)    # 2 ramified, whole t-range
+@example(pair=(-3, -199), start=-24, count=24)   # 2 inert, whole t-range
 def test_range_sieve_equals_per_element_reference(pair, start, count):
     d1, d2 = pair
     D = d1 * d2
@@ -239,6 +244,20 @@ def test_range_sieve_equals_per_element_reference(pair, start, count):
     assert got == {t.m: reference_factor(t, d1, d2) for t in ts}
     assert all(prod(P.ideal_norm() ** e for P, e in got[t.m].items())
                == abs(t.norm()) for t in ts)
+
+
+def test_factor_principal_ideal_large_m():
+    # N(t) = 2^2 3 5 7 13 151 1367 88729 is about 1e14: one element is
+    # trial-divided up to the square root of the shrinking cofactor, with no
+    # table of the primes up to isqrt(N(t)), about 1e7
+    t = RealQuadElem(20000085, 105)
+    tracemalloc.start()
+    fact = factor_principal_ideal(t, -7, -15)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 1 << 20
+    assert fact == reference_factor(t, -7, -15)
+    assert fact[PrimeOfF(88729, "split", -1)] == 1
 
 
 def test_factor_principal_ideals_rejects_bad_elements():

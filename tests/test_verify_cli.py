@@ -155,6 +155,16 @@ def test_cli_rho_subcommand():
     assert "rho(t O_F) =" in out
 
 
+def test_cli_rho_large_m():
+    # N(t) = 2^2 3 5 7 13 151 1367 88729, about 1e14
+    code, out = _run_cli(["rho", "--d1", "-7", "--d2", "-15",
+                          "--m", "20000085"])
+    assert code == EXIT_OK
+    assert "N(t) = 100000850001780" in out
+    assert "split prime above 88729 (branch -1): exponent 1" in out
+    assert "rho(t O_F) = 0" in out
+
+
 def test_cli_class_poly():
     code, out = _run_cli(["class-poly", "--d", "-15"])
     assert code == EXIT_OK
