@@ -121,7 +121,8 @@ def _cm_sum(d1, d2, level2):
             red[Pt] -= 2
         r = rho(red, d1, d2)
         if r:
-            total.add(P.p, Fraction(1 + e, 2) * r * P.residue_degree())
+            # exact: P is in Diff, so e is odd
+            total.add(P.p, (1 + e) // 2 * r * P.residue_degree())
     return total
 
 
@@ -180,7 +181,7 @@ def yz_rhs_whittaker(d1, d2):
         red = {Q: eq for Q, eq in fact.items() if Q.p != 2}
         red[P] = e - 1
         r = rho(red, d1, d2)
-        contrib = Fraction(1 + e, 2) * r * w2 * P.residue_degree()
+        contrib = (1 + e) // 2 * r * w2 * P.residue_degree()
         if contrib:
             total.add(P.p, contrib)
     return total
@@ -203,7 +204,7 @@ def chi_log_identity(t, d1, d2):
             if Q is P or Q == P:
                 continue
             other *= sum(chi[Q] ** a for a in range(eq + 1))
-        lhs.add(P.p, Fraction(s1 * other * P.residue_degree()))
+        lhs.add(P.p, s1 * other * P.residue_degree())
     rhs = PrimeLog()
     for P, e in fact.items():
         if chi[P] != -1:

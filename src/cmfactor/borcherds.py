@@ -21,7 +21,7 @@ class WeylVector:
     rlp: Fraction   # coefficient of l'_M
 
 
-def weyl_vector(f_M, chamber="Wplus"):
+def weyl_vector(f_M):
     """Weyl vector of a scalar form f_M on the rank-(2,2) sublattice, for the
     Weyl chamber whose closure contains l_M.
 
@@ -29,8 +29,6 @@ def weyl_vector(f_M, chamber="Wplus"):
     principal part is a single q^-1 the latter equals -c(-1) + c(0)/24, which
     is checked.
     """
-    if chamber != "Wplus":
-        raise ValueError("only the chamber with l_M in its closure is supported")
     c0 = f_M.coeff(0)
     rl = -c0 / 24
     depth = max(0, -int(f_M.lo()))
@@ -125,13 +123,12 @@ def _expand_product(exponents, rho, C, N1, N2):
     return BiQSeries(coeffs=out, cut1=Fraction(N1), cut2=Fraction(N2))
 
 
-def product_expansion_level2(f, C, N1, N2, rho=None):
+def product_expansion_level2(f, C, N1, N2):
     """Borcherds product of a weight-0 form on the level-2 lattice: the
     (1 -)-exponents come from the mu0 component and the (1 +)-exponents from
     the mu2 component.  Needs coefficients through mn <= C1 * C2 of the
     working box; C is the leading constant including its sign."""
-    if rho is None:
-        rho = weyl_vector(restrict_to_M(f))
+    rho = weyl_vector(restrict_to_M(f))
     s0 = f.components["mu0"]
     s2 = f.components["mu2"]
 
@@ -145,9 +142,10 @@ def product_expansion_level2(f, C, N1, N2, rho=None):
     return _expand_product(exponents, rho, C, N1, N2)
 
 
-def product_expansion_j(f_M, N1, N2, C=1):
+def product_expansion_j(f_M, N1, N2):
     """Borcherds product for the unimodular (2,2) lattice: a scalar input
-    form such as j - 744; only (1 -)-type factors occur."""
+    form such as j - 744, with leading constant 1; only (1 -)-type factors
+    occur."""
     rho = weyl_vector(f_M)
 
     def exponents(k):
@@ -155,7 +153,7 @@ def product_expansion_j(f_M, N1, N2, C=1):
             raise ArithmeticError("principal part deeper than q^-1")
         return (f_M.coeff(k) if k >= -1 else Fraction(0)), Fraction(0)
 
-    return _expand_product(exponents, rho, C, N1, N2)
+    return _expand_product(exponents, rho, 1, N1, N2)
 
 
 def bi_difference(s, N1, N2):

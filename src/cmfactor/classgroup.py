@@ -47,9 +47,8 @@ def class_number(d):
 
 
 def heegner_point(form, d):
-    """CM point (b + sqrt(d))/(2a) of the form (a, b, c), as an exact pair
-    consumed by the evaluators: returns the mpmath value at current precision
-    when called inside a workprec block, or a modest default otherwise."""
+    """CM point (b + sqrt(d))/(2a) of the form (a, b, c), as an mpc at the
+    current working precision."""
     a, b, c = form
     if b * b - 4 * a * c != d:
         raise ValueError("form has wrong discriminant")

@@ -14,6 +14,7 @@ from math import ceil, log
 import mpmath
 
 GUARD_BITS = 64
+TOL_BITS = 32
 
 
 def _to_mpc(tau):
@@ -83,16 +84,16 @@ def eval_omega2(tau, prec):
         return +(4096 / _eta_quotient(tau, prec))
 
 
-def recognize_integer(x, tol_bits=32):
+def recognize_integer(x):
     """Round a complex value to the nearest integer.
 
     Returns (n, residual) where residual = |x - n|, or None when the residual
-    is not below 2^-tol_bits.
+    is not below 2^-TOL_BITS.
     """
     x = mpmath.mpmathify(x)
     n = int(mpmath.nint(mpmath.re(x)))
     residual = abs(x - n)
-    if residual >= mpmath.mpf(2) ** (-tol_bits):
+    if residual >= mpmath.mpf(2) ** (-TOL_BITS):
         return None
     return n, residual
 
@@ -100,7 +101,7 @@ def recognize_integer(x, tol_bits=32):
 def integer_polynomial(roots):
     """Expand prod (X - r) over the roots at current precision and round it:
     the integer coefficients, leading first, or None when a coefficient does
-    not round with residual below 2^-32."""
+    not round with residual below 2^-TOL_BITS."""
     poly = [mpmath.mpc(1)]
     for r in roots:
         nxt = [mpmath.mpc(0)] * (len(poly) + 1)
@@ -123,7 +124,7 @@ def class_polynomial(d, prec=None):
 
     Evaluates j at each reduced-form CM point and expands prod (X - j); the
     precision is doubled (up to three times) until every coefficient rounds
-    to an integer with residual below 2^-32.
+    to an integer with residual below 2^-TOL_BITS.
     """
     from .classgroup import reduced_forms, heegner_point
 
@@ -132,6 +133,8 @@ def class_polynomial(d, prec=None):
         # |j| at the CM point of (a, b, c) is about exp(pi sqrt|d| / a)
         bits = sum(3.1415927 * abs(d) ** 0.5 / (f[0] * log(2)) for f in forms)
         prec = 64 + ceil(1.2 * bits)
+    if prec < 1:
+        raise ValueError(f"working precision {prec} must be at least 1 bit")
     for _ in range(4):
         with mpmath.workprec(prec + GUARD_BITS):
             ints = integer_polynomial([eval_j(heegner_point(f, d), prec)

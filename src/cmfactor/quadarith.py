@@ -9,7 +9,7 @@ so D = d1 d2 is a fundamental discriminant of F and E/F is unramified.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, prod
+from math import isqrt, lcm, prod
 
 import mpmath
 
@@ -201,12 +201,6 @@ class PrimeOfF:
     def ideal_norm(self):
         return self.p ** self.residue_degree()
 
-    def root(self, D, k):
-        if self.kind != "split":
-            raise ValueError("root branch only meaningful for split primes")
-        s = padic_sqrt(D, self.p, k)
-        return s if self.branch == 1 else (self.p ** k - s) % self.p ** k
-
 
 def primes_of_F_above(p, D):
     """The primes of F = Q(sqrt(D)) above the rational prime p."""
@@ -357,17 +351,16 @@ def diff_set(fact, d1, d2):
 
 
 class PrimeLog:
-    """A finite formal sum of terms e_p * log(p) with exact rational e_p."""
+    """A finite formal sum of terms e_p * log(p) with exact rational e_p
+    (int or Fraction)."""
 
     def __init__(self, terms=None):
         self.terms = {}
-        if terms:
-            for p, e in terms.items():
-                self.add(p, e)
+        for p, e in (terms or {}).items():
+            self.add(p, e)
 
     def add(self, p, e):
-        e = Fraction(e)
-        cur = self.terms.get(p, Fraction(0)) + e
+        cur = self.terms.get(p, 0) + e
         if cur == 0:
             self.terms.pop(p, None)
         else:
@@ -379,10 +372,6 @@ class PrimeLog:
             out.add(p, e)
         return out
 
-    def scale(self, c):
-        c = Fraction(c)
-        return PrimeLog({p: e * c for p, e in self.terms.items()})
-
     def __eq__(self, other):
         return isinstance(other, PrimeLog) and self.terms == other.terms
 
@@ -393,11 +382,12 @@ class PrimeLog:
         return max(self.terms) if self.terms else None
 
     def value(self, prec):
+        """The sum at prec bits, as one log: of the exact rational
+        prod p^(e_p L), divided by L, the lcm of the exponent denominators."""
+        L = lcm(*(e.denominator for e in self.terms.values()))
+        x = prod(Fraction(p) ** int(e * L) for p, e in self.terms.items())
         with mpmath.workprec(prec):
-            total = mpmath.mpf(0)
-            for p, e in self.terms.items():
-                total += mpmath.mpf(e.numerator) / e.denominator * mpmath.log(p)
-            return +total
+            return mpmath.log(mpmath.mpf(x.numerator) / x.denominator) / L
 
     def __repr__(self):
         body = " + ".join(f"{e}*log({p})" for p, e in sorted(self.terms.items()))

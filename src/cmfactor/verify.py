@@ -105,6 +105,8 @@ def _verify(kind, d1, d2, prec, evaluate, points, scale, rhs, oracle):
     given scale, the resultant oracle if asked for, and the log residual."""
     if prec is None:
         prec = auto_prec(d1, d2)
+    if prec < 1:
+        raise ValueError(f"working precision {prec} must be at least 1 bit")
     report = VerificationReport(kind=kind, d1=d1, d2=d2, prec=prec,
                                 status="precision",
                                 rhs_exponents=rhs.exponents())
@@ -117,12 +119,9 @@ def _verify(kind, d1, d2, prec, evaluate, points, scale, rhs, oracle):
             vals1 = [evaluate(heegner_point(f, d1), prec) for f in points[0]]
             vals2 = [evaluate(heegner_point(f, d2), prec) for f in points[1]]
             product = mpmath.mpc(1)
-            logsum = mpmath.mpf(0)
             for v2 in vals2:
                 for v1 in vals1:
-                    diff = v2 - v1
-                    product *= diff
-                    logsum += mpmath.log(abs(diff))
+                    product *= v2 - v1
             rec = numeric.recognize_integer(product)
             # a coefficient that fails to round is a precision failure too
             polys = ([numeric.integer_polynomial(vals1),
@@ -141,11 +140,16 @@ def _verify(kind, d1, d2, prec, evaluate, points, scale, rhs, oracle):
         res = _sylvester_resultant(*polys)
         report.resultant_match = res == (-1) ** (len(vals1) * len(vals2)) * n
 
+    # the analytic product, not N: the gate tests the CM values themselves
     with mpmath.workprec(prec + 32):
-        report.lhs_log = mpmath.mpf(scale.numerator) / scale.denominator * logsum
+        report.lhs_log = (mpmath.mpf(scale.numerator) / scale.denominator
+                          * mpmath.log(abs(product)))
         report.rhs_log = rhs.value(prec + 32)
         report.residual = abs(report.lhs_log - report.rhs_log)
     tight = report.residual < mpmath.mpf(2) ** (-(prec // 4))
+    if not tight:
+        report.notes.append(f"residual {mpmath.nstr(report.residual, 3)} "
+                            f"above 2^-{prec // 4}")
     report.status = ("ok" if report.factor_match and tight
                      and report.resultant_match is not False else "mismatch")
     return report

@@ -349,9 +349,13 @@ def test_primelog_algebra():
     b = PrimeLog({3: Fraction(-1, 2), 5: 1})
     s = a + b
     assert s.exponents() == {2: 3, 5: 1}
-    assert s.scale(2).exponents() == {2: 6, 5: 2}
     assert s.max_prime() == 5
+    assert PrimeLog().value(80) == 0
+    # one log of a rational power: L = lcm(2, 3, 1) = 6 and a denominator
+    c = PrimeLog({2: Fraction(-7, 2), 3: Fraction(5, 3), 5: -2, 163: 4})
     import mpmath
-    with mpmath.workprec(80):
-        want = 3 * mpmath.log(2) + mpmath.log(5)
-        assert abs(s.value(80) - want) < mpmath.mpf(2) ** -70
+    for x in (s, c):
+        with mpmath.workprec(80):
+            want = sum(mpmath.mpf(e.numerator) / e.denominator * mpmath.log(p)
+                       for p, e in x.terms.items())
+            assert abs(x.value(80) - want) < mpmath.mpf(2) ** -70

@@ -3,9 +3,13 @@ command line interface."""
 
 import io
 import json
+import re
+import shlex
 from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath
 import pytest
 
 from cmfactor import numeric, verify
@@ -82,6 +86,44 @@ def test_gz_verify_rejects_bad_inputs():
         gz_verify(-3, -12)
 
 
+@pytest.mark.parametrize("kind,fn,d1,d2,n", [("gz", gz_verify, -3, -4, 1728),
+                                              ("yz", yz_verify, -7, -15, -45)])
+def test_residual_gate_catches_perturbed_cm_values(monkeypatch, kind, fn,
+                                                   d1, d2, n):
+    # CM values off by a relative 2^-60 still round to the right product and
+    # factor exactly; only the residual of the analytic product sees them
+    for name in ("eval_j", "eval_omega2"):
+        exact = getattr(numeric, name)
+        monkeypatch.setattr(numeric, name, lambda tau, prec, f=exact:
+                            f(tau, prec) * (1 + mpmath.mpf(2) ** -60))
+    r = fn(d1, d2, prec=400)
+    assert r.product_integer == n
+    assert r.factor_match and r.resultant_match is not False
+    assert r.status == "mismatch"
+    assert len(r.notes) == 1
+    assert re.fullmatch(r"residual \S+e-1[89] above 2\^-100", r.notes[0])
+    argv = [kind, "--d1", str(d1), "--d2", str(d2), "--prec", "400"]
+    with redirect_stdout(io.StringIO()):
+        assert main(argv) == EXIT_MISMATCH
+
+
+@pytest.mark.parametrize("prec", [0, -7])
+def test_nonpositive_precision_is_rejected(capsys, prec):
+    with pytest.raises(ValueError):
+        gz_verify(-3, -4, prec=prec)
+    with pytest.raises(ValueError):
+        yz_verify(-7, -15, prec=prec)
+    with pytest.raises(ValueError):
+        numeric.class_polynomial(-15, prec)
+    for argv in (["gz", "--d1", "-3", "--d2", "-4"],
+                 ["yz", "--d1", "-7", "--d2", "-15"],
+                 ["class-poly", "--d", "-15"]):
+        assert main(argv + ["--prec", str(prec)]) == EXIT_HYPOTHESIS
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count("must be at least 1 bit") == 3
+
+
 def test_yz_verify_small_pair():
     r = yz_verify(-7, -15)
     assert r.ok()
@@ -129,6 +171,14 @@ def test_borcherds_check_rejects_negative_boxes(capsys):
     argv = ["borcherds-check", "--case", "weber", "--order", "-3"]
     assert main(argv) == EXIT_HYPOTHESIS
     assert "exact match" not in capsys.readouterr().out
+
+
+def test_readme_example_matches_cli():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```\n\$ cmfactor ([^\n]*)\n(.*?)```", readme, re.S)
+    code, out = _run_cli(shlex.split(block.group(1)))
+    assert code == EXIT_OK
+    assert out.splitlines() == block.group(2).splitlines()
 
 
 def test_cli_json_deterministic():
