@@ -63,6 +63,8 @@ def eval_eta(tau, prec):
 def _eta_quotient(tau, prec):
     """t(tau) = (eta(tau)/eta(2 tau))^24 = q^-1 (prod (1 - q^n) /
     prod (1 - q^2n))^24, at the caller's working precision."""
+    if prec < 1:
+        raise ValueError(f"working precision {prec} must be at least 1 bit")
     order = _series_order(tau, prec)
     q = mpmath.expjpi(2 * tau)
     ratio = _euler_product(q, order) / _euler_product(q * q, order // 2)
@@ -133,8 +135,6 @@ def class_polynomial(d, prec=None):
         # |j| at the CM point of (a, b, c) is about exp(pi sqrt|d| / a)
         bits = sum(3.1415927 * abs(d) ** 0.5 / (f[0] * log(2)) for f in forms)
         prec = 64 + ceil(1.2 * bits)
-    if prec < 1:
-        raise ValueError(f"working precision {prec} must be at least 1 bit")
     for _ in range(4):
         with mpmath.workprec(prec + GUARD_BITS):
             ints = integer_polynomial([eval_j(heegner_point(f, d), prec)

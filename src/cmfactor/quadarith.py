@@ -351,13 +351,14 @@ def diff_set(fact, d1, d2):
 
 
 class PrimeLog:
-    """A finite formal sum of terms e_p * log(p) with exact rational e_p
-    (int or Fraction)."""
+    """A finite formal sum of terms e_p * log(p) with exact rational e_p.
+    The constructor coerces its terms with Fraction; add stores an int or
+    Fraction exponent as given."""
 
     def __init__(self, terms=None):
         self.terms = {}
         for p, e in (terms or {}).items():
-            self.add(p, e)
+            self.add(p, Fraction(e))
 
     def add(self, p, e):
         cur = self.terms.get(p, 0) + e
@@ -371,6 +372,10 @@ class PrimeLog:
         for p, e in other.terms.items():
             out.add(p, e)
         return out
+
+    def scale(self, c):
+        c = Fraction(c)
+        return PrimeLog({p: e * c for p, e in self.terms.items()})
 
     def __eq__(self, other):
         return isinstance(other, PrimeLog) and self.terms == other.terms

@@ -105,8 +105,6 @@ def _verify(kind, d1, d2, prec, evaluate, points, scale, rhs, oracle):
     given scale, the resultant oracle if asked for, and the log residual."""
     if prec is None:
         prec = auto_prec(d1, d2)
-    if prec < 1:
-        raise ValueError(f"working precision {prec} must be at least 1 bit")
     report = VerificationReport(kind=kind, d1=d1, d2=d2, prec=prec,
                                 status="precision",
                                 rhs_exponents=rhs.exponents())
