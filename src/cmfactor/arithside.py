@@ -6,7 +6,6 @@ of F inert in E = Q(sqrt(d1), sqrt(d2)); each term contributes a rational
 multiple of log N(p), collected here into exact PrimeLog sums.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt
@@ -30,28 +29,6 @@ def check_yz_hypotheses(d1, d2):
         raise ValueError("both discriminants must be 1 mod 8")
     if d1 == d2:
         raise ValueError("discriminants must be distinct")
-
-
-@dataclass(frozen=True)
-class WhittakerValue:
-    """Normalized local Whittaker datum at s=0: the value, and the
-    derivative coefficient as a multiple of log N(p)."""
-    value: Fraction
-    deriv_coeff: Fraction
-
-
-def whittaker_good(kind, e):
-    """Normalized Whittaker value/derivative at a prime of F unramified in
-    E/F ('split' or 'inert' in E/F) with ord_p(t O_F) = e >= 0."""
-    if e < 0:
-        raise ValueError("ord must be nonnegative")
-    if kind == "split":
-        return WhittakerValue(value=Fraction(1 + e), deriv_coeff=Fraction(0))
-    if kind == "inert":
-        value = Fraction(1 + (-1) ** e, 2)
-        deriv = Fraction(1 + e, 2) if e % 2 else Fraction(0)
-        return WhittakerValue(value=value, deriv_coeff=deriv)
-    raise ValueError("kind must be 'split' or 'inert'")
 
 
 @cache   # keys (a, o, s): a in {0, 1}, o <= log2 N(t)
@@ -158,6 +135,7 @@ def yz_rhs_whittaker(d1, d2):
     with the parity-1 channel vanishing identically."""
     check_yz_hypotheses(d1, d2)
     total = PrimeLog()
+    w2_of = {}       # (ord at P_2, ord at P_2'): 4 W(phi_0) W(phi_0)
     ts = [t for t in t_range(d1, d2) if t.m % 2]
     facts = factor_principal_ideals(ts, d1, d2)
     for t in ts:
@@ -173,15 +151,18 @@ def yz_rhs_whittaker(d1, d2):
         for Q, eq in fact.items():
             if Q.p == 2:
                 ords2[Q.branch] = eq
-        # L(1, chi) = 2 at each place above 2 turns W into W*, hence the 4
-        w2 = 4 * whittaker2_Ma(0, ords2[1], 0) * whittaker2_Ma(0, ords2[-1], 0)
-        w2_odd = 4 * whittaker2_Ma(1, ords2[1], 0) * whittaker2_Ma(1, ords2[-1], 0)
-        if w2_odd != 0:
-            raise ArithmeticError("parity-1 channel should vanish")
+        o1, o2 = ords2[1], ords2[-1]
+        if (o1, o2) not in w2_of:
+            if whittaker2_Ma(1, o1, 0) * whittaker2_Ma(1, o2, 0) != 0:
+                raise ArithmeticError("parity-1 channel should vanish")
+            # L(1, chi) = 2 at each place above 2 turns W into W*, hence the
+            # 4; at s = 0, 2 W(phi_0) is 1 or o - 1, so the product is an int
+            w2_of[o1, o2] = int(4 * whittaker2_Ma(0, o1, 0)
+                                * whittaker2_Ma(0, o2, 0))
         red = {Q: eq for Q, eq in fact.items() if Q.p != 2}
         red[P] = e - 1
         r = rho(red, d1, d2)
-        contrib = (1 + e) // 2 * r * w2 * P.residue_degree()
+        contrib = (1 + e) // 2 * r * w2_of[o1, o2] * P.residue_degree()
         if contrib:
             total.add(P.p, contrib)
     return total

@@ -35,7 +35,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _num_str(x, prec):
     digits = max(8, floor(prec * log10(2)))
-    with mpmath.workprec(prec + 32):
+    with mpmath.workprec(prec + numeric.GUARD_BITS):
         return mpmath.nstr(mpmath.mpf(x), digits)
 
 

@@ -1,20 +1,56 @@
-"""Arbitrary-precision evaluation of eta, j, and the level-2 Hauptmodul.
+"""Arbitrary-precision CM values of j and the level-2 Hauptmodul, and the
+one precision policy behind every computation with them.
 
 One kernel serves both CM-value functions: the eta quotient
 t(tau) = (eta(tau)/eta(2 tau))^24, from which j = (t + 256)^3 / t^2 and
 omega2 = 4096 / t (Enge, "The complexity of class polynomial computation via
-floating point approximations", Math. Comp. 2009).  All evaluators take a
+floating point approximations", Math. Comp. 2009).  Both evaluators take a
 point in the upper half plane and a working precision in bits, and are
 accurate to roughly that precision relative to the natural scale of the
-function (guard bits are added internally).
+function.
+
+The precision policy: a computation with CM values starts at auto_prec, an
+a-priori bound on the bits of what it must round to integers, runs at that
+precision plus GUARD_BITS (the evaluators, the CM points they are given and
+every product of their values alike), and doubles the precision at most
+MAX_RETRIES times while a value fails to round within 2^-TOL_BITS.
 """
 
-from math import ceil, log
+from itertools import product
+from math import ceil, log, pi, sqrt
 
 import mpmath
 
+from .classgroup import reduced_forms, heegner_point
+
 GUARD_BITS = 64
 TOL_BITS = 32
+MAX_RETRIES = 3
+
+
+def auto_prec(*discs):
+    """Working precision in bits for the CM values at the points of one or
+    two discriminants: 64 + ceil(1.2 S), where S sums, over every tuple of
+    one reduced form per discriminant, the largest height in the tuple.
+
+    The height of the form (a, b, c) of discriminant d is
+    h = pi sqrt|d| / (a log 2), the bits of |j| ~ |q|^-1 = e^(pi sqrt|d| / a)
+    at its CM point (Enge, Math. Comp. 2009).  For one discriminant S is
+    sum_Q h(Q), which bounds the bits of the coefficients of
+    prod_Q (X - j(tau_Q)).  For two it is sum_{Q1, Q2} max(h(Q1), h(Q2)),
+    which bounds the bits of prod (j1 - j2), since
+    |j1 - j2| <= 2 max(|j1|, |j2|); it is at least h(d2) times the sum of d1
+    and h(d1) times that of d2, so it covers both class polynomials too.
+    Every h is at least pi sqrt 3 / log 2 > 7.8, so the factor 1.2 absorbs
+    the factor 2 and the O(1) terms of |j| = |q|^-1 + O(1) in each pair.
+
+    The bound covers omega2 as well: j = (omega2 + 16)^3 / omega2, and j is
+    SL2(Z)-invariant, so at every point of a class (such as an odd-norm
+    representative) log|omega2| <= log|j| / 2 + O(1).
+    """
+    heights = [[pi * sqrt(-d) / (a * log(2)) for a, _, _ in reduced_forms(d)]
+               for d in discs]
+    return 64 + ceil(1.2 * sum(map(max, product(*heights))))
 
 
 def _to_mpc(tau):
@@ -27,7 +63,7 @@ def _to_mpc(tau):
 def _series_order(tau, prec):
     """Number of q-powers needed so the tail is below 2^-(prec+16)."""
     y = float(mpmath.im(tau))
-    return max(8, ceil((prec + 16) * log(2) / (2 * 3.14159265 * y)) + 8)
+    return max(8, ceil((prec + 16) * log(2) / (2 * pi * y)) + 8)
 
 
 def _euler_product(q, order):
@@ -50,14 +86,6 @@ def _euler_product(q, order):
         q_step *= q2
         k += 1
     return total
-
-
-def eval_eta(tau, prec):
-    tau = _to_mpc(tau)
-    with mpmath.workprec(prec + GUARD_BITS):
-        q = mpmath.expjpi(2 * tau)
-        prod = _euler_product(q, _series_order(tau, prec))
-        return +(mpmath.expjpi(tau / 12) * prod)
 
 
 def _eta_quotient(tau, prec):
@@ -124,18 +152,15 @@ def class_polynomial(d, prec=None):
     """Hilbert class polynomial of the imaginary quadratic order of
     discriminant d, as a list of integer coefficients, leading first.
 
-    Evaluates j at each reduced-form CM point and expands prod (X - j); the
-    precision is doubled (up to three times) until every coefficient rounds
-    to an integer with residual below 2^-TOL_BITS.
+    Evaluates j at each reduced-form CM point and expands prod (X - j),
+    starting at auto_prec(d) bits; the precision is doubled (up to
+    MAX_RETRIES times) until every coefficient rounds to an integer with
+    residual below 2^-TOL_BITS.
     """
-    from .classgroup import reduced_forms, heegner_point
-
     forms = reduced_forms(d)
     if prec is None:
-        # |j| at the CM point of (a, b, c) is about exp(pi sqrt|d| / a)
-        bits = sum(3.1415927 * abs(d) ** 0.5 / (f[0] * log(2)) for f in forms)
-        prec = 64 + ceil(1.2 * bits)
-    for _ in range(4):
+        prec = auto_prec(d)
+    for _ in range(MAX_RETRIES + 1):
         with mpmath.workprec(prec + GUARD_BITS):
             ints = integer_polynomial([eval_j(heegner_point(f, d), prec)
                                        for f in forms])

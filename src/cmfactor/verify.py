@@ -5,12 +5,14 @@ Borcherds product identities.
 
 One driver serves both formulas.  A formula only chooses the evaluator (j or
 omega2), the CM points (reduced forms, or their odd-norm representatives),
-the scale of the arithmetic side and whether the resultant oracle runs.
+the scale of the arithmetic side and whether the resultant oracle runs.  The
+precision follows numeric's one policy: numeric.auto_prec(d1, d2) bits unless
+the caller gives prec, every CM point, pair product and log at
+numeric.GUARD_BITS above it, and at most numeric.MAX_RETRIES doublings.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, log, pi
 
 import mpmath
 
@@ -19,8 +21,6 @@ from .classgroup import (reduced_forms, heegner_point, units_w,
                          odd_norm_representative)
 from .quadarith import valuation
 from .arithside import gz_rhs, yz_rhs
-
-MAX_RETRIES = 3
 
 
 @dataclass
@@ -42,15 +42,6 @@ class VerificationReport:
 
     def ok(self):
         return self.status == "ok"
-
-
-def auto_prec(d1, d2):
-    """Default working precision in bits, scaled by the number of class
-    pairs and the largest CM point height."""
-    h1 = len(reduced_forms(d1))
-    h2 = len(reduced_forms(d2))
-    per_pair = pi * max(abs(d1), abs(d2)) ** 0.5 / log(2)
-    return 64 + ceil(1.2 * h1 * h2 * per_pair)
 
 
 def _sylvester_resultant(f, g):
@@ -104,16 +95,16 @@ def _verify(kind, d1, d2, prec, evaluate, points, scale, rhs, oracle):
     product recognized as an integer N, the factor check against rhs at the
     given scale, the resultant oracle if asked for, and the log residual."""
     if prec is None:
-        prec = auto_prec(d1, d2)
+        prec = numeric.auto_prec(d1, d2)
     report = VerificationReport(kind=kind, d1=d1, d2=d2, prec=prec,
                                 status="precision",
                                 rhs_exponents=rhs.exponents())
-    for attempt in range(MAX_RETRIES + 1):
+    for attempt in range(numeric.MAX_RETRIES + 1):
         if attempt:
             prec *= 2
             report.notes.append(f"retry at {prec} bits")
         report.prec = prec
-        with mpmath.workprec(prec + 32):
+        with mpmath.workprec(prec + numeric.GUARD_BITS):
             vals1 = [evaluate(heegner_point(f, d1), prec) for f in points[0]]
             vals2 = [evaluate(heegner_point(f, d2), prec) for f in points[1]]
             product = mpmath.mpc(1)
@@ -139,10 +130,10 @@ def _verify(kind, d1, d2, prec, evaluate, points, scale, rhs, oracle):
         report.resultant_match = res == (-1) ** (len(vals1) * len(vals2)) * n
 
     # the analytic product, not N: the gate tests the CM values themselves
-    with mpmath.workprec(prec + 32):
+    with mpmath.workprec(prec + numeric.GUARD_BITS):
         report.lhs_log = (mpmath.mpf(scale.numerator) / scale.denominator
                           * mpmath.log(abs(product)))
-        report.rhs_log = rhs.value(prec + 32)
+        report.rhs_log = rhs.value(prec + numeric.GUARD_BITS)
         report.residual = abs(report.lhs_log - report.rhs_log)
     tight = report.residual < mpmath.mpf(2) ** (-(prec // 4))
     if not tight:

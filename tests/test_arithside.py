@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from cmfactor.arithside import (check_gz_hypotheses, check_yz_hypotheses,
-                                whittaker_good, whittaker2_Ma,
+                                whittaker2_Ma,
                                 whittaker2_shifted, t_range, gz_rhs, yz_rhs,
                                 yz_rhs_whittaker, p_t_of, chi_log_identity)
 from cmfactor.quadarith import RealQuadElem, factor_principal_ideal
@@ -29,23 +29,6 @@ def test_hypothesis_checks():
         check_yz_hypotheses(-3, -7)        # -3 is not 1 mod 8
     with pytest.raises(ValueError):
         check_yz_hypotheses(-7, -7)        # not distinct
-
-
-def test_whittaker_good_split():
-    for e in range(6):
-        w = whittaker_good("split", e)
-        assert w.value == e + 1 and w.deriv_coeff == 0
-
-
-def test_whittaker_good_inert():
-    vals = [(1, 0), (0, 1), (1, 0), (0, 2), (1, 0), (0, 3)]
-    for e, (v, d) in enumerate(vals):
-        w = whittaker_good("inert", e)
-        assert (w.value, w.deriv_coeff) == (v, d)
-    with pytest.raises(ValueError):
-        whittaker_good("inert", -1)
-    with pytest.raises(ValueError):
-        whittaker_good("ramified", 0)
 
 
 def test_whittaker2_parity0_table():

@@ -3,8 +3,8 @@
 import mpmath
 import pytest
 
-from cmfactor.numeric import (eval_eta, eval_j, eval_omega2,
-                              recognize_integer, class_polynomial)
+from cmfactor.numeric import (eval_j, eval_omega2, recognize_integer,
+                              class_polynomial, auto_prec)
 
 
 def test_j_at_i_is_1728():
@@ -27,14 +27,6 @@ def test_j_at_class_number_one_points(d, value):
         tau = (1 + mpmath.mpc(0, mpmath.sqrt(-d))) / 2
         rec = recognize_integer(eval_j(tau, 256))
     assert rec is not None and rec[0] == value
-
-
-def test_eta_at_i():
-    # eta(i) = Gamma(1/4) / (2 pi^(3/4))
-    with mpmath.workprec(256):
-        want = mpmath.gamma(mpmath.mpf(1) / 4) / (2 * mpmath.pi ** mpmath.mpf(0.75))
-        got = eval_eta(mpmath.mpc(0, 1), 256)
-        assert abs(got - want) < mpmath.mpf(2) ** -220
 
 
 def test_modular_invariance_of_j():
@@ -92,3 +84,11 @@ def test_class_polynomials():
     assert class_polynomial(-4) == [1, -1728]
     assert class_polynomial(-15) == [1, 191025, -121287375]
     assert class_polynomial(-23) == [1, 3491750, -5151296875, 12771880859375]
+
+
+@pytest.mark.parametrize("d", [-15, -23, -71, -311])
+def test_auto_prec_covers_the_class_polynomial(d):
+    # the bound of one discriminant is on the coefficients of its class
+    # polynomial; -311 (h = 19) gets 543 bits for a 397-bit coefficient
+    coeffs = class_polynomial(d)
+    assert auto_prec(d) >= max(abs(c) for c in coeffs).bit_length()

@@ -7,17 +7,19 @@ import re
 import shlex
 from contextlib import redirect_stdout
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import mpmath
 import pytest
 
 from cmfactor import numeric, verify
+from cmfactor.numeric import auto_prec, MAX_RETRIES, TOL_BITS
 from cmfactor.verify import (gz_verify, yz_verify, borcherds_verify,
-                             auto_prec, _sylvester_resultant, MAX_RETRIES)
+                             _sylvester_resultant)
 from cmfactor.cli import (main, EXIT_OK, EXIT_MISMATCH, EXIT_HYPOTHESIS,
                           EXIT_PRECISION, EXIT_USAGE)
-from cmfactor.quadarith import PrimeLog
+from cmfactor.quadarith import PrimeLog, is_fundamental_discriminant
 
 # one small admissible pair per formula
 DRIVER_CASES = [("gz", gz_verify, "gz_rhs", -3, -67),
@@ -40,8 +42,19 @@ def test_resultant_root_product_oracle():
     assert abs(_sylvester_resultant([1, -5, 6], [1, -1])) == 2
 
 
-def test_auto_prec_grows_with_class_numbers():
-    assert auto_prec(-3, -7) < auto_prec(-15, -163) < auto_prec(-47, -163)
+def test_auto_prec_covers_every_small_pair():
+    # every admissible pair with |d| <= 40: 69 gz and 9 yz runs, each exact
+    # at the bound itself, with TOL_BITS to spare above the product
+    discs = [d for d in range(-3, -41, -1) if is_fundamental_discriminant(d)]
+    pairs = [(d1, d2) for i, d1 in enumerate(discs) for d2 in discs[i + 1:]
+             if gcd(d1, d2) == 1]
+    runs = [gz_verify(d1, d2) for d1, d2 in pairs]
+    runs += [yz_verify(d1, d2) for d1, d2 in pairs if d1 % 8 == d2 % 8 == 1]
+    assert len(runs) == 78
+    for r in runs:
+        assert r.ok() and r.notes == [], (r.kind, r.d1, r.d2, r.notes)
+        assert r.prec == auto_prec(r.d1, r.d2)
+        assert r.prec >= abs(r.product_integer).bit_length() + TOL_BITS
 
 
 def test_gz_verify_minus3_minus67():
@@ -68,17 +81,19 @@ def test_driver_reports_a_wrong_arithmetic_side(monkeypatch, kind, fn,
 
 
 @pytest.mark.parametrize("kind,fn,rhs_name,d1,d2", DRIVER_CASES)
-def test_driver_reports_exhausted_precision(monkeypatch, kind, fn, rhs_name,
-                                            d1, d2):
+def test_driver_reports_exhausted_precision(monkeypatch, capsys, kind, fn,
+                                            rhs_name, d1, d2):
     monkeypatch.setattr(numeric, "recognize_integer", lambda *a, **k: None)
     r = fn(d1, d2)
     assert r.status == "precision" and r.product_integer is None
     retries = [n for n in r.notes if n.startswith("retry at")]
     assert len(retries) == MAX_RETRIES == len(r.notes)
     assert r.prec == auto_prec(d1, d2) * 2 ** MAX_RETRIES
-    with redirect_stdout(io.StringIO()):
-        code = main([kind, "--d1", str(d1), "--d2", str(d2)])
-    assert code == EXIT_PRECISION
+    assert main([kind, "--d1", str(d1), "--d2", str(d2)]) == EXIT_PRECISION
+    # the class polynomial shares the retry count and the exit code
+    assert main(["class-poly", "--d", "-15"]) == EXIT_PRECISION
+    assert "class polynomial for d=-15 did not stabilize" in \
+        capsys.readouterr().err
 
 
 def test_gz_verify_rejects_bad_inputs():
