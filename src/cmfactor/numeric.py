@@ -41,8 +41,8 @@ def auto_prec(*discs):
     which bounds the bits of prod (j1 - j2), since
     |j1 - j2| <= 2 max(|j1|, |j2|); it is at least h(d2) times the sum of d1
     and h(d1) times that of d2, so it covers both class polynomials too.
-    Every h is at least pi sqrt 3 / log 2 > 7.8, so the factor 1.2 absorbs
-    the factor 2 and the O(1) terms of |j| = |q|^-1 + O(1) in each pair.
+    Every h is at least pi sqrt 3 / log 2 > 7.8; the factor 1.2 and the 64
+    bits absorb the factor 2 and the O(1) in |j| = |q|^-1 + O(1).
 
     The bound covers omega2 as well: j = (omega2 + 16)^3 / omega2, and j is
     SL2(Z)-invariant, so at every point of a class (such as an odd-norm
