@@ -74,9 +74,11 @@ def odd_norm_representative(form, d):
 
     Requires d = 1 mod 8 so that odd-norm representatives exist in every
     class.  g is the identity when a is odd; else S = (0, -1; 1, 0) when c
-    is odd, giving (c, -b, a); else T S = (1, -1; 1, 0), giving the first
-    coefficient a + b + c, which is odd because a and c are even and b is
-    odd (d is odd).
+    is odd, giving (c, -b, a); else (1, -1; 1, 0) when b > 0 and
+    (1, 1; -1, 0) when b < 0, giving the first coefficient a + |b| + c,
+    which is odd because a and c are even and b is odd (d is odd).  Each
+    case commutes with conjugation: the representative of (a, -b, c) is
+    the conjugate form of that of (a, b, c).
     """
     if d >= 0 or d % 8 != 1:
         raise ValueError("odd-norm representatives need d = 1 mod 8")
@@ -86,5 +88,5 @@ def odd_norm_representative(form, d):
     elif c % 2 == 1:
         g = (0, -1, 1, 0)
     else:
-        g = (1, -1, 1, 0)
+        g = (1, -1, 1, 0) if b > 0 else (1, 1, -1, 0)
     return form_action(form, g), g

@@ -7,7 +7,9 @@ omega2 = 4096 / t (Enge, "The complexity of class polynomial computation via
 floating point approximations", Math. Comp. 2009).  Both evaluators take a
 point in the upper half plane and a working precision in bits, and are
 accurate to roughly that precision relative to the natural scale of the
-function.
+function.  CM values come once per conjugate pair of forms (cm_values):
+both functions have real q-coefficients and the CM point of (a, -b, c) is
+-conj of that of (a, b, c), so the value there is exactly the conjugate.
 
 The precision policy: a computation with CM values starts at auto_prec, an
 a-priori bound on the bits of what it must round to integers, runs at that
@@ -90,13 +92,17 @@ def _euler_product(q, order):
 
 def _eta_quotient(tau, prec):
     """t(tau) = (eta(tau)/eta(2 tau))^24 = q^-1 (prod (1 - q^n) /
-    prod (1 - q^2n))^24, at the caller's working precision."""
+    prod (1 - q^2n))^24, at the caller's working precision; the 24th power
+    by a chain, since ** on an mpc takes a log and an exp."""
     if prec < 1:
         raise ValueError(f"working precision {prec} must be at least 1 bit")
     order = _series_order(tau, prec)
     q = mpmath.expjpi(2 * tau)
-    ratio = _euler_product(q, order) / _euler_product(q * q, order // 2)
-    return ratio ** 24 / q
+    r = _euler_product(q, order) / _euler_product(q * q, order // 2)
+    r3 = r * r * r
+    r6 = r3 * r3
+    r12 = r6 * r6
+    return r12 * r12 / q
 
 
 def eval_j(tau, prec):
@@ -104,7 +110,8 @@ def eval_j(tau, prec):
     tau = _to_mpc(tau)
     with mpmath.workprec(prec + GUARD_BITS):
         t = _eta_quotient(tau, prec)
-        return +((t + 256) ** 3 / (t * t))
+        u = t + 256
+        return +(u * u * u / (t * t))
 
 
 def eval_omega2(tau, prec):
@@ -112,6 +119,21 @@ def eval_omega2(tau, prec):
     tau = _to_mpc(tau)
     with mpmath.workprec(prec + GUARD_BITS):
         return +(4096 / _eta_quotient(tau, prec))
+
+
+def cm_values(evaluate, forms, d, prec):
+    """evaluate(tau, prec) at the CM point of each form of discriminant d,
+    in the order of forms, with one call per pair (a, b, c), (a, -b, c) in
+    the list: the second takes mpmath.conj of the first's value.  Pairs are
+    matched by form, never by value; a form whose conjugate is not in the
+    list (b = 0, |b| = a or a = c among reduced forms) is evaluated."""
+    values = {}
+    with mpmath.workprec(prec + GUARD_BITS):
+        for a, b, c in forms:
+            mirror = values.get((a, -b, c))
+            values[a, b, c] = (evaluate(heegner_point((a, b, c), d), prec)
+                               if mirror is None else mpmath.conj(mirror))
+    return list(values.values())
 
 
 def recognize_integer(x):
@@ -123,7 +145,7 @@ def recognize_integer(x):
     x = mpmath.mpmathify(x)
     n = int(mpmath.nint(mpmath.re(x)))
     residual = abs(x - n)
-    if residual >= mpmath.mpf(2) ** (-TOL_BITS):
+    if residual >= mpmath.ldexp(1, -TOL_BITS):
         return None
     return n, residual
 
@@ -152,9 +174,9 @@ def class_polynomial(d, prec=None):
     """Hilbert class polynomial of the imaginary quadratic order of
     discriminant d, as a list of integer coefficients, leading first.
 
-    Evaluates j at each reduced-form CM point and expands prod (X - j),
-    starting at auto_prec(d) bits; the precision is doubled (up to
-    MAX_RETRIES times) until every coefficient rounds to an integer with
+    Evaluates j at each reduced-form CM point (cm_values) and expands
+    prod (X - j), starting at auto_prec(d) bits; the precision is doubled (up
+    to MAX_RETRIES times) until every coefficient rounds to an integer with
     residual below 2^-TOL_BITS.
     """
     forms = reduced_forms(d)
@@ -162,8 +184,7 @@ def class_polynomial(d, prec=None):
         prec = auto_prec(d)
     for _ in range(MAX_RETRIES + 1):
         with mpmath.workprec(prec + GUARD_BITS):
-            ints = integer_polynomial([eval_j(heegner_point(f, d), prec)
-                                       for f in forms])
+            ints = integer_polynomial(cm_values(eval_j, forms, d, prec))
         if ints is not None:
             return ints
         prec *= 2

