@@ -5,13 +5,15 @@ Conventions (rank-zero positive part, Weyl chamber whose closure contains
 l_M): for lambda = diag(-m, n) the pairing with z is (lambda, z) = n z1 +
 m z2, so a Weyl vector rho = rl * l_M + rlp * l'_M contributes the prefactor
 q1^rlp q2^-rl, and the product runs over n >= 0, m + n >= 0, (m, n) != (0,0).
+It is expanded as the exponential of the theta lift: a recurrence on its q1
+logarithmic derivative whose rows are exact one-variable series in q2.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from math import floor
 
-from .series import e2_series
+from .series import FracQSeries, e2_series, euler_product, prod_one_plus
 from .discform import restrict_to_M
 
 
@@ -73,61 +75,56 @@ def _expand_product(exponents, rho, C, N1, N2):
     """Common engine: C q1^rlp q2^-rl prod (1 - q1^n q2^m)^a (1 + ...)^b over
     n >= 0, m >= -1, m + n >= 0, (m,n) != (0,0), where (a, b) = exponents(mn).
 
-    Exponents at mn < -1 must vanish (checked) and all exponents must be
-    integers (checked), so the expansion runs on integer keys and integer
-    binomial coefficients; the Weyl shift and C are applied at the end.
-    Terms are pruned outside a working box big enough that every kept
-    coefficient is exact.
+    Without the prefactor the product is sum_N F_N(q2) q1^N, and F_0 =
+    prod (1 - q2^m)^a(0) (1 + q2^m)^b(0) is a one-variable power.  The
+    product is the exponential of sum a log(1 - x) + b log(1 + x), so its
+    q1 logarithmic derivative sum_N D_N q1^N has at q1^N q2^M the
+    coefficient sum over k | (N, M) with M/k >= -1 of (N/k) (-a +
+    (-1)^(k+1) b) at NM/k^2, and Miller's recurrence N F_N = sum_{k=1..N}
+    D_k F_{N-k} gives the other rows, the division by N being exact
+    (Borcherds, Invent. Math. 1998, Thm. 13.3).  All exponents must be
+    integers and vanish at mn < -1 (checked).  The rows are integer series
+    whose cutoffs the series layer tracks, so every stored coefficient is
+    exact.  Rows q1^0..q1^K1 with terms through q2^K2 fill the box after
+    the Weyl shift; exponents are read through mn = K1 (K1 + K2).
     """
-    need1 = ceil(max(0, -rho.rlp))
-    need2 = ceil(max(0, rho.rl))
-    C1 = N1 + 1 + need1
-    C2 = N2 + 1 + need2 + C1
-    lo2 = -C1 - 1
-    terms = {(0, 0): 1}
-
-    def mul_factor(n, m, sign, expo):
-        nonlocal terms
-        fac = []
-        coef = 1
-        j = 1
-        while n * j <= C1 if n > 0 else m * j <= C2:
-            coef = coef * (expo - j + 1) // j
-            if coef == 0:
-                break
-            fac.append((n * j, m * j, coef if sign > 0 or j % 2 == 0 else -coef))
-            j += 1
-        new = dict(terms)
-        for (e1, e2), c in terms.items():
-            for f1, f2, d in fac:
-                E1, E2 = e1 + f1, e2 + f2
-                if E1 > C1 or E2 > C2 or E2 < lo2:
-                    continue
-                new[E1, E2] = new.get((E1, E2), 0) + c * d
-        terms = {k: v for k, v in new.items() if v}
-
-    for n in range(0, C1 + 1):
-        m0 = -1 if n >= 1 else 1
-        for m in range(m0, C2 + 1):
-            if m + n < 0 or (m == 0 and n == 0):
-                continue
-            a, b = exponents(m * n)
-            if a.denominator != 1 or b.denominator != 1:
-                raise ArithmeticError("non-integral product exponent")
-            if a:
-                mul_factor(n, m, -1, int(a))
-            if b:
-                mul_factor(n, m, +1, int(b))
+    K1 = floor(N1 - rho.rlp)        # rows q1^N with N + rlp <= N1
+    K2 = floor(N2 + rho.rl)         # terms q2^M with M - rl <= N2
+    box = BiQSeries(coeffs={}, cut1=Fraction(N1), cut2=Fraction(N2))
+    if K1 < 0:
+        return box
+    T = max(1, K1 + K2 + 1)         # F_0 and every D_N are exact below q2^T
+    ex = {}
+    for j in range(-K1, K1 * (T - 1) + 1):
+        a, b = exponents(j)
+        if a.denominator != 1 or b.denominator != 1:
+            raise ArithmeticError("non-integral product exponent")
+        ex[j] = int(a), int(b)
+    F = [euler_product(T - 1) ** ex[0][0] * prod_one_plus(T - 1, ex[0][1])]
+    D = [None]
+    for N in range(1, K1 + 1):
+        d = [0] * (N + T)           # q2^-N .. q2^(T-1)
+        for k in (k for k in range(1, N + 1) if N % k == 0):
+            n, sign = N // k, 1 if k % 2 else -1
+            for m in range(-1, (T - 1) // k + 1):
+                a, b = ex[n * m]
+                d[N + m * k] += n * (sign * b - a)
+        D.append(FracQSeries.dense(1, -N, d))
+        s = sum((D[k] * F[N - k] for k in range(2, N + 1)), D[1] * F[N - 1])
+        F.append(FracQSeries.dense(1, s.off, [c // N for c in s.a]))
     s1, s2 = rho.rlp, -rho.rl
-    out = {(e1 + s1, e2 + s2): C * c for (e1, e2), c in terms.items()}
-    return BiQSeries(coeffs=out, cut1=Fraction(N1), cut2=Fraction(N2))
+    for N, row in enumerate(F):
+        for e2, c in row.truncate(K2 + 1).terms():
+            box.coeffs[N + s1, e2 + s2] = C * c
+    return box
 
 
 def product_expansion_level2(f, C, N1, N2):
     """Borcherds product of a weight-0 form on the level-2 lattice: the
     (1 -)-exponents come from the mu0 component and the (1 +)-exponents from
-    the mu2 component.  Needs coefficients through mn <= C1 * C2 of the
-    working box; C is the leading constant including its sign."""
+    the mu2 component.  Needs coefficients through mn <= K1 (K1 + K2), where
+    q1^K1 q2^K2 is the box before the Weyl shift; C is the leading constant
+    including its sign."""
     rho = weyl_vector(restrict_to_M(f))
     s0 = f.components["mu0"]
     s2 = f.components["mu2"]

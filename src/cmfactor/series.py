@@ -215,10 +215,11 @@ def euler_product(order):
     return FracQSeries.dense(1, 0, a)
 
 
-def prod_one_plus(order):
-    """prod_{n>=1} (1 + q^n) = prod (1 - q^(2n)) / prod (1 - q^n) through
-    q^order."""
-    return euler_product(order // 2).subst_power(2) * euler_product(order) ** -1
+def prod_one_plus(order, k):
+    """prod_{n>=1} (1 + q^n)^k = E(q^2)^k E(q)^-k through q^order, with
+    E = prod (1 - q^n): two Miller powers of sparse pentagonal series."""
+    return ((euler_product(order // 2) ** k).subst_power(2)
+            * euler_product(order) ** -k)
 
 
 def _divisor_power_sums(k, order):
@@ -261,11 +262,11 @@ def j_series(order):
 
 def omega2_series(order):
     """The Hauptmodul 2^12 Delta(2z)/Delta(z) = 2^12 q prod (1 + q^n)^24."""
-    p = prod_one_plus(order) ** 24
+    p = prod_one_plus(order, 24)
     return FracQSeries.dense(1, 1, [4096 * c for c in p.a[:order]])
 
 
 def eta_quotient_2_series(order):
     """eta(2z)/eta(z) = q^(1/24) prod (1 + q^n), exact below
     q^(order + 1 + 1/24)."""
-    return FracQSeries.dense(24, 1, prod_one_plus(order)._spread(24)[1])
+    return FracQSeries.dense(24, 1, prod_one_plus(order, 1)._spread(24)[1])

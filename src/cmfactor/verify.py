@@ -177,32 +177,32 @@ def borcherds_verify(case, n1=8, n2=8):
     from .borcherds import (product_expansion_level2, product_expansion_j,
                             bi_difference, bi_product)
 
+    # every exponent the product reads, mn <= K1 (K1 + K2), lies below it
+    order = (n1 + 1) * (n1 + n2 + 1) + 1
     if case == "weber":
-        order = (n1 + 1) * (n1 + n2 + 2) + 1
         f = build_weber_f(order)
         prod = product_expansion_level2(f, -2 ** 12, n1, n2)
         return prod.compare(bi_difference(omega2_series(max(n1, n2) + 1), n1, n2))
     if case == "j":
-        order = (n1 + 2) * (n1 + n2 + 3) + 1
         j = j_series(order)
         prod = product_expansion_j(j - 744, n1, n2)
         return prod.compare(bi_difference(j.truncate(max(n1, n2) + 2), n1, n2))
     if case == "eta1":
-        f = constant_vvform({"mu0": 1, "mu1": 1}, cutoff=(n1 + 1) * (n1 + n2 + 2) + 1)
+        f = constant_vvform({"mu0": 1, "mu1": 1}, cutoff=order)
         prod = product_expansion_level2(f, 1, n1, n2)
         e = eta_series(max(n1, n2) + 1)
         return prod.compare(bi_product(e, e, n1, n2))
     if case == "eta2":
         # the Borcherds constant is sqrt(2); both sides are compared with it
         # divided out, which leaves exact rational series
-        f = constant_vvform({"mu0": 1, "mu2": 1}, cutoff=(n1 + 1) * (n1 + n2 + 2) + 1)
+        f = constant_vvform({"mu0": 1, "mu2": 1}, cutoff=order)
         prod = product_expansion_level2(f, 1, n1, n2)
         e2 = eta_series(2 * max(n1, n2) + 2).subst_power(2)
         return prod.compare(bi_product(e2, e2, n1, n2))
     if case == "f2":
         # identity: sqrt(2) * product = (1/sqrt(2)) f2(z1) f2(z2), i.e.
         # product = (eta(2 z1)/eta(z1)) (eta(2 z2)/eta(z2))
-        f = constant_vvform({"mu1": -1, "mu2": 1}, cutoff=(n1 + 1) * (n1 + n2 + 2) + 1)
+        f = constant_vvform({"mu1": -1, "mu2": 1}, cutoff=order)
         prod = product_expansion_level2(f, 1, n1, n2)
         eq = eta_quotient_2_series(max(n1, n2) + 1)
         return prod.compare(bi_product(eq, eq, n1, n2))

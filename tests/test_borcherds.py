@@ -13,6 +13,9 @@ from cmfactor.borcherds import (WeylVector, weyl_vector, BiQSeries,
 from cmfactor.discform import build_weber_f, restrict_to_M, constant_vvform
 from cmfactor.series import (FracQSeries, j_series, omega2_series,
                              eta_series, eta_quotient_2_series)
+from cmfactor.verify import borcherds_verify
+
+CASES = ("weber", "j", "eta1", "eta2", "f2")
 
 
 def test_weyl_vector_of_weber_restriction():
@@ -120,10 +123,12 @@ def test_compare_reports_mismatches():
 
 
 def _naive_expand(exponents, rho, C, N1, N2):
-    # Fraction reference for borcherds._expand_product: the same product over
-    # the same working box, with binomial coefficients from math.comb
-    # (binom(-a, j) = (-1)^j binom(a + j - 1, j)) and every term shifted by
-    # the Weyl vector and scaled by C from the start
+    # Fraction reference for borcherds._expand_product: the product factor by
+    # factor over a working box big enough that every term with e1 <= N1,
+    # e2 <= N2 is exact (terms outside that region need not be), with
+    # binomial coefficients from math.comb (binom(-a, j) = (-1)^j
+    # binom(a + j - 1, j)) and every term shifted by the Weyl vector and
+    # scaled by C from the start
     C1 = N1 + 1 + ceil(max(0, -rho.rlp))
     C2 = N2 + 1 + ceil(max(0, rho.rl)) + C1
     s1, s2 = rho.rlp, -rho.rl
@@ -156,11 +161,43 @@ def test_integer_expansion_matches_fraction_reference():
         rho = WeylVector(rl=Fraction(rng.randint(-30, 30), 24),
                          rlp=Fraction(rng.randint(-30, 30), 24))
         C = rng.choice([1, -1, -4096, 7])
-        N1, N2 = rng.randint(0, 2), rng.randint(0, 2)
+        N1, N2 = rng.randint(0, 4), rng.randint(0, 4)
 
         def exponents(k):
             return (ta[k + 1], tb[k + 1]) if k >= -1 else (0, 0)
 
         got = _expand_product(exponents, rho, C, N1, N2)
-        assert got.coeffs == _naive_expand(exponents, rho, C, N1, N2)
+        want = BiQSeries(_naive_expand(exponents, rho, C, N1, N2), N1, N2)
+        ok, bad = got.compare(want)
+        assert ok, bad[:3]
         assert (got.cut1, got.cut2) == (N1, N2)
+
+
+def test_identities_on_asymmetric_and_zero_boxes():
+    for case in CASES:
+        for n1 in range(7):
+            for n2 in range(7):
+                ok, bad = borcherds_verify(case, n1, n2)
+                assert ok and not bad, (case, n1, n2, bad[:3])
+
+
+def test_weber_and_j_identities_at_32():
+    for case in ("weber", "j"):
+        ok, bad = borcherds_verify(case, 32, 32)
+        assert ok and not bad, (case, bad[:3])
+
+
+def test_too_short_input_form_raises():
+    # the j box (4,4) reads the input form through q^((4+1)(4+4+1))
+    product_expansion_j(j_series(45) - 744, 4, 4)
+    with pytest.raises(ValueError):
+        product_expansion_j(j_series(44) - 744, 4, 4)
+
+
+def test_product_exponents_are_checked():
+    f_M = j_series(40) - 744
+    with pytest.raises(ArithmeticError, match="deeper"):
+        product_expansion_j(f_M + FracQSeries.monomial(-2, 1, 41), 2, 2)
+    with pytest.raises(ArithmeticError, match="non-integral"):
+        half = FracQSeries.monomial(3, Fraction(1, 2), 41)
+        product_expansion_j(f_M + half, 2, 2)

@@ -39,9 +39,11 @@ def test_prod_one_plus_matches_naive_oracle():
             if k + n <= order:
                 new[k + n] = new.get(k + n, 0) + c
         coeffs = new
-    got = prod_one_plus(order)
-    for k in range(order + 1):
-        assert got.coeff(k) == coeffs.get(k, 0)
+    naive = FracQSeries(1, coeffs, order + 1)
+    for k in (1, 24, -24):
+        got = prod_one_plus(order, k)
+        assert got.cutoff == order + 1
+        assert got == naive ** k, k
 
 
 def test_eta_series_leading_terms():
