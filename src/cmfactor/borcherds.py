@@ -71,9 +71,25 @@ class BiQSeries:
         return (not bad, bad)
 
 
-def _expand_product(exponents, rho, C, N1, N2):
+def _exponents(s, lo, hi):
+    """The q^lo .. q^hi coefficients of s as ints, read from its int list;
+    each must vanish below q^-1, be an integer and lie below the cutoff."""
+    start = lo * s.den - s.off
+    ex = [s.a[i] if i >= 0 else 0
+          for i in range(start, len(s.a), s.den)[:hi - lo + 1]]
+    if any(ex[:max(0, -1 - lo)]):
+        raise ArithmeticError("principal part deeper than q^-1")
+    if any(c % s.cden for c in ex):
+        raise ArithmeticError("non-integral product exponent")
+    if len(ex) <= hi - lo:
+        raise ValueError(f"coefficient of q^{hi} beyond cutoff {s.cutoff}")
+    return [c // s.cden for c in ex]
+
+
+def _expand_product(minus, plus, rho, C, N1, N2):
     """Common engine: C q1^rlp q2^-rl prod (1 - q1^n q2^m)^a (1 + ...)^b over
-    n >= 0, m >= -1, m + n >= 0, (m,n) != (0,0), where (a, b) = exponents(mn).
+    n >= 0, m >= -1, m + n >= 0, (m,n) != (0,0), where a and b are the
+    coefficients of q^mn in the series minus and plus (plus None: b = 0).
 
     Without the prefactor the product is sum_N F_N(q2) q1^N, and F_0 =
     prod (1 - q2^m)^a(0) (1 + q2^m)^b(0) is a one-variable power.  The
@@ -94,21 +110,16 @@ def _expand_product(exponents, rho, C, N1, N2):
     if K1 < 0:
         return box
     T = max(1, K1 + K2 + 1)         # F_0 and every D_N are exact below q2^T
-    ex = {}
-    for j in range(-K1, K1 * (T - 1) + 1):
-        a, b = exponents(j)
-        if a.denominator != 1 or b.denominator != 1:
-            raise ArithmeticError("non-integral product exponent")
-        ex[j] = int(a), int(b)
-    F = [euler_product(T - 1) ** ex[0][0] * prod_one_plus(T - 1, ex[0][1])]
+    a = _exponents(minus, -K1, K1 * (T - 1))     # a[K1 + mn], b likewise
+    b = [0] * len(a) if plus is None else _exponents(plus, -K1, K1 * (T - 1))
+    F = [euler_product(T - 1) ** a[K1] * prod_one_plus(T - 1, b[K1])]
     D = [None]
     for N in range(1, K1 + 1):
         d = [0] * (N + T)           # q2^-N .. q2^(T-1)
         for k in (k for k in range(1, N + 1) if N % k == 0):
             n, sign = N // k, 1 if k % 2 else -1
             for m in range(-1, (T - 1) // k + 1):
-                a, b = ex[n * m]
-                d[N + m * k] += n * (sign * b - a)
+                d[N + m * k] += n * (sign * b[K1 + n * m] - a[K1 + n * m])
         D.append(FracQSeries.dense(1, -N, d))
         s = sum((D[k] * F[N - k] for k in range(2, N + 1)), D[1] * F[N - 1])
         F.append(FracQSeries.dense(1, s.off, [c // N for c in s.a]))
@@ -126,31 +137,15 @@ def product_expansion_level2(f, C, N1, N2):
     q1^K1 q2^K2 is the box before the Weyl shift; C is the leading constant
     including its sign."""
     rho = weyl_vector(restrict_to_M(f))
-    s0 = f.components["mu0"]
-    s2 = f.components["mu2"]
-
-    def exponents(k):
-        if k < -1:
-            if s0.coeff(k) != 0 or s2.coeff(k) != 0:
-                raise ArithmeticError("principal part deeper than q^-1")
-            return Fraction(0), Fraction(0)
-        return s0.coeff(k), s2.coeff(k)
-
-    return _expand_product(exponents, rho, C, N1, N2)
+    return _expand_product(f.components["mu0"], f.components["mu2"], rho, C,
+                           N1, N2)
 
 
 def product_expansion_j(f_M, N1, N2):
     """Borcherds product for the unimodular (2,2) lattice: a scalar input
     form such as j - 744, with leading constant 1; only (1 -)-type factors
     occur."""
-    rho = weyl_vector(f_M)
-
-    def exponents(k):
-        if k < -1 and f_M.coeff(k) != 0:
-            raise ArithmeticError("principal part deeper than q^-1")
-        return (f_M.coeff(k) if k >= -1 else Fraction(0)), Fraction(0)
-
-    return _expand_product(exponents, rho, 1, N1, N2)
+    return _expand_product(f_M, None, weyl_vector(f_M), 1, N1, N2)
 
 
 def bi_difference(s, N1, N2):

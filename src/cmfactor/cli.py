@@ -13,7 +13,7 @@ from math import floor, log10
 import mpmath
 
 from .quadarith import RealQuadElem, factor_principal_ideal, diff_set, rho
-from .arithside import whittaker2_Ma
+from .arithside import check_gz_hypotheses, whittaker2_Ma
 from . import numeric
 from .verify import gz_verify, yz_verify, borcherds_verify
 
@@ -124,6 +124,7 @@ def main(argv=None):
             return EXIT_OK if ok else EXIT_MISMATCH
 
         if args.cmd == "rho":
+            check_gz_hypotheses(args.d1, args.d2)
             D = args.d1 * args.d2
             t = RealQuadElem(args.m, D)
             fact = factor_principal_ideal(t, args.d1, args.d2)

@@ -140,11 +140,11 @@ def build_weber_f(order):
     and symmetrized over the cosets:
       f_mu0 = g + even(g|S), f_mu1 = -12 + even(g|S),
       f_mu2 = 12 + even(g|S), f_mu3 = odd(g|S).
-    Components are exact below q^(order+1).
+    Components are exact through q^order: their cutoff is q^(order+1).
     """
-    g = FracQSeries.dense(1, -1, prod_one_plus(order + 2, -24).a) + 12
-    # a[i] is the coefficient of x^(i+1) in g|S, i < 2 order + 3
-    a = [4096 * c for c in prod_one_plus(2 * order + 2, 24).a]
+    g = FracQSeries.dense(1, -1, prod_one_plus(order + 1, -24).a) + 12
+    # a[i] is the coefficient of x^(i+1) in g|S, i <= 2 order
+    a = [4096 * c for c in prod_one_plus(2 * order, 24).a]
     even = FracQSeries.dense(1, 0, [12] + a[1::2])
     odd = [0] * len(a)
     odd[::2] = a[::2]

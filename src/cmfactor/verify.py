@@ -177,16 +177,18 @@ def borcherds_verify(case, n1=8, n2=8):
     from .borcherds import (product_expansion_level2, product_expansion_j,
                             bi_difference, bi_product)
 
-    # every exponent the product reads, mn <= K1 (K1 + K2), lies below it
-    order = (n1 + 1) * (n1 + n2 + 1) + 1
+    # each input form goes through q^0 and the last exponent its product
+    # reads, K1 (K1 + K2) (_expand_product): (rl, rlp) is (-1, 0) for weber,
+    # (0, -1) for j and (-x, x), 0 < x < 1, for the constant forms
     if case == "weber":
-        f = build_weber_f(order)
+        f = build_weber_f(n1 * (n1 + n2 - 1))
         prod = product_expansion_level2(f, -2 ** 12, n1, n2)
         return prod.compare(bi_difference(omega2_series(max(n1, n2) + 1), n1, n2))
     if case == "j":
-        j = j_series(order)
+        j = j_series((n1 + 1) * (n1 + n2 + 1))
         prod = product_expansion_j(j - 744, n1, n2)
         return prod.compare(bi_difference(j.truncate(max(n1, n2) + 2), n1, n2))
+    order = 1 + max(0, n1 - 1) * (n1 + n2 - 2)
     if case == "eta1":
         f = constant_vvform({"mu0": 1, "mu1": 1}, cutoff=order)
         prod = product_expansion_level2(f, 1, n1, n2)

@@ -13,6 +13,7 @@ from cmfactor.borcherds import (WeylVector, weyl_vector, BiQSeries,
 from cmfactor.discform import build_weber_f, restrict_to_M, constant_vvform
 from cmfactor.series import (FracQSeries, j_series, omega2_series,
                              eta_series, eta_quotient_2_series)
+from cmfactor import discform, series
 from cmfactor.verify import borcherds_verify
 
 CASES = ("weber", "j", "eta1", "eta2", "f2")
@@ -166,7 +167,8 @@ def test_integer_expansion_matches_fraction_reference():
         def exponents(k):
             return (ta[k + 1], tb[k + 1]) if k >= -1 else (0, 0)
 
-        got = _expand_product(exponents, rho, C, N1, N2)
+        minus, plus = (FracQSeries.dense(1, -1, t) for t in (ta, tb))
+        got = _expand_product(minus, plus, rho, C, N1, N2)
         want = BiQSeries(_naive_expand(exponents, rho, C, N1, N2), N1, N2)
         ok, bad = got.compare(want)
         assert ok, bad[:3]
@@ -192,6 +194,31 @@ def test_too_short_input_form_raises():
     product_expansion_j(j_series(45) - 744, 4, 4)
     with pytest.raises(ValueError):
         product_expansion_j(j_series(44) - 744, 4, 4)
+
+
+def _one_order_less(build):
+    def shorter(*args, cutoff=None):
+        if cutoff is not None:
+            return build(*args, cutoff=cutoff - 1)
+        (order,) = args
+        return build(order - 1)
+    return shorter
+
+
+@pytest.mark.parametrize("case,module,name", [
+    ("weber", discform, "build_weber_f"), ("j", series, "j_series"),
+    ("eta1", discform, "constant_vvform"),
+    ("eta2", discform, "constant_vvform"),
+    ("f2", discform, "constant_vvform")])
+@pytest.mark.parametrize("n1,n2", [(1, 1), (2, 0), (1, 6), (3, 5), (6, 2)])
+def test_input_form_order_is_the_smallest(monkeypatch, case, module, name,
+                                          n1, n2):
+    # borcherds_verify takes each input form just through the last exponent
+    # its product reads, so one order less must run out of coefficients
+    assert borcherds_verify(case, n1, n2)[0]
+    monkeypatch.setattr(module, name, _one_order_less(getattr(module, name)))
+    with pytest.raises(ValueError, match="beyond cutoff"):
+        borcherds_verify(case, n1, n2)
 
 
 def test_product_exponents_are_checked():

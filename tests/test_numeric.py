@@ -1,5 +1,7 @@
 """Arbitrary-precision evaluators against classical CM values."""
 
+import random
+
 import mpmath
 import pytest
 
@@ -90,6 +92,24 @@ def test_omega2_against_mpmath_kleinj(x, y):
         want = 1728 * mpmath.kleinj(tau)
         w = eval_omega2(tau, 200)
         assert abs((w + 16) ** 3 / w - want) < mpmath.mpf(2) ** -232 * abs(want)
+
+
+@pytest.mark.parametrize("prec", [1, 8, 30, 100, 300, 1000, 3000])
+def test_kernel_accuracy_at_random_points(prec):
+    # seeded random tau, Re in [-1/2, 1/2] and Im in [0.3, 4]: j against
+    # 1728 kleinj, and omega2 through the level-2 modular equation
+    # j(2 tau) = (omega2 + 256)^3 / omega2^2, each to a relative
+    # 2^-(prec + 8) of a reference at prec + 200 bits
+    rng = random.Random(f"kernel:{prec}")
+    for _ in range(12):
+        tau = mpmath.mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.3, 4))
+        j, w = eval_j(tau, prec), eval_omega2(tau, prec)
+        with mpmath.workprec(prec + 200):
+            tol = mpmath.mpf(2) ** -(prec + 8)
+            want = 1728 * mpmath.kleinj(tau)
+            assert abs(j - want) < tol * abs(want), tau
+            want = 1728 * mpmath.kleinj(2 * tau)
+            assert abs((w + 256) ** 3 / w ** 2 - want) < tol * abs(want), tau
 
 
 def test_precision_monotonicity():

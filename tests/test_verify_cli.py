@@ -230,6 +230,15 @@ def test_cli_rho_large_m():
     assert "rho(t O_F) = 0" in out
 
 
+def test_cli_rho_checks_its_pair(capsys):
+    # -3, -3 is not a coprime pair (D = 9 is a square): no output, exit 3
+    assert main(["rho", "--d1", "-3", "--d2", "-3", "--m", "1"]) == \
+        EXIT_HYPOTHESIS
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "coprime" in out.err
+
+
 def test_cli_class_poly():
     code, out = _run_cli(["class-poly", "--d", "-15"])
     assert code == EXIT_OK
