@@ -6,16 +6,28 @@ s(tau) = (eta(2 tau)/eta(tau))^24 = 1/t, on fixed-point integers, from which
 j = (1 + 256 s)^3 / s and omega2 = 4096 s (Enge, "The complexity of class
 polynomial computation via floating point approximations", Math. Comp.
 2009).  Both evaluators take a point in the upper half plane and a working
-precision of prec bits, and are accurate to 2^-(prec+8) relative to s.  CM
-values come once per conjugate pair of forms (cm_values): both functions
-have real q-coefficients and the CM point of (a, -b, c) is -conj of that
-of (a, b, c), so the value there is exactly the conjugate.
+precision of prec bits, and are accurate to 2^-(prec+8) relative to s.
+
+A class value is taken at the CM point tau of the reduced form (a, b, c)
+of the class, Im tau = sqrt|d| / 2a >= sqrt(3)/2.  j is SL2(Z)-invariant,
+so j_value is eval_j(tau).  omega2 is invariant only under Gamma0(2), and
+its value at a class is the one at an odd-norm point (first coefficient
+odd; Yui-Zagier, Math. Comp. 1997): tau itself if a is odd, else -1/tau if
+c is odd, else -1/(tau +- 1).  By omega2(tau + 1) = omega2(tau) and
+omega2(-1/tau) = 2^12 / omega2(tau/2), omega2_value takes eval_omega2 at
+tau, tau/2 or (tau + 1)/2, so every kernel argument has
+Im >= sqrt(3)/4.  CM values come once per conjugate pair of forms
+(cm_values): both functions have real q-coefficients, the CM point of
+(a, -b, c) is -conj of that of (a, b, c), and so is the argument
+omega2_value gives the kernel there, up to a translation by 1; the value
+there is exactly the conjugate.
 
 The precision policy: a computation with CM values starts at auto_prec, an
 a-priori bound on the bits of what it must round to integers, runs at that
 precision plus GUARD_BITS (the evaluators, the CM points they are given and
 every product of their values alike), and doubles the precision at most
-MAX_RETRIES times while a value fails to round within 2^-TOL_BITS.
+MAX_RETRIES times (precisions) while a value fails to round within
+2^-TOL_BITS.
 """
 
 from itertools import product
@@ -47,8 +59,10 @@ def auto_prec(*discs):
     bits absorb the factor 2 and the O(1) in |j| = |q|^-1 + O(1).
 
     The bound covers omega2 as well: j = (omega2 + 16)^3 / omega2, and j is
-    SL2(Z)-invariant, so at every point of a class (such as an odd-norm
-    representative) log|omega2| <= log|j| / 2 + O(1).
+    SL2(Z)-invariant, so at every point of a class log|omega2| <=
+    log|j| / 2 + O(1).  That includes the odd-norm point, whose value
+    omega2_value takes from omega2 at tau, tau/2 or (tau + 1)/2, each with
+    Im >= sqrt(3)/4.
     """
     heights = [[pi * sqrt(-d) / (a * log(2)) for a, _, _ in reduced_forms(d)]
                for d in discs]
@@ -143,33 +157,51 @@ def eval_omega2(tau, prec):
         return 4096 * _eta_quotient(tau, prec)
 
 
-def cm_values(evaluate, forms, d, prec):
-    """evaluate(tau, prec) at the CM point of each form of discriminant d,
-    in the order of forms, with one call per pair (a, b, c), (a, -b, c) in
-    the list: the second takes mpmath.conj of the first's value.  Pairs are
-    matched by form, never by value; a form whose conjugate is not in the
-    list (b = 0, |b| = a or a = c among reduced forms) is evaluated."""
+def j_value(form, tau, prec):
+    """j at the class of form, whose CM point is tau."""
+    return eval_j(tau, prec)
+
+
+def omega2_value(form, tau, prec):
+    """omega2 at the odd-norm point of the class of the reduced form
+    (a, b, c), whose CM point is tau: omega2(tau) if a is odd, else
+    2^12 / omega2(tau/2) if c is odd, else 2^12 / omega2((tau + 1)/2)."""
+    a, _, c = form
+    if a % 2:
+        return eval_omega2(tau, prec)
+    return 4096 / eval_omega2(tau / 2 if c % 2 else (tau + 1) / 2, prec)
+
+
+def cm_values(value, d, prec):
+    """value(form, tau, prec) at the CM point tau of each reduced form of
+    discriminant d, in the order of reduced_forms(d), with one call per pair
+    (a, b, c), (a, -b, c): the second takes mpmath.conj of the first's
+    value.  Pairs are matched by form, never by value; a form whose
+    conjugate is not reduced (b = 0, |b| = a or a = c) is evaluated."""
     values = {}
     with mpmath.workprec(prec + GUARD_BITS):
-        for a, b, c in forms:
+        for a, b, c in reduced_forms(d):
             mirror = values.get((a, -b, c))
-            values[a, b, c] = (evaluate(heegner_point((a, b, c), d), prec)
-                               if mirror is None else mpmath.conj(mirror))
+            values[a, b, c] = (
+                value((a, b, c), heegner_point((a, b, c), d), prec)
+                if mirror is None else mpmath.conj(mirror))
     return list(values.values())
 
 
-def recognize_integer(x):
-    """Round a complex value to the nearest integer.
+def precisions(prec):
+    """The working precisions of one computation: prec, then prec doubled
+    at most MAX_RETRIES times."""
+    return [prec * 2 ** k for k in range(MAX_RETRIES + 1)]
 
-    Returns (n, residual) where residual = |x - n|, or None when the residual
-    is not below 2^-TOL_BITS.
-    """
+
+def recognize_integer(x):
+    """The integer nearest to a complex value, or None when it is not within
+    2^-TOL_BITS."""
     x = mpmath.mpmathify(x)
     n = int(mpmath.nint(mpmath.re(x)))
-    residual = abs(x - n)
-    if residual >= mpmath.ldexp(1, -TOL_BITS):
+    if abs(x - n) >= mpmath.ldexp(1, -TOL_BITS):
         return None
-    return n, residual
+    return n
 
 
 def integer_polynomial(roots):
@@ -183,13 +215,8 @@ def integer_polynomial(roots):
             nxt[i] += c
             nxt[i + 1] -= c * r
         poly = nxt
-    ints = []
-    for c in poly:
-        rec = recognize_integer(c)
-        if rec is None:
-            return None
-        ints.append(rec[0])
-    return ints
+    ints = [recognize_integer(c) for c in poly]
+    return None if None in ints else ints
 
 
 def class_polynomial(d, prec=None):
@@ -198,16 +225,12 @@ def class_polynomial(d, prec=None):
 
     Evaluates j at each reduced-form CM point (cm_values) and expands
     prod (X - j), starting at auto_prec(d) bits; the precision is doubled (up
-    to MAX_RETRIES times) until every coefficient rounds to an integer with
-    residual below 2^-TOL_BITS.
+    to MAX_RETRIES times, precisions) until every coefficient rounds to an
+    integer with residual below 2^-TOL_BITS.
     """
-    forms = reduced_forms(d)
-    if prec is None:
-        prec = auto_prec(d)
-    for _ in range(MAX_RETRIES + 1):
+    for prec in precisions(auto_prec(d) if prec is None else prec):
         with mpmath.workprec(prec + GUARD_BITS):
-            ints = integer_polynomial(cm_values(eval_j, forms, d, prec))
+            ints = integer_polynomial(cm_values(j_value, d, prec))
         if ints is not None:
             return ints
-        prec *= 2
     raise ArithmeticError(f"class polynomial for d={d} did not stabilize")

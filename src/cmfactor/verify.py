@@ -3,12 +3,13 @@ working precision, recognize the analytic side as an integer N, and check N
 exactly against the arithmetic side; plus exact checks of the underlying
 Borcherds product identities.
 
-One driver serves both formulas.  A formula only chooses the evaluator (j or
-omega2), the CM points (reduced forms, or their odd-norm representatives),
-the scale of the arithmetic side and whether the resultant oracle runs.  The
-precision follows numeric's one policy: numeric.auto_prec(d1, d2) bits unless
-the caller gives prec, every CM point, pair product and log at
-numeric.GUARD_BITS above it, and at most numeric.MAX_RETRIES doublings.
+One driver serves both formulas, at the CM points of the reduced forms of
+both discriminants.  A formula only chooses the evaluator of a class value
+(numeric.j_value or numeric.omega2_value), the scale of the arithmetic side
+and whether the resultant oracle runs.  The precision follows numeric's one
+policy: numeric.auto_prec(d1, d2) bits unless the caller gives prec, every
+CM point, pair product and log at numeric.GUARD_BITS above it, and the
+doublings of numeric.precisions.
 """
 
 from dataclasses import dataclass, field
@@ -17,7 +18,7 @@ from fractions import Fraction
 import mpmath
 
 from . import numeric
-from .classgroup import reduced_forms, units_w, odd_norm_representative
+from .classgroup import units_w
 from .quadarith import valuation
 from .arithside import gz_rhs, yz_rhs
 
@@ -89,39 +90,37 @@ def _factor_check(n, predicted, scale, notes):
     return fact, match
 
 
-def _verify(kind, d1, d2, prec, evaluate, points, scale, rhs, oracle):
-    """The driver: CM values at the points of d1 and of d2 (one evaluation
-    per conjugate pair, numeric.cm_values), their pair product recognized as
-    an integer N, the factor check against rhs at the given scale, the
-    resultant oracle if asked for, and the log residual."""
+def _verify(kind, d1, d2, prec, value, scale, rhs, oracle):
+    """The driver: class values at the reduced forms of d1 and of d2 (one
+    evaluation per conjugate pair, numeric.cm_values), their pair product
+    recognized as an integer N, the factor check against rhs at the given
+    scale, the resultant oracle if asked for, and the log residual."""
     if prec is None:
         prec = numeric.auto_prec(d1, d2)
     report = VerificationReport(kind=kind, d1=d1, d2=d2, prec=prec,
                                 status="precision",
                                 rhs_exponents=rhs.exponents())
-    for attempt in range(numeric.MAX_RETRIES + 1):
+    for attempt, prec in enumerate(numeric.precisions(prec)):
         if attempt:
-            prec *= 2
             report.notes.append(f"retry at {prec} bits")
         report.prec = prec
         with mpmath.workprec(prec + numeric.GUARD_BITS):
-            vals1 = numeric.cm_values(evaluate, points[0], d1, prec)
-            vals2 = numeric.cm_values(evaluate, points[1], d2, prec)
+            vals1 = numeric.cm_values(value, d1, prec)
+            vals2 = numeric.cm_values(value, d2, prec)
             product = mpmath.mpc(1)
             for v2 in vals2:
                 for v1 in vals1:
                     product *= v2 - v1
-            rec = numeric.recognize_integer(product)
+            n = numeric.recognize_integer(product)
             # a coefficient that fails to round is a precision failure too
             polys = ([numeric.integer_polynomial(vals1),
                       numeric.integer_polynomial(vals2)]
-                     if oracle and rec is not None else [])
-        if rec is not None and None not in polys:
+                     if oracle and n is not None else [])
+        if n is not None and None not in polys:
             break
     else:
         return report
 
-    n, _ = rec
     report.product_integer = n
     report.factorization, report.factor_match = _factor_check(
         n, report.rhs_exponents, scale, report.notes)
@@ -148,9 +147,8 @@ def gz_verify(d1, d2, prec=None):
     """Verify the singular moduli factorization for coprime fundamental
     discriminants d1, d2."""
     rhs = gz_rhs(d1, d2)
-    points = (reduced_forms(d1), reduced_forms(d2))
     scale = Fraction(8, units_w(d1) * units_w(d2))
-    return _verify("gz", d1, d2, prec, numeric.eval_j, points, scale, rhs,
+    return _verify("gz", d1, d2, prec, numeric.j_value, scale, rhs,
                    oracle=True)
 
 
@@ -158,11 +156,8 @@ def yz_verify(d1, d2, prec=None):
     """Verify the level-2 Hauptmodul factorization for distinct coprime
     fundamental discriminants d1 = d2 = 1 mod 8.  The arithmetic side
     computes log |prod|^2, hence the scale 2."""
-    rhs = yz_rhs(d1, d2)
-    points = tuple([odd_norm_representative(f, d)[0] for f in reduced_forms(d)]
-                   for d in (d1, d2))
-    return _verify("yz", d1, d2, prec, numeric.eval_omega2, points,
-                   Fraction(2), rhs, oracle=False)
+    return _verify("yz", d1, d2, prec, numeric.omega2_value, Fraction(2),
+                   yz_rhs(d1, d2), oracle=False)
 
 
 def borcherds_verify(case, n1=8, n2=8):

@@ -5,11 +5,12 @@ import random
 import mpmath
 import pytest
 
-from cmfactor.classgroup import (heegner_point, reduced_forms,
-                                 odd_norm_representative)
+from cmfactor import numeric
+from cmfactor.classgroup import heegner_point, reduced_forms
 from cmfactor.numeric import (eval_j, eval_omega2, recognize_integer,
                               class_polynomial, auto_prec, cm_values,
-                              GUARD_BITS)
+                              j_value, omega2_value, GUARD_BITS)
+from cmfactor.quadarith import is_fundamental_discriminant
 
 
 def test_j_at_i_is_1728():
@@ -30,8 +31,7 @@ def test_j_at_omega_is_zero():
 def test_j_at_class_number_one_points(d, value):
     with mpmath.workprec(320):
         tau = (1 + mpmath.mpc(0, mpmath.sqrt(-d))) / 2
-        rec = recognize_integer(eval_j(tau, 256))
-    assert rec is not None and rec[0] == value
+        assert recognize_integer(eval_j(tau, 256)) == value
 
 
 def test_modular_invariance_of_j():
@@ -120,8 +120,7 @@ def test_precision_monotonicity():
 
 
 def test_recognize_integer():
-    assert recognize_integer(mpmath.mpf(5) + mpmath.mpf(2) ** -40) == \
-        (5, mpmath.mpf(2) ** -40)
+    assert recognize_integer(mpmath.mpf(5) + mpmath.mpf(2) ** -40) == 5
     assert recognize_integer(mpmath.mpf(5.2)) is None
 
 
@@ -141,7 +140,29 @@ def test_auto_prec_covers_the_class_polynomial(d):
 
 
 def odd_norm_points(d):
-    return [odd_norm_representative(f, d)[0] for f in reduced_forms(d)]
+    """An odd-norm form in the class of each reduced form of d = 1 mod 8, in
+    closed form, with its certificate checked: the form acted on by I, S or
+    (1, -+1; +-1, 0) by the sign of b, whose first coefficient is odd."""
+    points = []
+    for form in reduced_forms(d):
+        a, b, c = form
+        if a % 2:
+            g = (1, 0, 0, 1)
+        elif c % 2:
+            g = (0, -1, 1, 0)
+        else:
+            g = (1, -1, 1, 0) if b > 0 else (1, 1, -1, 0)
+        r, s, t, u = g
+        rep = (a * r * r + b * r * t + c * t * t,
+               2 * a * r * s + b * (r * u + s * t) + 2 * c * t * u,
+               a * s * s + b * s * u + c * u * u)
+        assert r * u - s * t == 1 and rep[0] % 2 == 1
+        assert rep[1] ** 2 - 4 * rep[0] * rep[2] == d
+        points.append(rep)
+    return points
+
+
+CLASS_VALUE = {eval_j: j_value, eval_omega2: omega2_value}
 
 
 @pytest.mark.parametrize("evaluate,points", [
@@ -149,29 +170,50 @@ def odd_norm_points(d):
 @pytest.mark.parametrize("d", [-119, -199])
 def test_cm_values_conjugates_agree_with_direct_evaluation(evaluate, points,
                                                             d):
+    # the class values, half of them conjugates, against the evaluator at
+    # the CM point of each class's point: its reduced form for j, its
+    # odd-norm form for omega2
     prec = 200
-    forms = points(d)
-    got = cm_values(evaluate, forms, d, prec)
+    got = cm_values(CLASS_VALUE[evaluate], d, prec)
     with mpmath.workprec(prec + GUARD_BITS):
-        for form, value in zip(forms, got):
+        for form, value in zip(points(d), got):
             want = evaluate(heegner_point(form, d), prec)
             assert abs(value - want) <= mpmath.mpf(2) ** -(prec - 8) * abs(want)
 
 
+def test_omega2_value_is_omega2_at_the_odd_norm_point():
+    # every fundamental d = 1 mod 8 with |d| < 400, at the precision of its
+    # class polynomial: the level-2 transformation law against a direct
+    # evaluation at the odd-norm form (Im tau down to 0.19 at d = -399)
+    discs = [d for d in range(-7, -400, -8) if is_fundamental_discriminant(d)]
+    forms = 0
+    for d in discs:
+        prec = auto_prec(d)
+        got = cm_values(omega2_value, d, prec)
+        with mpmath.workprec(prec + GUARD_BITS):
+            for form, value in zip(odd_norm_points(d), got):
+                want = eval_omega2(heegner_point(form, d), prec)
+                assert abs(value - want) <= \
+                    mpmath.mpf(2) ** -(prec - 8) * abs(want), (d, form)
+                forms += 1
+    assert forms == 400
+
+
 @pytest.mark.parametrize("d,calls", [(-199, 5), (-119, 6), (-20, 2),
                                      (-84, 4), (-71, 4), (-3, 1)])
-def test_cm_values_evaluates_once_per_conjugate_pair(d, calls):
-    # (h + number of self-conjugate forms) / 2 calls: -199 has h = 9 and
-    # one self-conjugate form, (1, 1, 50)
+def test_cm_values_evaluates_once_per_conjugate_pair(monkeypatch, d, calls):
+    # (h + number of self-conjugate forms) / 2 calls of the evaluator, looked
+    # up in numeric at call time: -199 has h = 9 and one self-conjugate
+    # form, (1, 1, 50); omega2 (d = 1 mod 8) pairs the same forms
     seen = []
-
-    def evaluate(tau, prec):
-        seen.append(tau)
-        return eval_j(tau, prec)
-
+    for name in ("eval_j", "eval_omega2"):
+        exact = getattr(numeric, name)
+        monkeypatch.setattr(numeric, name, lambda tau, prec, f=exact:
+                            seen.append(tau) or f(tau, prec))
     forms = reduced_forms(d)
-    values = cm_values(evaluate, forms, d, 64)
     self_conjugate = sum((a, -b, c) not in forms or b == 0
                          for a, b, c in forms)
-    assert len(values) == len(forms)
-    assert len(seen) == (len(forms) + self_conjugate) // 2 == calls
+    for value in [j_value] + [omega2_value] * (d % 8 == 1):
+        seen.clear()
+        assert len(cm_values(value, d, 64)) == len(forms)
+        assert len(seen) == (len(forms) + self_conjugate) // 2 == calls

@@ -96,6 +96,21 @@ def test_driver_reports_exhausted_precision(monkeypatch, capsys, kind, fn,
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("d1,d2", [(-119, -127), (-23, -399)])
+def test_yz_kernel_arguments_stay_high_in_the_upper_half_plane(monkeypatch,
+                                                               d1, d2):
+    # every omega2 is taken at the reduced form's CM point tau, at tau/2 or
+    # at (tau + 1)/2, so Im >= sqrt(3)/4; odd-norm forms reach down to 0.30
+    # at d = -127 and 0.19 at d = -399
+    seen = []
+    exact = numeric.eval_omega2
+    monkeypatch.setattr(numeric, "eval_omega2", lambda tau, prec:
+                        seen.append(tau) or exact(tau, prec))
+    assert yz_verify(d1, d2).ok()
+    assert len(seen) > 0
+    assert min(tau.imag for tau in seen) >= mpmath.sqrt(3) / 4
+
+
 def test_gz_verify_rejects_bad_inputs():
     with pytest.raises(ValueError):
         gz_verify(-3, -12)
@@ -116,7 +131,9 @@ def test_residual_gate_catches_perturbed_cm_values(monkeypatch, kind, fn,
     assert r.factor_match and r.resultant_match is not False
     assert r.status == "mismatch"
     assert len(r.notes) == 1
-    assert re.fullmatch(r"residual \S+e-1[89] above 2\^-100", r.notes[0])
+    # 2.89e-19 for gz, 7.55e-20 for yz: 2^12 / omega2 flips the sign of the
+    # perturbation at the classes whose a is even
+    assert re.fullmatch(r"residual \S+e-(19|20) above 2\^-100", r.notes[0])
     argv = [kind, "--d1", str(d1), "--d2", str(d2), "--prec", "400"]
     with redirect_stdout(io.StringIO()):
         assert main(argv) == EXIT_MISMATCH
