@@ -11,8 +11,9 @@ from functools import cache
 from math import gcd, isqrt
 
 from .quadarith import (RealQuadElem, PrimeLog, factor_principal_ideal,
-                        factor_principal_ideals, splitting_in_E_over_F, rho,
-                        diff_set, is_fundamental_discriminant)
+                        factor_principal_ideals, primes_of_F_above,
+                        splitting_in_E_over_F, rho, diff_set,
+                        is_fundamental_discriminant)
 
 
 def check_gz_hypotheses(d1, d2):
@@ -73,6 +74,25 @@ def t_range(d1, d2):
     return out
 
 
+def _odd_diff_terms(d1, d2, keep):
+    """The walk shared by both sums.  Factor the t in t_range with keep(t)
+    in one call, and for each t whose Diff is a single prime P of F, inert
+    in E/F at odd order e, yield (red, P, w): red is the factorization of
+    t P^-1 as a fresh dict, and w = (1 + e)/2 * f(P), exact as e is odd."""
+    ts = [t for t in t_range(d1, d2) if keep(t)]
+    facts = factor_principal_ideals(ts, d1, d2)
+    for t in ts:
+        fact = facts[t.m]
+        diff = diff_set(fact, d1, d2)
+        if len(diff) != 1:
+            continue
+        P = diff[0]
+        e = fact[P]
+        red = dict(fact)
+        red[P] = e - 1
+        yield red, P, (1 + e) // 2 * P.residue_degree()
+
+
 def _cm_sum(d1, d2, level2):
     """The double sum shared by both formulas: over t in t_range with
     exactly one prime P of F inert in E/F at odd order e, the term
@@ -81,25 +101,14 @@ def _cm_sum(d1, d2, level2):
     """
     D = d1 * d2
     total = PrimeLog()
-    ts = [t for t in t_range(d1, d2)
-          if not level2 or (t.m * t.m - D) % 16 == 0]
-    facts = factor_principal_ideals(ts, d1, d2)
-    for t in ts:
-        fact = facts[t.m]
-        Pt = p_t_of(fact)[0] if level2 else None
-        diff = diff_set(fact, d1, d2)
-        if len(diff) != 1:
-            continue
-        P = diff[0]
-        e = fact[P]
-        red = dict(fact)
-        red[P] = e - 1
+    keep = ((lambda t: (t.m * t.m - D) % 16 == 0) if level2
+            else (lambda t: True))
+    for red, P, w in _odd_diff_terms(d1, d2, keep):
         if level2:
-            red[Pt] -= 2
+            red[p_t_of(red)[0]] -= 2
         r = rho(red, d1, d2)
         if r:
-            # exact: P is in Diff, so e is odd
-            total.add(P.p, (1 + e) // 2 * r * P.residue_degree())
+            total.add(P.p, w * r)
     return total
 
 
@@ -136,22 +145,11 @@ def yz_rhs_whittaker(d1, d2):
     check_yz_hypotheses(d1, d2)
     total = PrimeLog()
     w2_of = {}       # (ord at P_2, ord at P_2'): 4 W(phi_0) W(phi_0)
-    ts = [t for t in t_range(d1, d2) if t.m % 2]
-    facts = factor_principal_ideals(ts, d1, d2)
-    for t in ts:
-        fact = facts[t.m]
-        diff = diff_set(fact, d1, d2)
-        if len(diff) != 1:
-            continue
-        P = diff[0]
-        e = fact[P]
+    above2 = primes_of_F_above(2, d1 * d2)    # P_2, P_2': branches +1, -1
+    for red, P, w in _odd_diff_terms(d1, d2, lambda t: t.m % 2):
         if P.p == 2:
             raise ArithmeticError("primes above 2 split in E/F here")
-        ords2 = {1: 0, -1: 0}
-        for Q, eq in fact.items():
-            if Q.p == 2:
-                ords2[Q.branch] = eq
-        o1, o2 = ords2[1], ords2[-1]
+        o1, o2 = (red.get(Q, 0) for Q in above2)
         if (o1, o2) not in w2_of:
             if whittaker2_Ma(1, o1, 0) * whittaker2_Ma(1, o2, 0) != 0:
                 raise ArithmeticError("parity-1 channel should vanish")
@@ -159,10 +157,8 @@ def yz_rhs_whittaker(d1, d2):
             # 4; at s = 0, 2 W(phi_0) is 1 or o - 1, so the product is an int
             w2_of[o1, o2] = int(4 * whittaker2_Ma(0, o1, 0)
                                 * whittaker2_Ma(0, o2, 0))
-        red = {Q: eq for Q, eq in fact.items() if Q.p != 2}
-        red[P] = e - 1
-        r = rho(red, d1, d2)
-        contrib = (1 + e) // 2 * r * w2_of[o1, o2] * P.residue_degree()
+        r = rho({Q: e for Q, e in red.items() if Q.p != 2}, d1, d2)
+        contrib = w * r * w2_of[o1, o2]
         if contrib:
             total.add(P.p, contrib)
     return total
@@ -182,7 +178,7 @@ def chi_log_identity(t, d1, d2):
         s1 = sum(chi[P] ** a * a for a in range(e + 1))
         other = 1
         for Q, eq in fact.items():
-            if Q is P or Q == P:
+            if Q == P:
                 continue
             other *= sum(chi[Q] ** a for a in range(eq + 1))
         lhs.add(P.p, s1 * other * P.residue_degree())

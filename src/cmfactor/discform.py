@@ -19,8 +19,6 @@ COSETS = ("mu0", "mu1", "mu2", "mu3")
 QVAL = {"mu0": Fraction(0), "mu1": Fraction(0),
         "mu2": Fraction(0), "mu3": Fraction(1, 2)}
 
-_NONZERO = ("mu1", "mu2", "mu3")
-
 
 def bilinear(mu, nu):
     """Pairing (mu, nu) mod 1."""

@@ -10,6 +10,7 @@ so D = d1 d2 is a fundamental discriminant of F and E/F is unramified.
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm, prod
+from typing import NamedTuple
 
 import mpmath
 
@@ -151,9 +152,8 @@ class RealQuadElem:
         return RealQuadElem(-self.m, self.D)
 
 
-@dataclass(frozen=True, order=True)
-class PrimeOfF:
-    """A prime ideal of F above p.
+class PrimeOfF(NamedTuple):
+    """A prime ideal of F above p, as a plain (p, kind, branch) tuple.
 
     kind is 'split', 'inert' or 'ramified'; for split primes branch = +1 / -1
     selects the embedding in which sqrt(D) maps to the p-adic root s with
@@ -182,22 +182,19 @@ def primes_of_F_above(p, D):
 
 
 def splitting_in_E_over_F(P, d1, d2):
-    """'split' or 'inert': behaviour of the prime P of F in E = F(sqrt(d1)).
+    """'split' or 'inert': behaviour of the prime P of F in E = F(sqrt(d1)),
+    i.e. the E/F character at P.
 
     E/F is unramified since gcd(d1, d2) = 1, so these are the only cases.
+    A prime inert in F splits: its decomposition group in Gal(E/Q) =
+    (Z/2)^2 is cyclic, so p has residue degree at most 2 in E, which P
+    already has.  Any other P has residue degree 1 and splits iff p has
+    residue degree 1 in E: iff (d1/p) = 1, or (d2/p) = 1 when p | d1.
     """
-    p = P.p
-    chi1, chi2 = kronecker(d1, p), kronecker(d2, p)
-    if chi1 == 0:
-        return "split" if chi2 == 1 else "inert"
-    if chi2 == 0:
-        return "split" if chi1 == 1 else "inert"
-    if chi1 == 1 and chi2 == 1:
+    if P.kind == "inert":
         return "split"
-    if chi1 == -1 and chi2 == -1:
-        return "inert"
-    # mixed characters: p is inert in F and its prime splits in E
-    return "split"
+    d = d2 if d1 % P.p == 0 else d1
+    return "split" if kronecker(d, P.p) == 1 else "inert"
 
 
 SIEVE_FROM = 24   # measured: sieving overtakes trial division at 16-32 t

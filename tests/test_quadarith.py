@@ -89,6 +89,37 @@ def test_splitting_in_E_over_F_against_frobenius_oracle():
                     frobenius_splitting_oracle(p, d1, d2), (d1, d2, p)
 
 
+def ramified_splitting_oracle(p, d1, d2):
+    """Brute force for the prime of F above p | d1 d2.  With p | d1, E is
+    F(sqrt(d2)) and the prime splits iff d2 is a nonzero square mod p, or
+    iff d2 = 1 mod 8 at p = 2 (then sqrt(d2) lies in Q_2); p | d2 is the
+    same with the roles swapped."""
+    other = d2 if d1 % p == 0 else d1
+    if p == 2:
+        square = other % 8 == 1
+    else:
+        square = other % p in {x * x % p for x in range(1, p)}
+    return "split" if square else "inert"
+
+
+def test_splitting_at_ramified_primes_against_brute_force():
+    discs = [d for d in range(-3, -300, -1) if is_fundamental_discriminant(d)]
+    seen = set()
+    for d1 in discs:
+        for d2 in discs:
+            if gcd(d1, d2) != 1:
+                continue
+            for p in factorize(d1 * d2):
+                (P,) = primes_of_F_above(p, d1 * d2)
+                assert P.kind == "ramified"
+                kind = splitting_in_E_over_F(P, d1, d2)
+                assert kind == ramified_splitting_oracle(p, d1, d2), \
+                    (d1, d2, p)
+                seen.add((p == 2, kind))
+    # even d are in the sweep, and both outcomes occur at p = 2 and odd p
+    assert len(seen) == 4
+
+
 def test_splitting_at_ramified_primes_from_anchor_data():
     # (-4, -163): 2 ramifies in Q(i); kronecker(-163, 2) = -1 so inert in E/F
     (P2,) = primes_of_F_above(2, -4 * -163)
@@ -318,16 +349,13 @@ def test_factorize_and_squarefree(n):
 def count_ideals_oracle(fact, d1, d2):
     """Enumerate exponent vectors of the primes of E above each prime of F
     and count those whose relative norm matches; the splitting data comes
-    from the Frobenius oracle where applicable."""
+    from the Frobenius oracle, or the brute-force one at ramified primes."""
     total = 1
     for P, e in fact.items():
         if e < 0:
             return 0
-        if P.p * P.p > abs(d1 * d2) or (d1 * d2) % P.p != 0:
-            kind = (frobenius_splitting_oracle(P.p, d1, d2)
-                    if (d1 * d2) % P.p else splitting_in_E_over_F(P, d1, d2))
-        else:
-            kind = splitting_in_E_over_F(P, d1, d2)
+        kind = (frobenius_splitting_oracle(P.p, d1, d2) if (d1 * d2) % P.p
+                else ramified_splitting_oracle(P.p, d1, d2))
         if kind == "split":
             ways = len([(x, y) for x in range(e + 1) for y in range(e + 1)
                         if x + y == e])
