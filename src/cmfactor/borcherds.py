@@ -72,18 +72,16 @@ class BiQSeries:
 
 
 def _exponents(s, lo, hi):
-    """The q^lo .. q^hi coefficients of s as ints, read from its int list;
-    each must vanish below q^-1, be an integer and lie below the cutoff."""
+    """The q^lo .. q^hi coefficients of s, read from its int list; each
+    must vanish below q^-1 and lie below the cutoff."""
     start = lo * s.den - s.off
     ex = [s.a[i] if i >= 0 else 0
           for i in range(start, len(s.a), s.den)[:hi - lo + 1]]
     if any(ex[:max(0, -1 - lo)]):
         raise ArithmeticError("principal part deeper than q^-1")
-    if any(c % s.cden for c in ex):
-        raise ArithmeticError("non-integral product exponent")
     if len(ex) <= hi - lo:
         raise ValueError(f"coefficient of q^{hi} beyond cutoff {s.cutoff}")
-    return [c // s.cden for c in ex]
+    return ex
 
 
 def _expand_product(minus, plus, rho, C, N1, N2):
@@ -98,11 +96,12 @@ def _expand_product(minus, plus, rho, C, N1, N2):
     coefficient sum over k | (N, M) with M/k >= -1 of (N/k) (-a +
     (-1)^(k+1) b) at NM/k^2, and Miller's recurrence N F_N = sum_{k=1..N}
     D_k F_{N-k} gives the other rows, the division by N being exact
-    (Borcherds, Invent. Math. 1998, Thm. 13.3).  All exponents must be
-    integers and vanish at mn < -1 (checked).  The rows are integer series
-    whose cutoffs the series layer tracks, so every stored coefficient is
-    exact.  Rows q1^0..q1^K1 with terms through q2^K2 fill the box after
-    the Weyl shift; exponents are read through mn = K1 (K1 + K2).
+    (Borcherds, Invent. Math. 1998, Thm. 13.3).  The exponents are integers,
+    as every series coefficient is, and must vanish at mn < -1 (checked).
+    The rows are integer series whose cutoffs the series layer tracks, so
+    every stored coefficient is exact.  Rows q1^0..q1^K1 with terms through
+    q2^K2 fill the box after the Weyl shift; exponents are read through
+    mn = K1 (K1 + K2).
     """
     K1 = floor(N1 - rho.rlp)        # rows q1^N with N + rlp <= N1
     K2 = floor(N2 + rho.rl)         # terms q2^M with M - rl <= N2

@@ -1,32 +1,29 @@
 """Exact q-expansions with rational exponents and integer coefficients.
 
-A FracQSeries is a truncated series sum_i (a[i] / cden) q^((off + i) / den):
-a dense list `a` of Python ints, an integer exponent offset `off`, an
-exponent denominator `den` and one common coefficient denominator `cden`.
-Every term below the cutoff (off + len(a)) / den is stored, and a[0] != 0
-unless the series is zero.  Exponents may be negative (principal parts).
-The classical expansions here all have cden == 1; a larger cden only comes
-from inverting a series whose leading coefficient is not a unit.
+A FracQSeries is a truncated series sum_i a[i] q^((off + i) / den): a dense
+list `a` of Python ints, an integer exponent offset `off` and an exponent
+denominator `den`.  Every term below the cutoff (off + len(a)) / den is
+stored, and a[0] != 0 unless the series is zero.  Exponents may be negative
+(principal parts).  Powers, the inverse among them, are taken of monic
+series (a[0] == 1) only, so every coefficient stays an integer.
 """
 
 from fractions import Fraction
-from math import ceil, gcd, lcm
+from math import ceil, lcm
 
 
 def _miller(a, k):
-    """(numerators, denominator) of the first len(a) coefficients of A^k, for
-    an integer list A with A[0] != 0 and any integer k.
+    """The first len(a) coefficients of A^k, for an integer list A with
+    A[0] = 1 and any integer k.
 
-    J.C.P. Miller's recurrence m A0 B_m = sum_{j=1..m} (k j - m + j) A_j
-    B_{m-j} (Knuth, TAOCP vol. 2, 4.7) runs on V(x) = A(A0 x) / A0, whose
-    coefficients A_j A0^(j-1) are integers with V0 = 1, so that V^k has
-    integer coefficients and every division by m is exact.  A^k is then
-    A0^k V^k(x / A0).  Zero coefficients of A are skipped, so a sparse A
-    costs O(len(a) * nonzeros).
+    J.C.P. Miller's recurrence m B_m = sum_{j=1..m} (k j - m + j) A_j
+    B_{m-j} (Knuth, TAOCP vol. 2, 4.7): A^k has integer coefficients, so
+    every division by m is exact.  Zero coefficients of A are skipped, so a
+    sparse A costs O(len(a) * nonzeros).
     """
-    n, a0 = len(a), a[0]
+    n = len(a)
     js = [j for j in range(1, n) if a[j]]
-    vs = [a[j] * a0 ** (j - 1) for j in js]
+    vs = [a[j] for j in js]
     b = [1] * n
     t = 0
     for m in range(1, n):
@@ -34,42 +31,36 @@ def _miller(a, k):
             t += 1
         b[m] = sum(((k + 1) * j - m) * v * b[m - j]
                    for j, v in zip(js[:t], vs)) // m
-    if a0 == 1:
-        return b, 1
-    e = min(0, k - n + 1)           # smallest power of a0 that occurs
-    nums = [c * a0 ** (k - m - e) for m, c in enumerate(b)]
-    den = a0 ** -e
-    return (nums, den) if den > 0 else ([-c for c in nums], -den)
+    return b
 
 
 class FracQSeries:
 
     def __init__(self, den, coeffs, cutoff):
-        """The series sum_k coeffs[k] q^(k/den), exact below cutoff."""
+        """The series sum_k coeffs[k] q^(k/den), exact below cutoff; each
+        coefficient must be an integer."""
         if den <= 0:
             raise ValueError("den must be positive")
         end = ceil(Fraction(cutoff) * den)
         coeffs = {k: Fraction(c) for k, c in coeffs.items() if k < end}
-        cden = lcm(*(c.denominator for c in coeffs.values()))
+        if any(c.denominator != 1 for c in coeffs.values()):
+            raise ValueError("coefficients must be integers")
         off = min(coeffs, default=end)
         a = [0] * (end - off)
         for k, c in coeffs.items():
-            a[k - off] = c.numerator * (cden // c.denominator)
-        self._set(den, off, a, cden)
+            a[k - off] = c.numerator
+        self._set(den, off, a)
 
-    def _set(self, den, off, a, cden):
+    def _set(self, den, off, a):
         lead = next((i for i, c in enumerate(a) if c), len(a))
-        if cden > 1:
-            g = gcd(cden, *a)
-            a, cden = [c // g for c in a], cden // g
-        self.den, self.off, self.a, self.cden = den, off + lead, a[lead:], cden
+        self.den, self.off, self.a = den, off + lead, a[lead:]
 
     @classmethod
-    def dense(cls, den, off, a, cden=1):
-        """The series sum_i (a[i] / cden) q^((off + i) / den), exact below
+    def dense(cls, den, off, a):
+        """The series sum_i a[i] q^((off + i) / den), exact below
         q^((off + len(a)) / den)."""
         s = cls.__new__(cls)
-        s._set(den, off, a, cden)
+        s._set(den, off, a)
         return s
 
     @classmethod
@@ -100,11 +91,11 @@ class FracQSeries:
         i = e * self.den - self.off
         if i < 0 or i.denominator != 1:
             return Fraction(0)
-        return Fraction(self.a[int(i)], self.cden)
+        return Fraction(self.a[int(i)])
 
     def terms(self):
         """Sorted list of (exponent, coefficient) pairs."""
-        return [(Fraction(self.off + i, self.den), Fraction(c, self.cden))
+        return [(Fraction(self.off + i, self.den), Fraction(c))
                 for i, c in enumerate(self.a) if c]
 
     def truncate(self, cutoff):
@@ -112,7 +103,7 @@ class FracQSeries:
             raise ValueError("cannot extend a truncated series")
         end = ceil(Fraction(cutoff) * self.den)
         return self.dense(self.den, min(self.off, end),
-                          self.a[:max(0, end - self.off)], self.cden)
+                          self.a[:max(0, end - self.off)])
 
     def _spread(self, den):
         """(offset, coefficient list) of self over the exponent denominator
@@ -128,20 +119,19 @@ class FracQSeries:
         if not isinstance(other, FracQSeries):
             other = FracQSeries.constant(other, self.cutoff)
         den = lcm(self.den, other.den)
-        cden = lcm(self.cden, other.cden)
-        parts = [(*s._spread(den), cden // s.cden) for s in (self, other)]
-        off = min(o for o, _, _ in parts)
-        end = min(o + len(a) for o, a, _ in parts)
+        parts = [s._spread(den) for s in (self, other)]
+        off = min(o for o, _ in parts)
+        end = min(o + len(a) for o, a in parts)
         out = [0] * (end - off)
-        for o, a, scale in parts:
+        for o, a in parts:
             for i, c in enumerate(a[:max(0, end - o)], o - off):
-                out[i] += scale * c
-        return self.dense(den, off, out, cden)
+                out[i] += c
+        return self.dense(den, off, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self.dense(self.den, self.off, [-c for c in self.a], self.cden)
+        return self.dense(self.den, self.off, [-c for c in self.a])
 
     def __sub__(self, other):
         if not isinstance(other, FracQSeries):
@@ -153,10 +143,7 @@ class FracQSeries:
 
     def __mul__(self, other):
         if not isinstance(other, FracQSeries):
-            c = Fraction(other)
-            return self.dense(self.den, self.off,
-                              [c.numerator * x for x in self.a],
-                              self.cden * c.denominator)
+            return NotImplemented
         den = lcm(self.den, other.den)
         (oa, a), (ob, b) = self._spread(den), other._spread(den)
         # exact below min(cutoff + other.lo, other.cutoff + lo)
@@ -167,21 +154,19 @@ class FracQSeries:
         for i, x in enumerate(a[:n]):
             if x:
                 out[i:] = [o + x * y for o, y in zip(out[i:], b)]
-        return self.dense(den, oa + ob, out, self.cden * other.cden)
-
-    __rmul__ = __mul__
+        return self.dense(den, oa + ob, out)
 
     def __pow__(self, k):
-        """self ** k for any integer k, exact below k lo + (cutoff - lo)."""
+        """self ** k for any integer k, exact below k lo + (cutoff - lo).
+        A nonzero self must be monic."""
         if not self.a:
             if k <= 0:
                 raise ZeroDivisionError("power of the zero series")
             return self.dense(self.den, k * self.off, [])
-        nums, cden = _miller(self.a, k)
-        scale = self.cden ** abs(k)
-        if k < 0:
-            nums, scale = [scale * c for c in nums], 1
-        return self.dense(self.den, k * self.off, nums, cden * scale)
+        if self.a[0] != 1:
+            raise ValueError("power of a series whose leading coefficient "
+                             "is not 1")
+        return self.dense(self.den, k * self.off, _miller(self.a, k))
 
     def inverse(self):
         """Multiplicative inverse, valid where enough terms are known."""
@@ -190,7 +175,7 @@ class FracQSeries:
     def subst_power(self, r):
         """Substitute q -> q^r for a positive integer r."""
         off, a = self._spread(r * self.den)
-        return self.dense(self.den, off, a, self.cden)
+        return self.dense(self.den, off, a)
 
     def __eq__(self, other):
         if not isinstance(other, FracQSeries):
@@ -246,11 +231,6 @@ def e4_series(order):
 def eta_series(order):
     """q^(1/24) prod (1 - q^n), exact below q^(order + 1 + 1/24)."""
     return FracQSeries.dense(24, 1, euler_product(order)._spread(24)[1])
-
-
-def delta_series(order):
-    """Discriminant form Delta = q prod (1 - q^n)^24 through q^order."""
-    return FracQSeries.dense(1, 1, (euler_product(order) ** 24).a[:order])
 
 
 def j_series(order):

@@ -4,12 +4,12 @@ exactly against the arithmetic side; plus exact checks of the underlying
 Borcherds product identities.
 
 One driver serves both formulas, at the CM points of the reduced forms of
-both discriminants.  A formula only chooses the evaluator of a class value
-(numeric.j_value or numeric.omega2_value), the scale of the arithmetic side
-and whether the resultant oracle runs.  The precision follows numeric's one
-policy: numeric.auto_prec(d1, d2) bits unless the caller gives prec, every
-CM point, pair product and log at numeric.GUARD_BITS above it, and the
-doublings of numeric.precisions.
+both discriminants, and runs the same checks for both, the resultant oracle
+among them.  A formula only chooses the evaluator of a class value
+(numeric.j_value or numeric.omega2_value) and the scale of the arithmetic
+side.  The precision follows numeric's one policy: numeric.auto_prec(d1, d2)
+bits unless the caller gives prec, every CM point, pair product and log at
+numeric.GUARD_BITS above it, and the doublings of numeric.precisions.
 """
 
 from dataclasses import dataclass, field
@@ -90,11 +90,11 @@ def _factor_check(n, predicted, scale, notes):
     return fact, match
 
 
-def _verify(kind, d1, d2, prec, value, scale, rhs, oracle):
+def _verify(kind, d1, d2, prec, value, scale, rhs):
     """The driver: class values at the reduced forms of d1 and of d2 (one
     evaluation per conjugate pair, numeric.cm_values), their pair product
     recognized as an integer N, the factor check against rhs at the given
-    scale, the resultant oracle if asked for, and the log residual."""
+    scale, the resultant oracle and the log residual."""
     if prec is None:
         prec = numeric.auto_prec(d1, d2)
     report = VerificationReport(kind=kind, d1=d1, d2=d2, prec=prec,
@@ -115,7 +115,7 @@ def _verify(kind, d1, d2, prec, value, scale, rhs, oracle):
             # a coefficient that fails to round is a precision failure too
             polys = ([numeric.integer_polynomial(vals1),
                       numeric.integer_polynomial(vals2)]
-                     if oracle and n is not None else [])
+                     if n is not None else [])
         if n is not None and None not in polys:
             break
     else:
@@ -124,9 +124,8 @@ def _verify(kind, d1, d2, prec, value, scale, rhs, oracle):
     report.product_integer = n
     report.factorization, report.factor_match = _factor_check(
         n, report.rhs_exponents, scale, report.notes)
-    if oracle:
-        res = _sylvester_resultant(*polys)
-        report.resultant_match = res == (-1) ** (len(vals1) * len(vals2)) * n
+    res = _sylvester_resultant(*polys)
+    report.resultant_match = res == (-1) ** (len(vals1) * len(vals2)) * n
 
     # the analytic product, not N: the gate tests the CM values themselves
     with mpmath.workprec(prec + numeric.GUARD_BITS):
@@ -139,7 +138,7 @@ def _verify(kind, d1, d2, prec, value, scale, rhs, oracle):
         report.notes.append(f"residual {mpmath.nstr(report.residual, 3)} "
                             f"above 2^-{prec // 4}")
     report.status = ("ok" if report.factor_match and tight
-                     and report.resultant_match is not False else "mismatch")
+                     and report.resultant_match else "mismatch")
     return report
 
 
@@ -148,8 +147,7 @@ def gz_verify(d1, d2, prec=None):
     discriminants d1, d2."""
     rhs = gz_rhs(d1, d2)
     scale = Fraction(8, units_w(d1) * units_w(d2))
-    return _verify("gz", d1, d2, prec, numeric.j_value, scale, rhs,
-                   oracle=True)
+    return _verify("gz", d1, d2, prec, numeric.j_value, scale, rhs)
 
 
 def yz_verify(d1, d2, prec=None):
@@ -157,7 +155,7 @@ def yz_verify(d1, d2, prec=None):
     fundamental discriminants d1 = d2 = 1 mod 8.  The arithmetic side
     computes log |prod|^2, hence the scale 2."""
     return _verify("yz", d1, d2, prec, numeric.omega2_value, Fraction(2),
-                   yz_rhs(d1, d2), oracle=False)
+                   yz_rhs(d1, d2))
 
 
 def borcherds_verify(case, n1=8, n2=8):

@@ -10,7 +10,7 @@ import pytest
 from cmfactor.discform import (COSETS, QVAL, bilinear, weil_T, weil_S,
                                mat_mul, mat_identity, sl2_word, weil_matrix,
                                build_weber_f, restrict_to_M, constant_vvform)
-from cmfactor.series import j_series, omega2_series
+from cmfactor.series import FracQSeries, j_series, omega2_series
 
 
 S_GEN = (0, -1, 1, 0)
@@ -145,13 +145,12 @@ def test_weber_form_coefficients():
 
 
 def test_weber_mu2_minus_mu0_is_the_inverted_hauptmodul():
-    # f_mu2 - f_mu0 = 24 - g + 12 = -(2^12/omega2) + 36 - 12... direct check:
-    # the difference in degree n >= 1 equals -[q^n] (2^12 / omega2).
+    # f_mu2 - f_mu0 = 12 - g = -2^12 / omega2, checked as a product
     f = build_weber_f(5)
-    inv = omega2_series(8).inverse()
-    for n in range(1, 5):
-        diff = f.coeff(n, "mu2") - f.coeff(n, "mu0")
-        assert diff == -4096 * inv.coeff(n)
+    diff = f.components["mu2"] - f.components["mu0"]
+    prod = diff * omega2_series(8)
+    assert prod.cutoff == 7
+    assert prod == FracQSeries.constant(-4096, prod.cutoff)
 
 
 def test_restriction_is_j_minus_720():

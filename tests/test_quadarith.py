@@ -4,14 +4,13 @@ splitting in the biquadratic extension, and the norm-counting function."""
 import random
 import tracemalloc
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cmfactor.quadarith import (jacobi, kronecker, valuation, factorize,
-                                is_fundamental_discriminant, _squarefree,
-                                tonelli, RealQuadElem, PrimeOfF,
+from cmfactor.quadarith import (legendre, valuation, factorize,
+                                is_fundamental_discriminant, tonelli, RealQuadElem, PrimeOfF,
                                 primes_of_F_above, splitting_in_E_over_F,
                                 factor_principal_ideal,
                                 factor_principal_ideals, SIEVE_FROM, rho,
@@ -20,40 +19,44 @@ from cmfactor.quadarith import (jacobi, kronecker, valuation, factorize,
 PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
 
 
-def test_kronecker_odd_primes_euler_criterion():
-    for p in PRIMES:
-        for a in range(-2 * p, 2 * p):
-            euler = pow(a, (p - 1) // 2, p)
-            want = 0 if a % p == 0 else (1 if euler == 1 else -1)
-            assert kronecker(a, p) == want, (a, p)
+def test_legendre_against_squares_mod_p():
+    # at p = 2 the symbol of an odd a is 1 iff a or -a is a square mod 8
+    for p in (p for p in range(2, 200) if all(p % q for q in range(2, p))):
+        modulus = 8 if p == 2 else p
+        squares = {x * x % modulus for x in range(1, modulus) if x % p}
+        if p == 2:
+            squares |= {-x % 8 for x in squares}
+        for a in range(-3 * p, 3 * p):
+            want = 0 if a % p == 0 else 1 if a % modulus in squares else -1
+            assert legendre(a, p) == want, (a, p)
 
 
 def test_kronecker_at_two_mod_8_rule():
+    # legendre(a, 2) is the Kronecker symbol (a/2)
     for a in range(-40, 40):
         if a % 2 == 0:
-            assert kronecker(a, 2) == 0
+            assert legendre(a, 2) == 0
         elif a % 8 in (1, 7):
-            assert kronecker(a, 2) == 1
+            assert legendre(a, 2) == 1
         else:
-            assert kronecker(a, 2) == -1
-
-
-def test_kronecker_multiplicative():
-    random.seed(3)
-    for _ in range(200):
-        a, b = random.randint(-50, 50), random.randint(-50, 50)
-        n = random.randint(1, 60)
-        assert kronecker(a * b, n) == kronecker(a, n) * kronecker(b, n)
-
-
-def test_jacobi_rejects_even_modulus():
-    with pytest.raises(ValueError):
-        jacobi(3, 10)
+            assert legendre(a, 2) == -1
 
 
 def test_fundamental_discriminants():
     assert [d for d in range(-24, 0) if is_fundamental_discriminant(d)] == \
         [-24, -23, -20, -19, -15, -11, -8, -7, -4, -3]
+
+
+def test_fundamental_discriminants_against_brute_force():
+    # d = 1 mod 4 squarefree, or d = 4m with m = 2, 3 mod 4 squarefree
+    def squarefree(n):
+        return all(n % (k * k) for k in range(2, isqrt(abs(n)) + 1))
+    for d in range(-3000, 3001):
+        if d == 0:
+            continue
+        want = d != 1 and (d % 4 == 1 and squarefree(d)
+                           or d % 16 in (8, 12) and squarefree(d // 4))
+        assert is_fundamental_discriminant(d) == want, d
 
 
 def test_primes_of_F_above_kinds():
@@ -62,7 +65,7 @@ def test_primes_of_F_above_kinds():
     assert {p1.kind, p2.kind} == {"split"} and {p1.branch, p2.branch} == {1, -1}
     (q,) = primes_of_F_above(3, D)
     assert q.kind == "ramified"
-    assert primes_of_F_above(7, D)[0].kind == ("split" if kronecker(489, 7) == 1
+    assert primes_of_F_above(7, D)[0].kind == ("split" if legendre(489, 7) == 1
                                                else "inert")
 
 
@@ -70,7 +73,7 @@ def frobenius_splitting_oracle(p, d1, d2):
     """Decomposition-subgroup computation in Gal(E/Q) = (Z/2)^2, valid for
     p not dividing d1 d2: the prime of F is split in E iff the residue
     degree over F, |<Frob> meet Gal(E/F)|, is 1."""
-    frob = (kronecker(d1, p), kronecker(d2, p))
+    frob = (legendre(d1, p), legendre(d2, p))
     dec = {(1, 1), frob}
     gal_EF = {(1, 1), (-1, -1)}
     return "split" if len(dec & gal_EF) == 1 else "inert"
@@ -209,7 +212,7 @@ def test_padic_sqrt_example_and_canonical_branch():
 
 def test_padic_sqrt_stability():
     for a, p in [(489, 2), (17, 2), (105, 2), (7, 3), (13, 3), (6, 5)]:
-        if kronecker(a, p) != 1 and p != 2:
+        if legendre(a, p) != 1 and p != 2:
             continue
         if p == 2 and a % 8 != 1:
             continue
@@ -343,7 +346,6 @@ def test_factorize_and_squarefree(n):
     fact = factorize(n)
     assert prod(p ** e for p, e in fact.items()) == n
     assert all(factorize(p) == {p: 1} for p in fact)
-    assert _squarefree(n) == all(e == 1 for e in fact.values())
 
 
 def count_ideals_oracle(fact, d1, d2):

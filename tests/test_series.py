@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cmfactor.series import (FracQSeries, euler_product, prod_one_plus,
-                             e2_series, e4_series, eta_series, delta_series,
-                             j_series, omega2_series, eta_quotient_2_series)
+                             e2_series, e4_series, eta_series, j_series,
+                             omega2_series, eta_quotient_2_series)
 
 
 def naive_euler_product(order):
@@ -63,8 +63,9 @@ def test_eisenstein_series():
 
 
 def test_delta_is_ramanujan_tau():
-    d = delta_series(6)
-    assert [d.coeff(k) for k in range(1, 7)] == [1, -24, 252, -1472, 4830, -6048]
+    # Delta = q prod (1 - q^n)^24, so [q^k] of the 24th power is tau(k + 1)
+    d = euler_product(6) ** 24
+    assert [d.coeff(k) for k in range(6)] == [1, -24, 252, -1472, 4830, -6048]
 
 
 def test_j_series_classical_coefficients():
@@ -90,7 +91,7 @@ def test_prefix_stability():
 
 def test_inverse_roundtrip():
     random.seed(7)
-    coeffs = {0: Fraction(3)}
+    coeffs = {0: Fraction(1)}
     for k in range(1, 12):
         coeffs[k] = Fraction(random.randint(-9, 9))
     s = FracQSeries(1, coeffs, 12)
@@ -133,6 +134,19 @@ def test_coeff_beyond_cutoff_raises():
         s.coeff(6)
 
 
+def test_integer_coefficients_and_monic_powers_are_required():
+    with pytest.raises(ValueError):
+        FracQSeries(1, {0: 1, 1: Fraction(1, 2)}, 3)
+    with pytest.raises(ValueError):
+        FracQSeries.monomial(Fraction(1, 3), Fraction(5, 2), 2)
+    s = FracQSeries(1, {0: 2, 1: 1}, 4)
+    for k in (-1, 2):
+        with pytest.raises(ValueError):
+            s ** k
+    with pytest.raises(ValueError):
+        s.inverse()
+
+
 def test_truncate_cannot_extend():
     s = euler_product(5)
     with pytest.raises(ValueError):
@@ -141,14 +155,14 @@ def test_truncate_cannot_extend():
     assert t.cutoff == 3
 
 
-# c_0 q^(off/den) + c_1 q^((off+1)/den) + ... + O(q^((off+n)/den)) with
-# integer coefficients; c_0 != 0 need not be a unit
+# q^(off/den) + c_1 q^((off+1)/den) + ... + O(q^((off+n)/den)) with
+# integer coefficients: monic, so that every power is defined
 int_series = st.builds(
-    lambda den, off, lead, rest: FracQSeries(
-        den, {off + i: c for i, c in enumerate([lead] + rest)},
+    lambda den, off, rest: FracQSeries(
+        den, {off + i: c for i, c in enumerate([1] + rest)},
         Fraction(off + 1 + len(rest), den)),
     st.integers(1, 3), st.integers(-3, 3),
-    st.integers(-6, 6).filter(bool), st.lists(st.integers(-9, 9), max_size=10))
+    st.lists(st.integers(-9, 9), max_size=10))
 
 PROPERTY = settings(max_examples=60, deadline=None)
 

@@ -86,6 +86,7 @@ def test_driver_reports_exhausted_precision(monkeypatch, capsys, kind, fn,
     monkeypatch.setattr(numeric, "recognize_integer", lambda *a, **k: None)
     r = fn(d1, d2)
     assert r.status == "precision" and r.product_integer is None
+    assert r.resultant_match is None
     retries = [n for n in r.notes if n.startswith("retry at")]
     assert len(retries) == MAX_RETRIES == len(r.notes)
     assert r.prec == auto_prec(d1, d2) * 2 ** MAX_RETRIES
@@ -128,7 +129,7 @@ def test_residual_gate_catches_perturbed_cm_values(monkeypatch, kind, fn,
                             f(tau, prec) * (1 + mpmath.mpf(2) ** -60))
     r = fn(d1, d2, prec=400)
     assert r.product_integer == n
-    assert r.factor_match and r.resultant_match is not False
+    assert r.factor_match and r.resultant_match
     assert r.status == "mismatch"
     assert len(r.notes) == 1
     # 2.89e-19 for gz, 7.55e-20 for yz: 2^12 / omega2 flips the sign of the
@@ -154,6 +155,16 @@ def test_nonpositive_precision_is_rejected(capsys, prec):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.count("must be at least 1 bit") == 3
+
+
+# the six pairs of criterion 4, and two pairs of class numbers (7, 5) and
+# (7, 13)
+@pytest.mark.parametrize("d1,d2", [(-7, -15), (-7, -23), (-7, -31),
+                                   (-15, -23), (-15, -31), (-23, -31),
+                                   (-71, -127), (-151, -191)])
+def test_yz_runs_the_resultant_oracle(d1, d2):
+    r = yz_verify(d1, d2)
+    assert r.status == "ok" and r.resultant_match is True, (r.status, r.notes)
 
 
 def test_yz_verify_small_pair():
@@ -218,6 +229,7 @@ def test_cli_json_deterministic():
     code2, out2 = _run_cli(["yz", "--d1", "-7", "--d2", "-15", "--json"])
     assert code1 == code2 == EXIT_OK
     assert out1 == out2
+    assert '"resultant_match":true' in out1
     doc = json.loads(out1)
     assert doc["status"] == "ok"
     assert doc["product_integer"] == "-45"
