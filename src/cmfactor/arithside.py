@@ -10,10 +10,9 @@ from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt
 
-from .quadarith import (RealQuadElem, PrimeLog, factor_principal_ideal,
-                        factor_principal_ideals, primes_of_F_above,
-                        splitting_in_E_over_F, rho, diff_set,
-                        is_fundamental_discriminant)
+from .quadarith import (RealQuadElem, PrimeLog, EFCharacter,
+                        factor_principal_ideal, factor_principal_ideals,
+                        primes_of_F_above, is_fundamental_discriminant)
 
 
 def check_gz_hypotheses(d1, d2):
@@ -28,8 +27,6 @@ def check_yz_hypotheses(d1, d2):
     check_gz_hypotheses(d1, d2)
     if d1 % 8 != 1 or d2 % 8 != 1:
         raise ValueError("both discriminants must be 1 mod 8")
-    if d1 == d2:
-        raise ValueError("discriminants must be distinct")
 
 
 @cache   # keys (a, o, s): a in {0, 1}, o <= log2 N(t)
@@ -48,7 +45,8 @@ def whittaker2_Ma(a, o, s):
     if a == 0:
         if o == 0:
             return Fraction(1, 2)
-        return Fraction(1, 2) - x + (1 - x / 2) * sum(x ** n for n in range(1, o + 1))
+        geom = o if x == 1 else x * (1 - x ** o) / (1 - x)   # x + ... + x^o
+        return Fraction(1, 2) - x + (1 - x / 2) * geom
     if o == 0:
         return (1 - x) / 2
     return (1 + x) / 2
@@ -74,16 +72,16 @@ def t_range(d1, d2):
     return out
 
 
-def _odd_diff_terms(d1, d2, keep):
-    """The walk shared by both sums.  Factor the t in t_range with keep(t)
-    in one call, and for each t whose Diff is a single prime P of F, inert
-    in E/F at odd order e, yield (red, P, w): red is the factorization of
-    t P^-1 as a fresh dict, and w = (1 + e)/2 * f(P), exact as e is odd."""
-    ts = [t for t in t_range(d1, d2) if keep(t)]
-    facts = factor_principal_ideals(ts, d1, d2)
+def _odd_diff_terms(chi, keep):
+    """The walk of both sums over the pair of the EFCharacter chi.  Factor
+    the t in t_range with keep(t) in one call, and for each t whose Diff is
+    a single prime P of F, inert in E/F at odd order e, yield (red, P, w):
+    red is t P^-1 as a fresh dict, and w = (1 + e)/2 * f(P), e being odd."""
+    ts = [t for t in t_range(chi.d1, chi.d2) if keep(t)]
+    facts = factor_principal_ideals(ts, chi.d1, chi.d2)
     for t in ts:
         fact = facts[t.m]
-        diff = diff_set(fact, d1, d2)
+        diff = chi.diff(fact)
         if len(diff) != 1:
             continue
         P = diff[0]
@@ -101,12 +99,13 @@ def _cm_sum(d1, d2, level2):
     """
     D = d1 * d2
     total = PrimeLog()
+    chi = EFCharacter(d1, d2)
     keep = ((lambda t: (t.m * t.m - D) % 16 == 0) if level2
             else (lambda t: True))
-    for red, P, w in _odd_diff_terms(d1, d2, keep):
+    for red, P, w in _odd_diff_terms(chi, keep):
         if level2:
             red[p_t_of(red)[0]] -= 2
-        r = rho(red, d1, d2)
+        r = chi.rho(red)
         if r:
             total.add(P.p, w * r)
     return total
@@ -146,7 +145,8 @@ def yz_rhs_whittaker(d1, d2):
     total = PrimeLog()
     w2_of = {}       # (ord at P_2, ord at P_2'): 4 W(phi_0) W(phi_0)
     above2 = primes_of_F_above(2, d1 * d2)    # P_2, P_2': branches +1, -1
-    for red, P, w in _odd_diff_terms(d1, d2, lambda t: t.m % 2):
+    chi = EFCharacter(d1, d2)
+    for red, P, w in _odd_diff_terms(chi, lambda t: t.m % 2):
         if P.p == 2:
             raise ArithmeticError("primes above 2 split in E/F here")
         o1, o2 = (red.get(Q, 0) for Q in above2)
@@ -157,7 +157,7 @@ def yz_rhs_whittaker(d1, d2):
             # 4; at s = 0, 2 W(phi_0) is 1 or o - 1, so the product is an int
             w2_of[o1, o2] = int(4 * whittaker2_Ma(0, o1, 0)
                                 * whittaker2_Ma(0, o2, 0))
-        r = rho({Q: e for Q, e in red.items() if Q.p != 2}, d1, d2)
+        r = chi.rho({Q: e for Q, e in red.items() if Q.p != 2})
         contrib = w * r * w2_of[o1, o2]
         if contrib:
             total.add(P.p, contrib)
@@ -170,8 +170,8 @@ def chi_log_identity(t, d1, d2):
       = - sum_{p inert in E/F} (1 + ord_p(t))/2 rho(t p^-1) log N(p),
     as a pair of PrimeLogs."""
     fact = factor_principal_ideal(t, d1, d2)
-    chi = {P: (1 if splitting_in_E_over_F(P, d1, d2) == "split" else -1)
-           for P in fact}
+    table = EFCharacter(d1, d2)
+    chi = {P: 1 if table[P.p] else -1 for P in fact}
     lhs = PrimeLog()
     for P, e in fact.items():
         # sum over divisors factors: sum_a chi(a) a_P = S1(P) prod_{Q!=P} S0(Q)
@@ -188,7 +188,7 @@ def chi_log_identity(t, d1, d2):
             continue
         red = dict(fact)
         red[P] = e - 1
-        r = rho(red, d1, d2)
+        r = table.rho(red)
         if r:
             rhs.add(P.p, -Fraction(1 + e, 2) * r * P.residue_degree())
     return lhs, rhs

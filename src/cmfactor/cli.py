@@ -152,10 +152,15 @@ def main(argv=None):
             return EXIT_OK
 
         if args.cmd == "whittaker":
-            v = whittaker2_Ma(args.a, args.o, 0)
-            print(f"parity a={args.a}, ord={args.o}: value at s=0 is {v}")
-            for s in (1, 2):
-                print(f"  at s={s}: {whittaker2_Ma(args.a, args.o, s)}")
+            limit = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)   # exact values past 4300 digits
+            try:
+                v = whittaker2_Ma(args.a, args.o, 0)
+                print(f"parity a={args.a}, ord={args.o}: value at s=0 is {v}")
+                for s in (1, 2):
+                    print(f"  at s={s}: {whittaker2_Ma(args.a, args.o, s)}")
+            finally:
+                sys.set_int_max_str_digits(limit)
             return EXIT_OK
 
     except ValueError as exc:

@@ -140,20 +140,49 @@ def primes_of_F_above(p, D):
     return (PrimeOfF(p, "ramified"),)
 
 
+class EFCharacter(dict):
+    """The E/F character of the pair (d1, d2), as a table p -> True iff the
+    primes P of F above p, all conjugate, split in E (else they are inert, as
+    E/F is unramified); each entry is computed on its first lookup.  A P
+    inert in F splits: its decomposition group in Gal(E/Q) = (Z/2)^2 is
+    cyclic, so p has residue degree at most 2 in E, which P already has.
+    Any other P splits iff p has residue degree 1 in E: iff (d1/p) = 1, or
+    (d2/p) = 1 when p | d1.  Both read (d1/p) = 1 or (d2/p) = 1, as p is
+    inert in F iff one of the two is 1 and the other -1."""
+
+    def __init__(self, d1, d2):
+        super().__init__()
+        self.d1, self.d2 = d1, d2
+
+    def __missing__(self, p):
+        split = self[p] = 1 in (legendre(self.d1, p), legendre(self.d2, p))
+        return split
+
+    def rho(self, fact):
+        """Number of integral ideals of E of relative norm to F the ideal
+        with factorization `fact` (a dict PrimeOfF -> exponent; a negative
+        entry means the ideal is not integral, hence count 0)."""
+        count = 1
+        for P, e in fact.items():
+            if e < 0:
+                return 0
+            if e == 0:
+                continue
+            if self[P.p]:
+                count *= e + 1
+            elif e % 2 != 0:
+                return 0
+        return count
+
+    def diff(self, fact):
+        """The primes of F inert in E/F at odd order in `fact`, sorted."""
+        return sorted(P for P, e in fact.items() if e % 2 and not self[P.p])
+
+
 def splitting_in_E_over_F(P, d1, d2):
     """'split' or 'inert': behaviour of the prime P of F in E = F(sqrt(d1)),
-    i.e. the E/F character at P.
-
-    E/F is unramified since gcd(d1, d2) = 1, so these are the only cases.
-    A prime inert in F splits: its decomposition group in Gal(E/Q) =
-    (Z/2)^2 is cyclic, so p has residue degree at most 2 in E, which P
-    already has.  Any other P has residue degree 1 and splits iff p has
-    residue degree 1 in E: iff (d1/p) = 1, or (d2/p) = 1 when p | d1.
-    """
-    if P.kind == "inert":
-        return "split"
-    d = d2 if d1 % P.p == 0 else d1
-    return "split" if legendre(d, P.p) == 1 else "inert"
+    read from the pair's EFCharacter."""
+    return "split" if EFCharacter(d1, d2)[P.p] else "inert"
 
 
 SIEVE_FROM = 24   # measured: sieving overtakes trial division at 16-32 t
@@ -174,7 +203,7 @@ def _prime_above(p, D, m):
     s^2 = D, and p divides at most one factor.  Branch +1 takes s = s0
     (mod p), s0 the smaller square root of D mod p, and s = 1 (mod 4) at
     p = 2, so it is the prime iff p | (m + s)/2: iff 2 (m mod p) > p for odd
-    p, and iff m = 3 mod 4 for p = 2."""
+    p, and iff m = 3 mod 4 for p = 2; one prime serves a whole class of m."""
     if D % p == 0:
         return PrimeOfF(p, "ramified")
     plus = m % 4 == 3 if p == 2 else 2 * (m % p) > p
@@ -182,23 +211,23 @@ def _prime_above(p, D, m):
 
 
 def _sieve_hits(norms, D):
-    """(p, the m that p can divide) for the primes p <= isqrt(max N(t)) not
-    inert in F: every m for p = 2, and for odd p the m = +-sqrt(D) mod p
-    (one square root of D per prime) through the window of m."""
+    """(P, the m that P can divide) for the primes p <= isqrt(max N(t)) not
+    inert in F, one prime P of F per class of m (see _prime_above): for odd
+    p the m = c = +-sqrt(D) (mod p), one square root of D per prime; for
+    p = 2 every m if D is even, else if D = 1 mod 8 the m = 3 and the m = 1
+    (mod 4), as 2 | N(t) at every odd m."""
     lo, hi = min(norms), max(norms)
     for p in _primes_upto(isqrt(max(norms.values()))):
-        if p == 2:
-            yield p, norms
-            continue
-        r = tonelli(D, p)
-        if r is None:
-            continue
-        ms = []
-        for c in {r, -r % p}:
-            first = lo + (c - lo) % p
-            first += p * ((first - D) % 2)   # m = D mod 2
-            ms.extend(range(first, hi + 1, 2 * p))
-        yield p, ms
+        if p == 2:   # (class of m, its step), m = D mod 2 built in
+            classes = (((0, 2),) if D % 2 == 0 else
+                       ((3, 4), (1, 4)) if D % 8 == 1 else ())
+        else:
+            r = tonelli(D, p)
+            classes = () if r is None else [(c + p * ((c - D) % 2), 2 * p)
+                                            for c in {r, -r % p}]
+        for c, step in classes:
+            yield (_prime_above(p, D, c),
+                   range(lo + (c - lo) % step, hi + 1, step))
 
 
 def factor_principal_ideals(ts, d1, d2):
@@ -207,9 +236,9 @@ def factor_principal_ideals(ts, d1, d2):
     Each t must have nonzero norm.  Primes inert in F never divide t O_F.
     Fewer than SIEVE_FROM elements are trial-divided one by one, up to the
     square root of the shrinking cofactor; longer lists are sieved over m
-    with every prime p <= isqrt(max |N(t)|), after which what is left of
-    N(t) is 1 or a prime.  Exponents at primes not dividing t O_F are
-    omitted.
+    with every prime p <= isqrt(max |N(t)|), each residue class of m
+    carrying its prime of F, after which what is left of N(t) is 1 or a
+    prime.  Exponents at primes not dividing t O_F are omitted.
     """
     D = d1 * d2
     norms = {}
@@ -221,19 +250,20 @@ def factor_principal_ideals(ts, d1, d2):
             raise ValueError("t must have nonzero norm")
         norms[t.m] = n
     if len(norms) < SIEVE_FROM:
-        hits = ((p, (m,)) for m, n in norms.items() for p in factorize(n)
-                if legendre(D, p) != -1)
+        hits = ((_prime_above(p, D, m), (m,)) for m, n in norms.items()
+                for p in factorize(n) if legendre(D, p) != -1)
     else:
         hits = _sieve_hits(norms, D)
     rest = dict(norms)
     facts = {m: {} for m in norms}
-    for p, ms in hits:
+    for P, ms in hits:
+        p = P.p
         for m in ms:
             n = rest.get(m)
             if n is not None and n % p == 0:
                 v = valuation(n, p)
                 rest[m] = n // p ** v
-                facts[m][_prime_above(p, D, m)] = v
+                facts[m][P] = v
     for m, n in rest.items():
         if n > 1:
             if legendre(D, n) == -1:
@@ -252,28 +282,13 @@ def factor_principal_ideal(t, d1, d2):
 
 
 def rho(fact, d1, d2):
-    """Number of integral ideals of E whose relative norm to F is the ideal
-    with factorization `fact` (a dict PrimeOfF -> exponent, possibly with
-    negative entries meaning the ideal is not integral, hence count 0)."""
-    count = 1
-    for P, e in fact.items():
-        if e < 0:
-            return 0
-        if e == 0:
-            continue
-        if splitting_in_E_over_F(P, d1, d2) == "split":
-            count *= e + 1
-        else:
-            if e % 2 != 0:
-                return 0
-    return count
+    """EFCharacter.rho of `fact` for the pair (d1, d2)."""
+    return EFCharacter(d1, d2).rho(fact)
 
 
 def diff_set(fact, d1, d2):
-    """Primes of F inert in E/F at which the ideal with factorization `fact`
-    has odd valuation, sorted."""
-    return sorted(P for P, e in fact.items()
-                  if e % 2 == 1 and splitting_in_E_over_F(P, d1, d2) == "inert")
+    """EFCharacter.diff of `fact` for the pair (d1, d2)."""
+    return EFCharacter(d1, d2).diff(fact)
 
 
 class PrimeLog:

@@ -3,6 +3,7 @@ and the divisor-sum identity behind them."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -10,7 +11,9 @@ from cmfactor.arithside import (check_gz_hypotheses, check_yz_hypotheses,
                                 whittaker2_Ma,
                                 whittaker2_shifted, t_range, gz_rhs, yz_rhs,
                                 yz_rhs_whittaker, p_t_of, chi_log_identity)
-from cmfactor.quadarith import RealQuadElem, factor_principal_ideal
+from cmfactor.quadarith import (RealQuadElem, PrimeLog, SIEVE_FROM,
+                                factor_principal_ideal, diff_set, rho,
+                                is_fundamental_discriminant)
 
 YZ_PAIRS = [(-7, -15), (-7, -23), (-15, -23), (-7, -31), (-15, -31),
             (-23, -31)]
@@ -28,7 +31,7 @@ def test_hypothesis_checks():
     with pytest.raises(ValueError):
         check_yz_hypotheses(-3, -7)        # -3 is not 1 mod 8
     with pytest.raises(ValueError):
-        check_yz_hypotheses(-7, -7)        # not distinct
+        check_yz_hypotheses(-7, -7)        # not coprime
 
 
 def test_whittaker2_parity0_table():
@@ -55,7 +58,7 @@ def test_whittaker2_geometric_sum_closed_form():
     # a = 0, generic s: 1/2 - x + (1 - x/2) (x + ... + x^o)
     for s in (1, 2, 3):
         x = Fraction(1, 2 ** s)
-        for o in range(0, 6):
+        for o in range(0, 61):
             want = (Fraction(1, 2) if o == 0 else
                     Fraction(1, 2) - x +
                     (1 - x / 2) * sum(x ** n for n in range(1, o + 1)))
@@ -165,3 +168,51 @@ def test_chi_log_identity_random():
         lhs, rhs = chi_log_identity(t, d1, d2)
         assert lhs == rhs, (d1, d2, m)
         done += 1
+
+
+def per_t_reference_sum(d1, d2, level2):
+    """The double sum one t at a time through the public
+    factor_principal_ideal, diff_set and rho: over the t whose Diff is one
+    prime P, at odd order e, the term (1 + e)/2 rho(t P^-1) f(P) log p; the
+    level-2 sum keeps the t with m^2 = D mod 16 and also divides by P_t^2."""
+    D = d1 * d2
+    total = PrimeLog()
+    for t in t_range(d1, d2):
+        if level2 and (t.m * t.m - D) % 16:
+            continue
+        fact = factor_principal_ideal(t, d1, d2)
+        diff = diff_set(fact, d1, d2)
+        if len(diff) != 1:
+            continue
+        (P,) = diff
+        red = dict(fact)
+        red[P] -= 1
+        if level2:
+            red[p_t_of(red)[0]] -= 2
+        total.add(P.p, Fraction(1 + fact[P], 2) * rho(red, d1, d2)
+                  * P.residue_degree())
+    return total
+
+
+SMALL_NEG_FUND = [d for d in range(-3, -120, -1)
+                  if is_fundamental_discriminant(d)]
+# D near 1e5: 2 inert, ramified and split in F; the last is also a yz pair
+WALK_PAIRS = [(d1, d2) for i, d1 in enumerate(SMALL_NEG_FUND)
+              for d2 in SMALL_NEG_FUND[i + 1:] if gcd(d1, d2) == 1] + \
+    [(-7, -14291), (-8, -12503), (-7, -14295)]
+
+
+def test_sums_equal_per_t_reference():
+    seen = set()
+    for d1, d2 in WALK_PAIRS:
+        D = d1 * d2
+        assert gz_rhs(d1, d2) == per_t_reference_sum(d1, d2, False), (d1, d2)
+        two = "ramified" if D % 2 == 0 else "split" if D % 8 == 1 else "inert"
+        seen.add((two, len(t_range(d1, d2)) >= SIEVE_FROM))
+        if d1 % 8 == d2 % 8 == 1:
+            want = per_t_reference_sum(d1, d2, True)
+            assert yz_rhs(d1, d2) == want == yz_rhs_whittaker(d1, d2), (d1, d2)
+            seen.add(("yz", sum((t.m * t.m - D) % 16 == 0
+                                for t in t_range(d1, d2)) >= SIEVE_FROM))
+    # every behaviour of 2 in F, and the yz sums, trial-divided and sieved
+    assert len(seen) == 8

@@ -5,6 +5,7 @@ import io
 import json
 import re
 import shlex
+import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
 from math import gcd
@@ -278,3 +279,13 @@ def test_cli_whittaker():
     code, out = _run_cli(["whittaker", "--a", "0", "--ord", "3"])
     assert code == EXIT_OK
     assert "value at s=0 is 1" in out
+
+
+def test_cli_whittaker_large_ord():
+    # 2^-(s ord) has thousands of digits; the digit limit is lifted for the
+    # output alone
+    limit = sys.get_int_max_str_digits()
+    code, out = _run_cli(["whittaker", "--a", "0", "--ord", "30000"])
+    assert code == EXIT_OK
+    assert "value at s=0 is 29999/2" in out
+    assert sys.get_int_max_str_digits() == limit
