@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt
 
-from .quadarith import (RealQuadElem, PrimeLog, EFCharacter,
+from .quadarith import (RealQuadElem, PrimeLog, EFCharacter, rho, diff_set,
                         factor_principal_ideal, factor_principal_ideals,
                         primes_of_F_above, is_fundamental_discriminant)
 
@@ -81,7 +81,7 @@ def _odd_diff_terms(chi, keep):
     facts = factor_principal_ideals(ts, chi.d1, chi.d2)
     for t in ts:
         fact = facts[t.m]
-        diff = chi.diff(fact)
+        diff = diff_set(fact, chi.d1, chi.d2, chi)
         if len(diff) != 1:
             continue
         P = diff[0]
@@ -105,7 +105,7 @@ def _cm_sum(d1, d2, level2):
     for red, P, w in _odd_diff_terms(chi, keep):
         if level2:
             red[p_t_of(red)[0]] -= 2
-        r = chi.rho(red)
+        r = rho(red, d1, d2, chi)
         if r:
             total.add(P.p, w * r)
     return total
@@ -157,7 +157,7 @@ def yz_rhs_whittaker(d1, d2):
             # 4; at s = 0, 2 W(phi_0) is 1 or o - 1, so the product is an int
             w2_of[o1, o2] = int(4 * whittaker2_Ma(0, o1, 0)
                                 * whittaker2_Ma(0, o2, 0))
-        r = chi.rho({Q: e for Q, e in red.items() if Q.p != 2})
+        r = rho({Q: e for Q, e in red.items() if Q.p != 2}, d1, d2, chi)
         contrib = w * r * w2_of[o1, o2]
         if contrib:
             total.add(P.p, contrib)
@@ -188,7 +188,7 @@ def chi_log_identity(t, d1, d2):
             continue
         red = dict(fact)
         red[P] = e - 1
-        r = table.rho(red)
+        r = rho(red, d1, d2, table)
         if r:
             rhs.add(P.p, -Fraction(1 + e, 2) * r * P.residue_degree())
     return lhs, rhs

@@ -158,26 +158,6 @@ class EFCharacter(dict):
         split = self[p] = 1 in (legendre(self.d1, p), legendre(self.d2, p))
         return split
 
-    def rho(self, fact):
-        """Number of integral ideals of E of relative norm to F the ideal
-        with factorization `fact` (a dict PrimeOfF -> exponent; a negative
-        entry means the ideal is not integral, hence count 0)."""
-        count = 1
-        for P, e in fact.items():
-            if e < 0:
-                return 0
-            if e == 0:
-                continue
-            if self[P.p]:
-                count *= e + 1
-            elif e % 2 != 0:
-                return 0
-        return count
-
-    def diff(self, fact):
-        """The primes of F inert in E/F at odd order in `fact`, sorted."""
-        return sorted(P for P, e in fact.items() if e % 2 and not self[P.p])
-
 
 def splitting_in_E_over_F(P, d1, d2):
     """'split' or 'inert': behaviour of the prime P of F in E = F(sqrt(d1)),
@@ -281,14 +261,33 @@ def factor_principal_ideal(t, d1, d2):
     return factor_principal_ideals([t], d1, d2)[t.m]
 
 
-def rho(fact, d1, d2):
-    """EFCharacter.rho of `fact` for the pair (d1, d2)."""
-    return EFCharacter(d1, d2).rho(fact)
+def rho(fact, d1, d2, chi=None):
+    """Number of integral ideals of E of relative norm to F the ideal with
+    factorization `fact` (a dict PrimeOfF -> exponent; a negative entry
+    means the ideal is not integral, hence count 0).  chi is the pair's
+    EFCharacter, a fresh one if not given; a sum passes its own, so that
+    each prime's character is computed once per sum."""
+    if chi is None:
+        chi = EFCharacter(d1, d2)
+    count = 1
+    for P, e in fact.items():
+        if e < 0:
+            return 0
+        if e == 0:
+            continue
+        if chi[P.p]:
+            count *= e + 1
+        elif e % 2 != 0:
+            return 0
+    return count
 
 
-def diff_set(fact, d1, d2):
-    """EFCharacter.diff of `fact` for the pair (d1, d2)."""
-    return EFCharacter(d1, d2).diff(fact)
+def diff_set(fact, d1, d2, chi=None):
+    """The primes of F inert in E/F at odd order in `fact`, sorted; chi as
+    in rho."""
+    if chi is None:
+        chi = EFCharacter(d1, d2)
+    return sorted(P for P, e in fact.items() if e % 2 and not chi[P.p])
 
 
 class PrimeLog:

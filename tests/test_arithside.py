@@ -3,7 +3,7 @@ and the divisor-sum identity behind them."""
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -12,8 +12,10 @@ from cmfactor.arithside import (check_gz_hypotheses, check_yz_hypotheses,
                                 whittaker2_shifted, t_range, gz_rhs, yz_rhs,
                                 yz_rhs_whittaker, p_t_of, chi_log_identity)
 from cmfactor.quadarith import (RealQuadElem, PrimeLog, SIEVE_FROM,
-                                factor_principal_ideal, diff_set, rho,
+                                factor_principal_ideal,
                                 is_fundamental_discriminant)
+from test_quadarith import (frobenius_splitting_oracle,
+                            ramified_splitting_oracle)
 
 YZ_PAIRS = [(-7, -15), (-7, -23), (-15, -23), (-7, -31), (-15, -31),
             (-23, -31)]
@@ -171,17 +173,29 @@ def test_chi_log_identity_random():
 
 
 def per_t_reference_sum(d1, d2, level2):
-    """The double sum one t at a time through the public
-    factor_principal_ideal, diff_set and rho: over the t whose Diff is one
-    prime P, at odd order e, the term (1 + e)/2 rho(t P^-1) f(P) log p; the
-    level-2 sum keeps the t with m^2 = D mod 16 and also divides by P_t^2."""
+    """The double sum one t at a time, through the public
+    factor_principal_ideal and the E/F character of the splitting oracles
+    of test_quadarith (not the package's table): over the t whose Diff is
+    one prime P, at odd order e, the term (1 + e)/2 rho(t P^-1) f(P) log p;
+    the level-2 sum keeps the t with m^2 = D mod 16 and also divides by
+    P_t^2.  rho counts e + 1 ideals at a split prime, and one or none at
+    an inert one as e is even or odd."""
     D = d1 * d2
+    split = {}       # p -> the oracle's character, each p asked once
+
+    def splits(p):
+        if p not in split:
+            oracle = (ramified_splitting_oracle if D % p == 0
+                      else frobenius_splitting_oracle)
+            split[p] = oracle(p, d1, d2) == "split"
+        return split[p]
+
     total = PrimeLog()
     for t in t_range(d1, d2):
         if level2 and (t.m * t.m - D) % 16:
             continue
         fact = factor_principal_ideal(t, d1, d2)
-        diff = diff_set(fact, d1, d2)
+        diff = [P for P, e in fact.items() if e % 2 and not splits(P.p)]
         if len(diff) != 1:
             continue
         (P,) = diff
@@ -189,8 +203,9 @@ def per_t_reference_sum(d1, d2, level2):
         red[P] -= 1
         if level2:
             red[p_t_of(red)[0]] -= 2
-        total.add(P.p, Fraction(1 + fact[P], 2) * rho(red, d1, d2)
-                  * P.residue_degree())
+        r = 0 if min(red.values()) < 0 else prod(
+            e + 1 if splits(Q.p) else 1 - e % 2 for Q, e in red.items())
+        total.add(P.p, Fraction(1 + fact[P], 2) * r * P.residue_degree())
     return total
 
 
