@@ -28,6 +28,15 @@ precision plus GUARD_BITS (the evaluators, the CM points they are given and
 every product of their values alike), and doubles the precision at most
 MAX_RETRIES times (precisions) while a value fails to round within
 2^-TOL_BITS.
+
+One table serves every computation with the class values of a
+discriminant (class_values), keyed by (class-value function, d): the values
+at the highest precision computed so far, read at any lower precision and
+recomputed only for more bits (a higher auto_prec, a retry), and their
+integer polynomial prod (X - v), kept once it rounds.  It holds TABLE_SIZE
+entries and drops the oldest when full.  What rounds does not depend on its
+state, but digits below the working precision (of a log residual, say) can
+differ between a cold and a warm table within one process.
 """
 
 from itertools import product
@@ -40,6 +49,9 @@ from .classgroup import reduced_forms, heegner_point
 GUARD_BITS = 64
 TOL_BITS = 32
 MAX_RETRIES = 3
+TABLE_SIZE = 256
+
+_table = {}     # (value, d) -> (prec, class values, integer polynomial)
 
 
 def auto_prec(*discs):
@@ -204,33 +216,72 @@ def recognize_integer(x):
     return n
 
 
-def integer_polynomial(roots):
-    """Expand prod (X - r) over the roots at current precision and round it:
-    the integer coefficients, leading first, or None when a coefficient does
-    not round with residual below 2^-TOL_BITS."""
-    poly = [mpmath.mpc(1)]
-    for r in roots:
-        nxt = [mpmath.mpc(0)] * (len(poly) + 1)
-        for i, c in enumerate(poly):
-            nxt[i] += c
-            nxt[i + 1] -= c * r
+def integer_polynomial(d, values):
+    """prod (X - v) over the class values of d, in the order of cm_values,
+    expanded over real mpf at the current precision and rounded: one factor
+    X^2 - 2 Re(v) X + |v|^2 per conjugate pair of forms (a, +-b, c), and
+    X - v per self-conjugate form, whose value is real.  The integer
+    coefficients, leading first, or None when a coefficient does not round
+    with residual below 2^-TOL_BITS or a self-conjugate value has an
+    imaginary part of at least 2^-TOL_BITS."""
+    forms = reduced_forms(d)
+    paired = set(forms)
+    poly = [mpmath.mpf(1)]
+    for (a, b, c), v in zip(forms, values):
+        re, im = v.real, v.imag
+        if b and (a, -b, c) in paired:
+            if b < 0:
+                continue        # its conjugate's factor covers it
+            factor = -2 * re, re * re + im * im
+        elif abs(im) >= mpmath.ldexp(1, -TOL_BITS):
+            return None
+        else:
+            factor = -re,
+        nxt = poly + [0] * len(factor)
+        for k, f in enumerate(factor, 1):
+            for i, x in enumerate(poly):
+                nxt[i + k] += f * x
         poly = nxt
-    ints = [recognize_integer(c) for c in poly]
+    ints = tuple(recognize_integer(x) for x in poly)
     return None if None in ints else ints
+
+
+def class_values(value, d, prec):
+    """The class values of d (cm_values) and their integer polynomial
+    (integer_polynomial, None while it does not round), from the table
+    entry of (value, d).  A request at or below the entry's precision reads
+    its values, which meet the kernel's 2^-(prec+8) bound at any lower prec
+    too; one above it recomputes and replaces them, and expands the
+    polynomial, which is exact, only while the entry has none.  TABLE_SIZE
+    entries hold every fundamental |d| <= 600 of both functions (184 of j,
+    63 of omega2); the oldest is dropped when the table is full."""
+    if prec < 1:
+        raise ValueError(f"working precision {prec} must be at least 1 bit")
+    key = value, d
+    entry = _table.get(key)
+    if entry is None or entry[0] < prec:
+        poly = None if entry is None else entry[2]
+        with mpmath.workprec(prec + GUARD_BITS):
+            vals = tuple(cm_values(value, d, prec))
+            if poly is None:
+                poly = integer_polynomial(d, vals)
+        if entry is None and len(_table) >= TABLE_SIZE:
+            del _table[next(iter(_table))]
+        entry = _table[key] = prec, vals, poly
+    return entry[1], entry[2]
 
 
 def class_polynomial(d, prec=None):
     """Hilbert class polynomial of the imaginary quadratic order of
     discriminant d, as a list of integer coefficients, leading first.
 
-    Evaluates j at each reduced-form CM point (cm_values) and expands
-    prod (X - j), starting at auto_prec(d) bits; the precision is doubled (up
-    to MAX_RETRIES times, precisions) until every coefficient rounds to an
-    integer with residual below 2^-TOL_BITS.
+    The polynomial of the j entry of d (class_values), starting at
+    auto_prec(d) bits; the precision is doubled (up to MAX_RETRIES times,
+    precisions) until every coefficient rounds to an integer with residual
+    below 2^-TOL_BITS.
     """
     for prec in precisions(auto_prec(d) if prec is None else prec):
-        with mpmath.workprec(prec + GUARD_BITS):
-            ints = integer_polynomial(cm_values(j_value, d, prec))
-        if ints is not None:
-            return ints
+        poly = class_values(j_value, d, prec)[1]
+        if poly is not None:
+            return list(poly)
     raise ArithmeticError(f"class polynomial for d={d} did not stabilize")

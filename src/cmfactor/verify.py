@@ -10,6 +10,17 @@ among them.  A formula only chooses the evaluator of a class value
 side.  The precision follows numeric's one policy: numeric.auto_prec(d1, d2)
 bits unless the caller gives prec, every CM point, pair product and log at
 numeric.GUARD_BITS above it, and the doublings of numeric.precisions.
+
+The class values and class polynomials of each discriminant come from
+numeric's per-discriminant table (numeric.class_values), so a discriminant
+shared by several pairs is evaluated again only for a pair that needs more
+bits than the table holds, and its polynomial is expanded once.  Values
+read from the table may carry more bits than the pair's precision: the
+exact fields of a report (status, prec, product, factorizations, matches,
+notes) do not depend on the table's state, but the digits of lhs_log and
+residual below the working precision can differ between a cold and a warm
+table within one process.  The CLI verifies one pair per process, so its
+output does not depend on it.
 """
 
 from dataclasses import dataclass, field
@@ -91,8 +102,8 @@ def _factor_check(n, predicted, scale, notes):
 
 
 def _verify(kind, d1, d2, prec, value, scale, rhs):
-    """The driver: class values at the reduced forms of d1 and of d2 (one
-    evaluation per conjugate pair, numeric.cm_values), their pair product
+    """The driver: class values and class polynomials of d1 and of d2 from
+    numeric's table (numeric.class_values), the pair product of the values
     recognized as an integer N, the factor check against rhs at the given
     scale, the resultant oracle and the log residual."""
     if prec is None:
@@ -104,19 +115,16 @@ def _verify(kind, d1, d2, prec, value, scale, rhs):
         if attempt:
             report.notes.append(f"retry at {prec} bits")
         report.prec = prec
+        (vals1, poly1), (vals2, poly2) = (numeric.class_values(value, d, prec)
+                                          for d in (d1, d2))
         with mpmath.workprec(prec + numeric.GUARD_BITS):
-            vals1 = numeric.cm_values(value, d1, prec)
-            vals2 = numeric.cm_values(value, d2, prec)
             product = mpmath.mpc(1)
             for v2 in vals2:
                 for v1 in vals1:
                     product *= v2 - v1
             n = numeric.recognize_integer(product)
-            # a coefficient that fails to round is a precision failure too
-            polys = ([numeric.integer_polynomial(vals1),
-                      numeric.integer_polynomial(vals2)]
-                     if n is not None else [])
-        if n is not None and None not in polys:
+        # a coefficient that fails to round is a precision failure too
+        if n is not None and poly1 is not None and poly2 is not None:
             break
     else:
         return report
@@ -124,7 +132,7 @@ def _verify(kind, d1, d2, prec, value, scale, rhs):
     report.product_integer = n
     report.factorization, report.factor_match = _factor_check(
         n, report.rhs_exponents, scale, report.notes)
-    res = _sylvester_resultant(*polys)
+    res = _sylvester_resultant(poly1, poly2)
     report.resultant_match = res == (-1) ** (len(vals1) * len(vals2)) * n
 
     # the analytic product, not N: the gate tests the CM values themselves
