@@ -3,14 +3,15 @@
 Both formulas are finite double sums over totally-indefinite trace elements
 t = (m + sqrt(D))/2 of F = Q(sqrt(d1 d2)) with |m| < sqrt(D), and over primes
 of F inert in E = Q(sqrt(d1), sqrt(d2)); each term contributes a rational
-multiple of log N(p), collected here into exact PrimeLog sums.
+multiple of log N(p), collected here into exact PrimeLog sums.  D is fixed
+per sum, so the integer m alone names t.
 """
 
 from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt
 
-from .quadarith import (RealQuadElem, PrimeLog, EFCharacter, rho, diff_set,
+from .quadarith import (PrimeLog, EFCharacter, rho, diff_set,
                         factor_principal_ideal, factor_principal_ideals,
                         primes_of_F_above, is_fundamental_discriminant)
 
@@ -62,26 +63,22 @@ def whittaker2_shifted(a, t):
 
 
 def t_range(d1, d2):
-    """The elements t = (m + sqrt(D))/2 with |m| < sqrt(D), m = D mod 2."""
+    """The m of the elements t = (m + sqrt(D))/2 with |m| < sqrt(D) and
+    m = D mod 2, increasing."""
     D = d1 * d2
     bound = isqrt(D - 1)
-    out = []
-    for m in range(-bound, bound + 1):
-        if (m - D) % 2 == 0:
-            out.append(RealQuadElem(m, D))
-    return out
+    return range(-bound + (bound + D) % 2, bound + 1, 2)
 
 
 def _odd_diff_terms(chi, keep):
     """The walk of both sums over the pair of the EFCharacter chi.  Factor
-    the t in t_range with keep(t) in one call, and for each t whose Diff is
-    a single prime P of F, inert in E/F at odd order e, yield (red, P, w):
-    red is t P^-1 as a fresh dict, and w = (1 + e)/2 * f(P), e being odd."""
-    ts = [t for t in t_range(chi.d1, chi.d2) if keep(t)]
-    facts = factor_principal_ideals(ts, chi.d1, chi.d2)
-    for t in ts:
-        fact = facts[t.m]
-        diff = diff_set(fact, chi.d1, chi.d2, chi)
+    the t of the m in t_range with keep(m) in one call, and for each t
+    whose Diff is a single prime P of F, inert in E/F at odd order e, yield
+    (red, P, w): red is t P^-1 as a fresh dict, and w = (1 + e)/2 * f(P),
+    e being odd."""
+    ms = filter(keep, t_range(chi.d1, chi.d2))
+    for fact in factor_principal_ideals(ms, chi.d1, chi.d2).values():
+        diff = diff_set(fact, chi)
         if len(diff) != 1:
             continue
         P = diff[0]
@@ -100,12 +97,12 @@ def _cm_sum(d1, d2, level2):
     D = d1 * d2
     total = PrimeLog()
     chi = EFCharacter(d1, d2)
-    keep = ((lambda t: (t.m * t.m - D) % 16 == 0) if level2
-            else (lambda t: True))
+    keep = ((lambda m: (m * m - D) % 16 == 0) if level2
+            else (lambda m: True))
     for red, P, w in _odd_diff_terms(chi, keep):
         if level2:
             red[p_t_of(red)[0]] -= 2
-        r = rho(red, d1, d2, chi)
+        r = rho(red, chi)
         if r:
             total.add(P.p, w * r)
     return total
@@ -146,7 +143,7 @@ def yz_rhs_whittaker(d1, d2):
     w2_of = {}       # (ord at P_2, ord at P_2'): 4 W(phi_0) W(phi_0)
     above2 = primes_of_F_above(2, d1 * d2)    # P_2, P_2': branches +1, -1
     chi = EFCharacter(d1, d2)
-    for red, P, w in _odd_diff_terms(chi, lambda t: t.m % 2):
+    for red, P, w in _odd_diff_terms(chi, lambda m: m % 2):
         if P.p == 2:
             raise ArithmeticError("primes above 2 split in E/F here")
         o1, o2 = (red.get(Q, 0) for Q in above2)
@@ -157,19 +154,19 @@ def yz_rhs_whittaker(d1, d2):
             # 4; at s = 0, 2 W(phi_0) is 1 or o - 1, so the product is an int
             w2_of[o1, o2] = int(4 * whittaker2_Ma(0, o1, 0)
                                 * whittaker2_Ma(0, o2, 0))
-        r = rho({Q: e for Q, e in red.items() if Q.p != 2}, d1, d2, chi)
+        r = rho({Q: e for Q, e in red.items() if Q.p != 2}, chi)
         contrib = w * r * w2_of[o1, o2]
         if contrib:
             total.add(P.p, contrib)
     return total
 
 
-def chi_log_identity(t, d1, d2):
-    """Both sides of the divisor-sum identity
+def chi_log_identity(m, d1, d2):
+    """Both sides of the divisor-sum identity, t = (m + sqrt(D))/2,
     sum_{a | t O_F} chi_{E/F}(a) log N(a)
       = - sum_{p inert in E/F} (1 + ord_p(t))/2 rho(t p^-1) log N(p),
     as a pair of PrimeLogs."""
-    fact = factor_principal_ideal(t, d1, d2)
+    fact = factor_principal_ideal(m, d1, d2)
     table = EFCharacter(d1, d2)
     chi = {P: 1 if table[P.p] else -1 for P in fact}
     lhs = PrimeLog()
@@ -188,7 +185,7 @@ def chi_log_identity(t, d1, d2):
             continue
         red = dict(fact)
         red[P] = e - 1
-        r = rho(red, d1, d2, table)
+        r = rho(red, table)
         if r:
             rhs.add(P.p, -Fraction(1 + e, 2) * r * P.residue_degree())
     return lhs, rhs

@@ -12,7 +12,7 @@ from math import floor, log10
 
 import mpmath
 
-from .quadarith import RealQuadElem, factor_principal_ideal, diff_set, rho
+from .quadarith import EFCharacter, factor_principal_ideal, diff_set, rho
 from .arithside import check_gz_hypotheses, whittaker2_Ma
 from . import numeric
 from .verify import gz_verify, yz_verify, borcherds_verify
@@ -126,21 +126,21 @@ def main(argv=None):
         if args.cmd == "rho":
             check_gz_hypotheses(args.d1, args.d2)
             D = args.d1 * args.d2
-            t = RealQuadElem(args.m, D)
-            fact = factor_principal_ideal(t, args.d1, args.d2)
-            print(f"t = ({args.m} + sqrt({D}))/2, N(t) = {t.norm()}")
+            chi = EFCharacter(args.d1, args.d2)
+            fact = factor_principal_ideal(args.m, args.d1, args.d2)
+            print(f"t = ({args.m} + sqrt({D}))/2, "
+                  f"N(t) = {(args.m * args.m - D) // 4}")
             for P, e in sorted(fact.items()):
                 print(f"  {P.kind} prime above {P.p}"
                       + (f" (branch {P.branch:+d})" if P.branch else "")
                       + f": exponent {e}")
-            diff = diff_set(fact, args.d1, args.d2)
+            diff = diff_set(fact, chi)
             print("Diff:", [(P.p, P.kind) for P in diff])
-            print("rho(t O_F) =", rho(fact, args.d1, args.d2))
+            print("rho(t O_F) =", rho(fact, chi))
             for P in diff:
                 red = dict(fact)
                 red[P] -= 1
-                print(f"rho(t O_F / prime above {P.p}) =",
-                      rho(red, args.d1, args.d2))
+                print(f"rho(t O_F / prime above {P.p}) =", rho(red, chi))
             return EXIT_OK
 
         if args.cmd == "class-poly":

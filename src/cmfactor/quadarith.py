@@ -1,14 +1,14 @@
 """Arithmetic of the real quadratic field F = Q(sqrt(d1 d2)) and of the
 biquadratic extension E = Q(sqrt(d1), sqrt(d2)), at the level needed for
 counting ideals: Legendre symbols at primes, square roots mod p,
-factorization of the principal ideals (m + sqrt(D))/2, and the
-relative-norm counting function rho.
+factorization of the principal ideals t O_F, t = (m + sqrt(D))/2, each t
+named by its integer m, and the relative-norm counting function rho, which
+reads the pair's E/F character table.
 
 d1 and d2 are coprime fundamental discriminants of imaginary quadratic fields,
 so D = d1 d2 is a fundamental discriminant of F and E/F is unramified.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm, prod
 from typing import NamedTuple
@@ -94,23 +94,6 @@ def tonelli(a, p):
     return r
 
 
-@dataclass(frozen=True)
-class RealQuadElem:
-    """The element t = (m + sqrt(D))/2 of F = Q(sqrt(D))."""
-    m: int
-    D: int
-
-    def __post_init__(self):
-        if (self.m - self.D) % 2 != 0:
-            raise ValueError("need m = D mod 2 for (m + sqrt(D))/2 integral")
-
-    def norm(self):
-        return (self.m * self.m - self.D) // 4
-
-    def conj(self):
-        return RealQuadElem(-self.m, self.D)
-
-
 class PrimeOfF(NamedTuple):
     """A prime ideal of F above p, as a plain (p, kind, branch) tuple.
 
@@ -159,12 +142,6 @@ class EFCharacter(dict):
         return split
 
 
-def splitting_in_E_over_F(P, d1, d2):
-    """'split' or 'inert': behaviour of the prime P of F in E = F(sqrt(d1)),
-    read from the pair's EFCharacter."""
-    return "split" if EFCharacter(d1, d2)[P.p] else "inert"
-
-
 SIEVE_FROM = 24   # measured: sieving overtakes trial division at 16-32 t
 
 
@@ -210,25 +187,27 @@ def _sieve_hits(norms, D):
                    range(lo + (c - lo) % step, hi + 1, step))
 
 
-def factor_principal_ideals(ts, d1, d2):
-    """Factor t O_F for every t in ts, as a dict t.m -> {PrimeOfF: exponent}.
+def factor_principal_ideals(ms, d1, d2):
+    """Factor t O_F, t = (m + sqrt(D))/2, for every m in ms, as a dict
+    m -> {PrimeOfF: exponent}.
 
-    Each t must have nonzero norm.  Primes inert in F never divide t O_F.
-    Fewer than SIEVE_FROM elements are trial-divided one by one, up to the
-    square root of the shrinking cofactor; longer lists are sieved over m
-    with every prime p <= isqrt(max |N(t)|), each residue class of m
-    carrying its prime of F, after which what is left of N(t) is 1 or a
-    prime.  Exponents at primes not dividing t O_F are omitted.
+    Each m must have m = D mod 2 (t integral) and t nonzero norm.  Primes
+    inert in F never divide t O_F.  Fewer than SIEVE_FROM elements are
+    trial-divided one by one, up to the square root of the shrinking
+    cofactor; longer lists are sieved over m with every prime
+    p <= isqrt(max |N(t)|), each residue class of m carrying its prime of
+    F, after which what is left of N(t) is 1 or a prime.  Exponents at
+    primes not dividing t O_F are omitted.
     """
     D = d1 * d2
     norms = {}
-    for t in ts:
-        if t.D != D:
-            raise ValueError("element lives in a different field")
-        n = abs(t.norm())
+    for m in ms:
+        if (m - D) % 2:
+            raise ValueError("need m = D mod 2 for (m + sqrt(D))/2 integral")
+        n = abs(m * m - D) // 4
         if n == 0:
             raise ValueError("t must have nonzero norm")
-        norms[t.m] = n
+        norms[m] = n
     if len(norms) < SIEVE_FROM:
         hits = ((_prime_above(p, D, m), (m,)) for m, n in norms.items()
                 for p in factorize(n) if legendre(D, p) != -1)
@@ -254,21 +233,19 @@ def factor_principal_ideals(ts, d1, d2):
     return facts
 
 
-def factor_principal_ideal(t, d1, d2):
-    """Factor the principal ideal t O_F as a dict PrimeOfF -> exponent: the
-    one-element case of factor_principal_ideals.  Exponents at primes not
-    dividing t O_F are omitted."""
-    return factor_principal_ideals([t], d1, d2)[t.m]
+def factor_principal_ideal(m, d1, d2):
+    """Factor the principal ideal t O_F, t = (m + sqrt(D))/2, as a dict
+    PrimeOfF -> exponent: the one-element case of factor_principal_ideals.
+    Exponents at primes not dividing t O_F are omitted."""
+    return factor_principal_ideals([m], d1, d2)[m]
 
 
-def rho(fact, d1, d2, chi=None):
+def rho(fact, chi):
     """Number of integral ideals of E of relative norm to F the ideal with
     factorization `fact` (a dict PrimeOfF -> exponent; a negative entry
     means the ideal is not integral, hence count 0).  chi is the pair's
-    EFCharacter, a fresh one if not given; a sum passes its own, so that
-    each prime's character is computed once per sum."""
-    if chi is None:
-        chi = EFCharacter(d1, d2)
+    EFCharacter; a sum passes one table to all its calls, so that each
+    prime's character is computed once per sum."""
     count = 1
     for P, e in fact.items():
         if e < 0:
@@ -282,11 +259,9 @@ def rho(fact, d1, d2, chi=None):
     return count
 
 
-def diff_set(fact, d1, d2, chi=None):
+def diff_set(fact, chi):
     """The primes of F inert in E/F at odd order in `fact`, sorted; chi as
     in rho."""
-    if chi is None:
-        chi = EFCharacter(d1, d2)
     return sorted(P for P, e in fact.items() if e % 2 and not chi[P.p])
 
 
@@ -328,11 +303,15 @@ class PrimeLog:
 
     def value(self, prec):
         """The sum at prec bits, as one log: of the exact rational
-        prod p^(e_p L), divided by L, the lcm of the exponent denominators."""
+        prod p^(e_p L), divided by L, the lcm of the exponent denominators;
+        its numerator and denominator are the integer products over the
+        positive and the negative exponents."""
         L = lcm(*(e.denominator for e in self.terms.values()))
-        x = prod(Fraction(p) ** int(e * L) for p, e in self.terms.items())
+        ks = [(p, int(e * L)) for p, e in self.terms.items()]
+        num = prod(p ** k for p, k in ks if k > 0)
+        den = prod(p ** -k for p, k in ks if k < 0)
         with mpmath.workprec(prec):
-            return mpmath.log(mpmath.mpf(x.numerator) / x.denominator) / L
+            return mpmath.log(mpmath.mpf(num) / den) / L
 
     def __repr__(self):
         body = " + ".join(f"{e}*log({p})" for p, e in sorted(self.terms.items()))

@@ -24,9 +24,8 @@ from cmfactor.discform import (build_weber_f, restrict_to_M, constant_vvform,
                                weil_S, weil_T, mat_mul, mat_identity)
 from cmfactor.arithside import (whittaker2_Ma, whittaker2_shifted,
                                 chi_log_identity)
-from cmfactor.quadarith import (RealQuadElem, factor_principal_ideal, rho,
-                                diff_set, splitting_in_E_over_F,
-                                is_fundamental_discriminant)
+from cmfactor.quadarith import (EFCharacter, factor_principal_ideal, rho,
+                                diff_set, is_fundamental_discriminant)
 
 RESIDUAL_TOL = mpmath.mpf(10) ** -20
 
@@ -168,8 +167,8 @@ def test_criterion_8_property_suites():
         for m in range(-isqrt(D - 1), isqrt(D - 1) + 1):
             if (m - D) % 2:
                 continue
-            fact = factor_principal_ideal(RealQuadElem(m, D), d1, d2)
-            assert len(diff_set(fact, d1, d2)) % 2 == 1
+            fact = factor_principal_ideal(m, d1, d2)
+            assert len(diff_set(fact, EFCharacter(d1, d2))) % 2 == 1
 
     # rho against brute-force ideal enumeration for norms <= 500
     def count_ideals(fact, d1, d2):
@@ -177,7 +176,7 @@ def test_criterion_8_property_suites():
         for P, e in fact.items():
             if e < 0:
                 return 0
-            if splitting_in_E_over_F(P, d1, d2) == "split":
+            if EFCharacter(d1, d2)[P.p]:
                 total *= e + 1
             else:
                 total *= 1 if e % 2 == 0 else 0
@@ -188,11 +187,11 @@ def test_criterion_8_property_suites():
         for m in range(-44, 45):
             if (m - D) % 2:
                 continue
-            t = RealQuadElem(m, D)
-            if t.norm() == 0 or abs(t.norm()) > 500:
+            norm = (m * m - D) // 4
+            if norm == 0 or abs(norm) > 500:
                 continue
-            fact = factor_principal_ideal(t, d1, d2)
-            assert rho(fact, d1, d2) == count_ideals(fact, d1, d2)
+            fact = factor_principal_ideal(m, d1, d2)
+            assert rho(fact, EFCharacter(d1, d2)) == count_ideals(fact, d1, d2)
 
     # divisor-sum identity for 200 random valid t
     random.seed(41)
@@ -204,14 +203,13 @@ def test_criterion_8_property_suites():
         m = random.randrange(-60, 61)
         if (m - D) % 2:
             continue
-        t = RealQuadElem(m, D)
-        if t.norm() == 0:
+        if m * m == D:
             continue
-        fact = factor_principal_ideal(t, d1, d2)
-        if not any(e % 2 == 1 and splitting_in_E_over_F(P, d1, d2) == "inert"
+        fact = factor_principal_ideal(m, d1, d2)
+        if not any(e % 2 == 1 and not EFCharacter(d1, d2)[P.p]
                    for P, e in fact.items()):
             continue
-        lhs, rhs = chi_log_identity(t, d1, d2)
+        lhs, rhs = chi_log_identity(m, d1, d2)
         assert lhs == rhs, (d1, d2, m)
         done += 1
 

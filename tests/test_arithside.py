@@ -11,10 +11,10 @@ from cmfactor.arithside import (check_gz_hypotheses, check_yz_hypotheses,
                                 whittaker2_Ma,
                                 whittaker2_shifted, t_range, gz_rhs, yz_rhs,
                                 yz_rhs_whittaker, p_t_of, chi_log_identity)
-from cmfactor.quadarith import (RealQuadElem, PrimeLog, SIEVE_FROM,
+from cmfactor.quadarith import (PrimeLog, SIEVE_FROM, EFCharacter,
                                 factor_principal_ideal,
                                 is_fundamental_discriminant)
-from test_quadarith import (frobenius_splitting_oracle,
+from test_quadarith import (COPRIME_PAIRS, frobenius_splitting_oracle,
                             ramified_splitting_oracle)
 
 YZ_PAIRS = [(-7, -15), (-7, -23), (-15, -23), (-7, -31), (-15, -31),
@@ -84,16 +84,19 @@ def test_whittaker2_shifted():
 
 
 def test_t_range():
-    ts = t_range(-3, -7)   # D = 21, sqrt(21) = 4.58..., m odd
-    assert [t.m for t in ts] == [-3, -1, 1, 3]
-    assert all(abs(t.m) ** 2 < 21 for t in ts)
-    ts = t_range(-4, -7)   # D = 28, m even, |m| <= 5
-    assert [t.m for t in ts] == [-4, -2, 0, 2, 4]
+    assert list(t_range(-3, -7)) == [-3, -1, 1, 3]   # D = 21, m odd
+    assert list(t_range(-4, -7)) == [-4, -2, 0, 2, 4]   # D = 28, m even
+    # every coprime pair with |d| < 200 against the brute-force filter;
+    # D < 200^2, so every m with m^2 < D has |m| < 200
+    for d1, d2 in COPRIME_PAIRS:
+        D = d1 * d2
+        want = [m for m in range(-200, 201) if m * m < D and (m - D) % 2 == 0]
+        assert list(t_range(d1, d2)) == want, (d1, d2)
 
 
 def test_p_t_of():
     def pt(m):
-        return p_t_of(factor_principal_ideal(RealQuadElem(m, 105), -7, -15))
+        return p_t_of(factor_principal_ideal(m, -7, -15))
 
     # D = 105: odd m with m^2 = 105 mod 16 means m = +-3, +-5 mod 8
     for m in (-5, -3, 3, 5):
@@ -150,7 +153,6 @@ def test_yz_rhs_exponents_are_even_integers():
 def test_chi_log_identity_random():
     # the identity requires the full character sum over divisors to vanish,
     # i.e. at least one prime inert in E/F dividing t O_F to odd order
-    from cmfactor.quadarith import splitting_in_E_over_F
     random.seed(23)
     pairs = [(-3, -163), (-7, -15), (-4, -43), (-8, -23), (-7, -23)]
     done = 0
@@ -160,14 +162,13 @@ def test_chi_log_identity_random():
         m = random.randrange(-60, 61)
         if (m - D) % 2:
             continue
-        t = RealQuadElem(m, D)
-        if t.norm() == 0:
+        if m * m == D:
             continue
-        fact = factor_principal_ideal(t, d1, d2)
-        if not any(e % 2 == 1 and splitting_in_E_over_F(P, d1, d2) == "inert"
+        fact = factor_principal_ideal(m, d1, d2)
+        if not any(e % 2 == 1 and not EFCharacter(d1, d2)[P.p]
                    for P, e in fact.items()):
             continue
-        lhs, rhs = chi_log_identity(t, d1, d2)
+        lhs, rhs = chi_log_identity(m, d1, d2)
         assert lhs == rhs, (d1, d2, m)
         done += 1
 
@@ -191,10 +192,10 @@ def per_t_reference_sum(d1, d2, level2):
         return split[p]
 
     total = PrimeLog()
-    for t in t_range(d1, d2):
-        if level2 and (t.m * t.m - D) % 16:
+    for m in t_range(d1, d2):
+        if level2 and (m * m - D) % 16:
             continue
-        fact = factor_principal_ideal(t, d1, d2)
+        fact = factor_principal_ideal(m, d1, d2)
         diff = [P for P, e in fact.items() if e % 2 and not splits(P.p)]
         if len(diff) != 1:
             continue
@@ -227,7 +228,7 @@ def test_sums_equal_per_t_reference():
         if d1 % 8 == d2 % 8 == 1:
             want = per_t_reference_sum(d1, d2, True)
             assert yz_rhs(d1, d2) == want == yz_rhs_whittaker(d1, d2), (d1, d2)
-            seen.add(("yz", sum((t.m * t.m - D) % 16 == 0
-                                for t in t_range(d1, d2)) >= SIEVE_FROM))
+            seen.add(("yz", sum((m * m - D) % 16 == 0
+                                for m in t_range(d1, d2)) >= SIEVE_FROM))
     # every behaviour of 2 in F, and the yz sums, trial-divided and sieved
     assert len(seen) == 8

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cmfactor.quadarith import (legendre, valuation, factorize,
-                                is_fundamental_discriminant, tonelli, RealQuadElem, PrimeOfF,
-                                primes_of_F_above, splitting_in_E_over_F,
+                                is_fundamental_discriminant, tonelli, PrimeOfF,
+                                primes_of_F_above, EFCharacter,
                                 factor_principal_ideal,
                                 factor_principal_ideals, SIEVE_FROM, rho,
                                 diff_set, PrimeLog)
@@ -79,17 +79,16 @@ def frobenius_splitting_oracle(p, d1, d2):
     return "split" if len(dec & gal_EF) == 1 else "inert"
 
 
-def test_splitting_in_E_over_F_against_frobenius_oracle():
+def test_ef_character_against_frobenius_oracle():
     pairs = [(-3, -163), (-4, -163), (-7, -15), (-15, -23), (-7, -31),
              (-8, -31), (-11, -56)]
     for d1, d2 in pairs:
-        D = d1 * d2
+        chi = EFCharacter(d1, d2)
         for p in PRIMES + [61, 67, 71, 73]:
-            if D % p == 0:
+            if (d1 * d2) % p == 0:
                 continue
-            for P in primes_of_F_above(p, D):
-                assert splitting_in_E_over_F(P, d1, d2) == \
-                    frobenius_splitting_oracle(p, d1, d2), (d1, d2, p)
+            assert chi[p] == (frobenius_splitting_oracle(p, d1, d2)
+                              == "split"), (d1, d2, p)
 
 
 def ramified_splitting_oracle(p, d1, d2):
@@ -115,7 +114,7 @@ def test_splitting_at_ramified_primes_against_brute_force():
             for p in factorize(d1 * d2):
                 (P,) = primes_of_F_above(p, d1 * d2)
                 assert P.kind == "ramified"
-                kind = splitting_in_E_over_F(P, d1, d2)
+                kind = "split" if EFCharacter(d1, d2)[p] else "inert"
                 assert kind == ramified_splitting_oracle(p, d1, d2), \
                     (d1, d2, p)
                 seen.add((p == 2, kind))
@@ -127,19 +126,18 @@ def test_splitting_at_ramified_primes_from_anchor_data():
     # (-4, -163): 2 ramifies in Q(i); kronecker(-163, 2) = -1 so inert in E/F
     (P2,) = primes_of_F_above(2, -4 * -163)
     assert P2.kind == "ramified"
-    assert splitting_in_E_over_F(P2, -4, -163) == "inert"
+    assert not EFCharacter(-4, -163)[2]
     # 163 ramified; kronecker(-4, 163) = -1 since 163 = 3 mod 4
     (P163,) = primes_of_F_above(163, -4 * -163)
-    assert splitting_in_E_over_F(P163, -4, -163) == "inert"
+    assert not EFCharacter(-4, -163)[163]
     # (-3, -163): 3 ramified, kronecker(-163, 3) = kronecker(2, 3) = -1
     (P3,) = primes_of_F_above(3, -3 * -163)
-    assert splitting_in_E_over_F(P3, -3, -163) == "inert"
+    assert not EFCharacter(-3, -163)[3]
 
 
 def test_factor_principal_ideal_example():
     d1, d2 = -3, -163
-    t = RealQuadElem(21, 489)  # norm (441 - 489)/4 = -12
-    fact = factor_principal_ideal(t, d1, d2)
+    fact = factor_principal_ideal(21, d1, d2)  # N(t) = (441 - 489)/4 = -12
     by_p = {(P.p, P.kind): e for P, e in fact.items()}
     assert by_p == {(2, "split"): 2, (3, "ramified"): 1}
 
@@ -152,15 +150,14 @@ def test_factor_norm_consistency_and_conjugation():
             m = random.randrange(-40, 40)
             if (m - D) % 2:
                 m += 1
-            t = RealQuadElem(m, D)
-            if t.norm() == 0:
+            if m * m == D:
                 continue
-            fact = factor_principal_ideal(t, d1, d2)
+            fact = factor_principal_ideal(m, d1, d2)
             n = 1
             for P, e in fact.items():
                 n *= P.ideal_norm() ** e
-            assert n == abs(t.norm())
-            conj = factor_principal_ideal(t.conj(), d1, d2)
+            assert n == abs(m * m - D) // 4
+            conj = factor_principal_ideal(-m, d1, d2)
             for P, e in fact.items():
                 mirror = (PrimeOfF(P.p, P.kind, -P.branch)
                           if P.kind == "split" else P)
@@ -233,13 +230,13 @@ def test_padic_sqrt_domain_errors():
         padic_sqrt(3, 5, 4)   # non-residue
 
 
-def reference_factor(t, d1, d2):
+def reference_factor(m, d1, d2):
     """Per-element reference for factor_principal_ideals: trial division of
-    N(t), and the canonical p-adic root of D to separate the two primes
-    above a split p."""
+    N(t), t = (m + sqrt(D))/2, and the canonical p-adic root of D to
+    separate the two primes above a split p."""
     D = d1 * d2
     fact = {}
-    for p, v in factorize(t.norm()).items():
+    for p, v in factorize((m * m - D) // 4).items():
         primes = primes_of_F_above(p, D)
         if primes[0].kind == "inert":
             assert v % 2 == 0
@@ -255,7 +252,7 @@ def reference_factor(t, d1, d2):
             cap = k - 1 if p == 2 else k
             vals = []
             for root in (s, pk - s):
-                num = (t.m + root) % pk
+                num = (m + root) % pk
                 w = k if num == 0 else valuation(num, p)
                 vals.append(w - 1 if p == 2 else w)
             vp, vm = vals
@@ -305,38 +302,35 @@ def test_range_sieve_equals_per_element_reference(pair, start, count):
     d1, d2 = pair
     D = d1 * d2
     first = start + (start - D) % 2
-    ts = [RealQuadElem(first + 2 * i, D) for i in range(count)]
-    got = factor_principal_ideals(ts, d1, d2)
-    assert got == {t.m: reference_factor(t, d1, d2) for t in ts}
-    assert all(prod(P.ideal_norm() ** e for P, e in got[t.m].items())
-               == abs(t.norm()) for t in ts)
+    ms = [first + 2 * i for i in range(count)]
+    got = factor_principal_ideals(ms, d1, d2)
+    assert got == {m: reference_factor(m, d1, d2) for m in ms}
+    assert all(prod(P.ideal_norm() ** e for P, e in got[m].items())
+               == abs(m * m - D) // 4 for m in ms)
 
 
 def test_factor_principal_ideal_large_m():
     # N(t) = 2^2 3 5 7 13 151 1367 88729 is about 1e14: one element is
     # trial-divided up to the square root of the shrinking cofactor, with no
     # table of the primes up to isqrt(N(t)), about 1e7
-    t = RealQuadElem(20000085, 105)
     tracemalloc.start()
-    fact = factor_principal_ideal(t, -7, -15)
+    fact = factor_principal_ideal(20000085, -7, -15)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < 1 << 20
-    assert fact == reference_factor(t, -7, -15)
+    assert fact == reference_factor(20000085, -7, -15)
     assert fact[PrimeOfF(88729, "split", -1)] == 1
 
 
 def test_factor_principal_ideals_rejects_bad_elements():
-    with pytest.raises(ValueError):   # wrong field
-        factor_principal_ideal(RealQuadElem(1, 21), -7, -15)
+    with pytest.raises(ValueError):   # wrong parity: D = 105 is odd
+        factor_principal_ideal(2, -7, -15)
     with pytest.raises(ValueError):
-        factor_principal_ideals([RealQuadElem(1, 105), RealQuadElem(1, 21)],
-                                -7, -15)
+        factor_principal_ideals([1, 2], -7, -15)
     with pytest.raises(ValueError):   # zero norm: D = 16 is a square
-        factor_principal_ideal(RealQuadElem(4, 16), -4, -4)
+        factor_principal_ideal(4, -4, -4)
     with pytest.raises(ValueError):
-        factor_principal_ideals([RealQuadElem(m, 16) for m in (2, 4, 6)],
-                                -4, -4)
+        factor_principal_ideals([2, 4, 6], -4, -4)
     assert factor_principal_ideals([], -7, -15) == {}
 
 
@@ -373,23 +367,25 @@ def test_rho_against_enumeration_oracle():
         for m in range(-44, 45):
             if (m - D) % 2:
                 continue
-            t = RealQuadElem(m, D)
-            if t.norm() == 0 or abs(t.norm()) > 500:
+            n = (m * m - D) // 4
+            if n == 0 or abs(n) > 500:
                 continue
-            fact = factor_principal_ideal(t, d1, d2)
-            assert rho(fact, d1, d2) == count_ideals_oracle(fact, d1, d2)
+            fact = factor_principal_ideal(m, d1, d2)
+            assert rho(fact, EFCharacter(d1, d2)) == \
+                count_ideals_oracle(fact, d1, d2)
 
 
 def test_rho_multiplicative_rules():
     d1, d2 = -7, -15
+    chi = EFCharacter(d1, d2)
     P5 = primes_of_F_above(5, 105)[0]      # ramified, split in E/F? chi(-7,5)=-1
-    assert splitting_in_E_over_F(P5, d1, d2) == "inert"
+    assert not chi[5]
     P2 = primes_of_F_above(2, 105)[0]
-    assert splitting_in_E_over_F(P2, d1, d2) == "split"
-    assert rho({P5: 2, P2: 3}, d1, d2) == 4
-    assert rho({P5: 1}, d1, d2) == 0
-    assert rho({P2: -1}, d1, d2) == 0
-    assert rho({}, d1, d2) == 1
+    assert chi[2]
+    assert rho({P5: 2, P2: 3}, chi) == 4
+    assert rho({P5: 1}, chi) == 0
+    assert rho({P2: -1}, chi) == 0
+    assert rho({}, chi) == 1
 
 
 @pytest.mark.parametrize("d1,d2", [(-3, -7), (-7, -15), (-7, -23),
@@ -401,9 +397,8 @@ def test_diff_set_has_odd_size(d1, d2):
     for m in range(-isqrt(D - 1), isqrt(D - 1) + 1):
         if (m - D) % 2:
             continue
-        t = RealQuadElem(m, D)
-        fact = factor_principal_ideal(t, d1, d2)
-        assert len(diff_set(fact, d1, d2)) % 2 == 1, (D, m)
+        fact = factor_principal_ideal(m, d1, d2)
+        assert len(diff_set(fact, EFCharacter(d1, d2))) % 2 == 1, (D, m)
 
 
 def test_primelog_algebra():

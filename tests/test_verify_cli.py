@@ -269,6 +269,15 @@ def test_cli_rho_checks_its_pair(capsys):
     assert "coprime" in out.err
 
 
+def test_cli_rho_checks_the_parity_of_m(capsys):
+    # D = 105 is odd, so (2 + sqrt(105))/2 is not integral: no output, exit 3
+    assert main(["rho", "--d1", "-7", "--d2", "-15", "--m", "2"]) == \
+        EXIT_HYPOTHESIS
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "m = D mod 2" in out.err
+
+
 def test_cli_class_poly():
     code, out = _run_cli(["class-poly", "--d", "-15"])
     assert code == EXIT_OK
