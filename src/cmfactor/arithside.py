@@ -4,7 +4,10 @@ Both formulas are finite double sums over totally-indefinite trace elements
 t = (m + sqrt(D))/2 of F = Q(sqrt(d1 d2)) with |m| < sqrt(D), and over primes
 of F inert in E = Q(sqrt(d1), sqrt(d2)); each term contributes a rational
 multiple of log N(p), collected here into exact PrimeLog sums.  D is fixed
-per sum, so the integer m alone names t.
+per sum, so the integer m alone names t.  With sigma the conjugation of F,
+t_-m = -sigma(t_m); sigma only swaps the branches of split primes and E/Q is
+Galois, so t_-m has the Diff, e, f(P) and rho(t P^-1) of t_m and an equal
+term: t_range gives the m >= 0, and each m > 0 counts twice.
 """
 
 from fractions import Fraction
@@ -63,37 +66,35 @@ def whittaker2_shifted(a, t):
 
 
 def t_range(d1, d2):
-    """The m of the elements t = (m + sqrt(D))/2 with |m| < sqrt(D) and
-    m = D mod 2, increasing."""
+    """The m >= 0 of the t = (m + sqrt(D))/2 with |m| < sqrt(D) and
+    m = D mod 2, increasing: one m of each conjugate pair t_m, t_-m."""
     D = d1 * d2
-    bound = isqrt(D - 1)
-    return range(-bound + (bound + D) % 2, bound + 1, 2)
+    return range(D % 2, isqrt(D - 1) + 1, 2)
 
 
 def _odd_diff_terms(chi, keep):
     """The walk of both sums over the pair of the EFCharacter chi.  Factor
-    the t of the m in t_range with keep(m) in one call, and for each t
-    whose Diff is a single prime P of F, inert in E/F at odd order e, yield
-    (red, P, w): red is t P^-1 as a fresh dict, and w = (1 + e)/2 * f(P),
-    e being odd."""
+    the t of the m in t_range with keep(m) (even in m) in one call, and for
+    each t whose Diff is a single prime P of F, inert in E/F at odd order e,
+    yield (red, P, w): red is t P^-1 as a fresh dict, and w = (1 + e)/2 *
+    f(P), e being odd, doubled at m > 0 for the equal term of t_-m."""
     ms = filter(keep, t_range(chi.d1, chi.d2))
-    for fact in factor_principal_ideals(ms, chi.d1, chi.d2).values():
+    for m, fact in factor_principal_ideals(ms, chi.d1, chi.d2).items():
         diff = diff_set(fact, chi)
         if len(diff) != 1:
             continue
         P = diff[0]
         e = fact[P]
-        red = dict(fact)
-        red[P] = e - 1
-        yield red, P, (1 + e) // 2 * P.residue_degree()
+        w = (1 + e) // 2 * P.residue_degree()
+        yield {**fact, P: e - 1}, P, 2 * w if m else w
 
 
 def _cm_sum(d1, d2, level2):
-    """The double sum shared by both formulas: over t in t_range with
-    exactly one prime P of F inert in E/F at odd order e, the term
-    (1 + e)/2 * rho(t P^-1) * log N(P).  The level-2 sum keeps only the t
-    with 4 | N(t), i.e. m^2 = D mod 16, and divides by P_t^2 inside rho.
-    """
+    """The double sum shared by both formulas: over t with exactly one
+    prime P of F inert in E/F at odd order e, the term (1 + e)/2 *
+    rho(t P^-1) * log N(P), each conjugate pair walked once.  The level-2
+    sum keeps the t with 4 | N(t), i.e. m^2 = D mod 16, and divides by
+    P_t^2 inside rho: both even in m, as P_t of t_-m is sigma P_t."""
     D = d1 * d2
     total = PrimeLog()
     chi = EFCharacter(d1, d2)
@@ -137,7 +138,8 @@ def yz_rhs(d1, d2):
 def yz_rhs_whittaker(d1, d2):
     """Independent route to yz_rhs through the 2-adic Whittaker values:
     each term is (1 + ord)/2 * rho-away-from-2 * 4 W(phi_0) W(phi_0),
-    with the parity-1 channel vanishing identically."""
+    with the parity-1 channel vanishing identically.  It folds as _cm_sum:
+    sigma swaps the orders (o1, o2), and 4 W(o1) W(o2) is symmetric."""
     check_yz_hypotheses(d1, d2)
     total = PrimeLog()
     w2_of = {}       # (ord at P_2, ord at P_2'): 4 W(phi_0) W(phi_0)

@@ -109,9 +109,6 @@ class PrimeOfF(NamedTuple):
     def residue_degree(self):
         return 2 if self.kind == "inert" else 1
 
-    def ideal_norm(self):
-        return self.p ** self.residue_degree()
-
 
 def primes_of_F_above(p, D):
     """The primes of F = Q(sqrt(D)) above the rational prime p."""
@@ -228,7 +225,8 @@ def factor_principal_ideals(ms, d1, d2):
             if legendre(D, n) == -1:
                 raise ArithmeticError("odd valuation at an inert prime")
             facts[m][_prime_above(n, D, m)] = 1
-        if prod(P.ideal_norm() ** e for P, e in facts[m].items()) != norms[m]:
+        if prod(p ** (2 * e if kind == "inert" else e)
+                for (p, kind, _), e in facts[m].items()) != norms[m]:
             raise ArithmeticError("factorization does not multiply to N(t)")
     return facts
 

@@ -3,7 +3,7 @@ and the divisor-sum identity behind them."""
 
 import random
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 import pytest
 
@@ -12,7 +12,7 @@ from cmfactor.arithside import (check_gz_hypotheses, check_yz_hypotheses,
                                 whittaker2_shifted, t_range, gz_rhs, yz_rhs,
                                 yz_rhs_whittaker, p_t_of, chi_log_identity)
 from cmfactor.quadarith import (PrimeLog, SIEVE_FROM, EFCharacter,
-                                factor_principal_ideal,
+                                diff_set, factor_principal_ideal, rho,
                                 is_fundamental_discriminant)
 from test_quadarith import (COPRIME_PAIRS, frobenius_splitting_oracle,
                             ramified_splitting_oracle)
@@ -84,13 +84,14 @@ def test_whittaker2_shifted():
 
 
 def test_t_range():
-    assert list(t_range(-3, -7)) == [-3, -1, 1, 3]   # D = 21, m odd
-    assert list(t_range(-4, -7)) == [-4, -2, 0, 2, 4]   # D = 28, m even
+    # one m of each conjugate pair t_m, t_-m: the m >= 0
+    assert list(t_range(-3, -7)) == [1, 3]   # D = 21, m odd
+    assert list(t_range(-4, -7)) == [0, 2, 4]   # D = 28, m even
     # every coprime pair with |d| < 200 against the brute-force filter;
     # D < 200^2, so every m with m^2 < D has |m| < 200
     for d1, d2 in COPRIME_PAIRS:
         D = d1 * d2
-        want = [m for m in range(-200, 201) if m * m < D and (m - D) % 2 == 0]
+        want = [m for m in range(0, 201) if m * m < D and (m - D) % 2 == 0]
         assert list(t_range(d1, d2)) == want, (d1, d2)
 
 
@@ -176,11 +177,13 @@ def test_chi_log_identity_random():
 def per_t_reference_sum(d1, d2, level2):
     """The double sum one t at a time, through the public
     factor_principal_ideal and the E/F character of the splitting oracles
-    of test_quadarith (not the package's table): over the t whose Diff is
-    one prime P, at odd order e, the term (1 + e)/2 rho(t P^-1) f(P) log p;
-    the level-2 sum keeps the t with m^2 = D mod 16 and also divides by
-    P_t^2.  rho counts e + 1 ideals at a split prime, and one or none at
-    an inert one as e is even or odd."""
+    of test_quadarith (not the package's table), over every
+    t = (m + sqrt(D))/2 of both signs of m, by brute force (not the
+    package's t_range): over the t whose Diff is one prime P, at odd order
+    e, the term (1 + e)/2 rho(t P^-1) f(P) log p; the level-2 sum keeps the
+    t with m^2 = D mod 16 and also divides by P_t^2.  rho counts e + 1
+    ideals at a split prime, and one or none at an inert one as e is even
+    or odd."""
     D = d1 * d2
     split = {}       # p -> the oracle's character, each p asked once
 
@@ -192,7 +195,9 @@ def per_t_reference_sum(d1, d2, level2):
         return split[p]
 
     total = PrimeLog()
-    for m in t_range(d1, d2):
+    for m in range(-isqrt(D), isqrt(D) + 1):
+        if m * m >= D or (m - D) % 2:
+            continue
         if level2 and (m * m - D) % 16:
             continue
         fact = factor_principal_ideal(m, d1, d2)
@@ -216,6 +221,34 @@ SMALL_NEG_FUND = [d for d in range(-3, -120, -1)
 WALK_PAIRS = [(d1, d2) for i, d1 in enumerate(SMALL_NEG_FUND)
               for d2 in SMALL_NEG_FUND[i + 1:] if gcd(d1, d2) == 1] + \
     [(-7, -14291), (-8, -12503), (-7, -14295)]
+
+
+def sigma(P):
+    """The conjugate of a prime P of F: a split branch swapped."""
+    return P._replace(branch=-P.branch)
+
+
+def test_t_minus_m_is_the_conjugate_of_t_m():
+    # t_-m = -sigma(t_m), the lemma behind the fold of t_range: the two t
+    # have conjugate factorizations, and the same Diff, rho(t P^-1) and P_t
+    twos = set()
+    for d1, d2 in WALK_PAIRS:
+        D = d1 * d2
+        twos.add(D % 8 if D % 2 else 0)
+        chi = EFCharacter(d1, d2)
+        for m in t_range(d1, d2):
+            fact = factor_principal_ideal(m, d1, d2)
+            conj = factor_principal_ideal(-m, d1, d2)
+            assert conj == {sigma(P): e for P, e in fact.items()}, (d1, d2, m)
+            assert diff_set(conj, chi) == sorted(
+                map(sigma, diff_set(fact, chi))), (d1, d2, m)
+            for P, e in fact.items():
+                assert rho({**fact, P: e - 1}, chi) == \
+                    rho({**conj, sigma(P): e - 1}, chi), (d1, d2, m, P)
+            if d1 % 8 == d2 % 8 == 1 and (m * m - D) % 16 == 0:
+                P, v = p_t_of(fact)
+                assert p_t_of(conj) == (sigma(P), v), (d1, d2, m)
+    assert twos == {0, 1, 5}     # 2 ramified, split and inert in F
 
 
 def test_sums_equal_per_t_reference():
