@@ -72,13 +72,14 @@ def t_range(d1, d2):
     return range(D % 2, isqrt(D - 1) + 1, 2)
 
 
-def _odd_diff_terms(chi, keep):
+def _odd_diff_terms(chi, keep=None):
     """The walk of both sums over the pair of the EFCharacter chi.  Factor
-    the t of the m in t_range with keep(m) (even in m) in one call, and for
-    each t whose Diff is a single prime P of F, inert in E/F at odd order e,
-    yield (red, P, w): red is t P^-1 as a fresh dict, and w = (1 + e)/2 *
-    f(P), e being odd, doubled at m > 0 for the equal term of t_-m."""
-    ms = filter(keep, t_range(chi.d1, chi.d2))
+    the t of the m in t_range (with keep(m), even in m, if given) at once,
+    and for each t whose Diff is a single prime P of F, inert in E/F at odd
+    order e, yield (red, P, w): red is t P^-1 as a fresh dict, and w =
+    (1 + e)/2 * f(P), e being odd, doubled at m > 0 for the term of t_-m."""
+    ms = t_range(chi.d1, chi.d2)
+    ms = ms if keep is None else filter(keep, ms)
     for m, fact in factor_principal_ideals(ms, chi.d1, chi.d2).items():
         diff = diff_set(fact, chi)
         if len(diff) != 1:
@@ -98,8 +99,7 @@ def _cm_sum(d1, d2, level2):
     D = d1 * d2
     total = PrimeLog()
     chi = EFCharacter(d1, d2)
-    keep = ((lambda m: (m * m - D) % 16 == 0) if level2
-            else (lambda m: True))
+    keep = (lambda m: (m * m - D) % 16 == 0) if level2 else None
     for red, P, w in _odd_diff_terms(chi, keep):
         if level2:
             red[p_t_of(red)[0]] -= 2
@@ -145,7 +145,7 @@ def yz_rhs_whittaker(d1, d2):
     w2_of = {}       # (ord at P_2, ord at P_2'): 4 W(phi_0) W(phi_0)
     above2 = primes_of_F_above(2, d1 * d2)    # P_2, P_2': branches +1, -1
     chi = EFCharacter(d1, d2)
-    for red, P, w in _odd_diff_terms(chi, lambda m: m % 2):
+    for red, P, w in _odd_diff_terms(chi):
         if P.p == 2:
             raise ArithmeticError("primes above 2 split in E/F here")
         o1, o2 = (red.get(Q, 0) for Q in above2)

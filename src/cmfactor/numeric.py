@@ -6,7 +6,8 @@ s(tau) = (eta(2 tau)/eta(tau))^24 = 1/t, on fixed-point integers, from which
 j = (1 + 256 s)^3 / s and omega2 = 4096 s (Enge, "The complexity of class
 polynomial computation via floating point approximations", Math. Comp.
 2009).  Both evaluators take a point in the upper half plane and a working
-precision of prec bits, and are accurate to 2^-(prec+8) relative to s.
+precision of prec bits, and are accurate to 2^-(prec+8) relative to s
+where Im >= sqrt(3)/4.  One pentagonal walk squares its way to E(q^2).
 
 A class value is taken at the CM point tau of the reduced form (a, b, c)
 of the class, Im tau = sqrt|d| / 2a >= sqrt(3)/2.  j is SL2(Z)-invariant,
@@ -20,14 +21,15 @@ Im >= sqrt(3)/4.  CM values come once per conjugate pair of forms
 (cm_values): both functions have real q-coefficients, the CM point of
 (a, -b, c) is -conj of that of (a, b, c), and so is the argument
 omega2_value gives the kernel there, up to a translation by 1; the value
-there is exactly the conjugate.
+there is exactly the conjugate.  Products take each such pair once too
+(conjugate_orbits).
 
 The precision policy: a computation with CM values starts at auto_prec, an
-a-priori bound on the bits of what it must round to integers, runs at that
-precision plus GUARD_BITS (the evaluators, the CM points they are given and
-every product of their values alike), and doubles the precision at most
-MAX_RETRIES times (precisions) while a value fails to round within
-2^-TOL_BITS.
+a-priori bound on the bits of what it must round to integers from a height
+per form of each class-value function, runs at that precision plus
+GUARD_BITS (the evaluators, the CM points they are given and every product
+of their values alike), and doubles the precision at most MAX_RETRIES
+times (precisions) while a value fails to round within 2^-TOL_BITS.
 
 One table serves every computation with the class values of a
 discriminant (class_values), keyed by (class-value function, d): the values
@@ -54,33 +56,6 @@ TABLE_SIZE = 256
 _table = {}     # (value, d) -> (prec, class values, integer polynomial)
 
 
-def auto_prec(*discs):
-    """Working precision in bits for the CM values at the points of one or
-    two discriminants: 64 + ceil(1.2 S), where S sums, over every tuple of
-    one reduced form per discriminant, the largest height in the tuple.
-
-    The height of the form (a, b, c) of discriminant d is
-    h = pi sqrt|d| / (a log 2), the bits of |j| ~ |q|^-1 = e^(pi sqrt|d| / a)
-    at its CM point (Enge, Math. Comp. 2009).  For one discriminant S is
-    sum_Q h(Q), which bounds the bits of the coefficients of
-    prod_Q (X - j(tau_Q)).  For two it is sum_{Q1, Q2} max(h(Q1), h(Q2)),
-    which bounds the bits of prod (j1 - j2), since
-    |j1 - j2| <= 2 max(|j1|, |j2|); it is at least h(d2) times the sum of d1
-    and h(d1) times that of d2, so it covers both class polynomials too.
-    Every h is at least pi sqrt 3 / log 2 > 7.8; the factor 1.2 and the 64
-    bits absorb the factor 2 and the O(1) in |j| = |q|^-1 + O(1).
-
-    The bound covers omega2 as well: j = (omega2 + 16)^3 / omega2, and j is
-    SL2(Z)-invariant, so at every point of a class log|omega2| <=
-    log|j| / 2 + O(1).  That includes the odd-norm point, whose value
-    omega2_value takes from omega2 at tau, tau/2 or (tau + 1)/2, each with
-    Im >= sqrt(3)/4.
-    """
-    heights = [[pi * sqrt(-d) / (a * log(2)) for a, _, _ in reduced_forms(d)]
-               for d in discs]
-    return 64 + ceil(1.2 * sum(map(max, product(*heights))))
-
-
 def _to_mpc(tau):
     tau = mpmath.mpmathify(tau)
     if mpmath.im(tau) <= 0:
@@ -102,54 +77,70 @@ def _mul(x, y, w):
     return (k - b * (c + d)) >> w, (k + a * (d - c)) >> w
 
 
-def _euler_product(q, order, w):
-    """prod_{n >= 1} (1 - q^n) through at least q^order for a fixed-point
-    pair q at scale 2^w, by the pentagonal number theorem: pairs of terms
-    q^(k(3k-1)/2) + q^(k(3k+1)/2) while the first is at most q^order.  The
-    two exponents differ by k, and k(3k+1)/2 and (k+1)(3k+2)/2 by 2k + 1,
-    so each power of q is a running product."""
-    re, im = 1 << w, 0
-    qk = q                      # q^k
-    q2 = _mul(q, q, w)
-    q_step = _mul(q2, q, w)     # q^(2k+1)
-    qe = q                      # q^(k(3k-1)/2)
+def _sqr(x, w):
+    """Square of a complex fixed-point pair by two int products,
+    ((a + b)(a - b), 2ab); each part rounds down, by less than a unit."""
+    a, b = x
+    return (a + b) * (a - b) >> w, a * b >> (w - 1)
+
+
+def _euler_products(q, order, w):
+    """E(q) = prod_{n >= 1} (1 - q^n) = 1 + sum_k (-1)^k (q^(k(3k-1)/2) +
+    q^(k(3k+1)/2)) while k(3k-1)/2 <= order, and E(q^2) by the squares of
+    the same terms while k(3k-1)/2 <= order // 2, for a fixed-point pair q
+    at scale 2^w.  The exponents differ by k, and k(3k+1)/2 and
+    (k+1)(3k+2)/2 by 2k + 1, so each power of q is a running product."""
+    e1 = e2 = 1 << w, 0                     # E(q), E(q^2)
+    qk, q2 = q, _sqr(q, w)                  # q^k, q^2
+    q_step = _mul(q2, q, w)                 # q^(2k+1)
+    qe = q                                  # q^(k(3k-1)/2)
     k = 1
     while k * (3 * k - 1) // 2 <= order:
-        qe2 = _mul(qe, qk, w)   # q^(k(3k+1)/2)
-        t = qe[0] + qe2[0], qe[1] + qe2[1]
-        re, im = (re - t[0], im - t[1]) if k % 2 else (re + t[0], im + t[1])
+        qe2 = _mul(qe, qk, w)               # q^(k(3k+1)/2)
+        sign = -1 if k % 2 else 1
+        e1 = (e1[0] + sign * (qe[0] + qe2[0]),
+              e1[1] + sign * (qe[1] + qe2[1]))
+        if k * (3 * k - 1) // 2 <= order // 2:
+            x, y = _sqr(qe, w), _sqr(qe2, w)
+            e2 = e2[0] + sign * (x[0] + y[0]), e2[1] + sign * (x[1] + y[1])
         qe = _mul(qe2, q_step, w)
         qk = _mul(qk, q, w)
         q_step = _mul(q_step, q2, w)
         k += 1
-    return re, im
+    return e1, e2
 
 
 def _eta_quotient(tau, prec):
-    """s = (eta(2 tau)/eta(tau))^24 = q R, R = (prod (1 - q^2n) / prod (1 -
-    q^n))^24, to a relative 2^-(prec+8): 24 times the products' tail, below
-    2^-(prec+16) (_series_order).  Only q and q R are mpmath numbers; the
-    Euler products, their quotient r and R = ((r^3)^2)^2)^2 are pairs of
-    ints at scale 2^w, w = prec + GUARD_BITS + 8, r scaled by a power of two
-    to modulus at least 1.  No rounding error grows in the Euler sums
-    (|q^n| < 1) or the chain (|r| >= 1), and R has 24 times that of r: below
-    2^9 units 2^-w over Im tau in [0.09, 4] and prec up to 7000."""
+    """s = (eta(2 tau)/eta(tau))^24 = q R, R = (E(q^2) / E(q))^24, to a
+    relative 2^-(prec+8) at every prec and Im tau >= sqrt(3)/4.  Only q and
+    q R are mpmath numbers; E(q), E(q^2) (_euler_products), their quotient
+    r and R = (((r^2 r)^2)^2)^2 are pairs of ints at scale 2^w,
+    w = prec + GUARD_BITS + 8, r scaled by a power of two to modulus >= 1.
+
+    The bound, with u = 2^-w, |q| < 0.066 and K <= sqrt(2 order / 3) + 1
+    steps of the walk: each _mul or _sqr rounds by less than sqrt(2) u, and
+    its factors q^n, n >= 1, have modulus below 0.066, so every power is
+    off by under sqrt(2) u / (1 - 2 * 0.066) < 1.7 u and E(q), E(q^2) by
+    under 3.4 K u, plus tails below 2^-(prec+19) (_series_order).  As
+    0.92 < |E(q)|, |E(q^2)| < 1.08, r is off by a relative 7.4 K u + 1.6 u
+    + 2^-(prec+17) with the division, and R by 24 times that, plus 33 u
+    from the chain (|r| >= 1) and 48 u from rounding q to w bits
+    (|d log R / dq| < 24 * 1.4).  So s is off by under 2^-(prec+12) +
+    300 K u, plus the mpmath roundings of q and q R: below 2^-(prec+8) for
+    every order below 10^32."""
     if prec < 1:
         raise ValueError(f"working precision {prec} must be at least 1 bit")
     order = _series_order(tau, prec)
     q = mpmath.expjpi(2 * tau)
     w = prec + GUARD_BITS + 8
     qf = int(mpmath.ldexp(q.real, w)), int(mpmath.ldexp(q.imag, w))
-    a, b = _euler_product(_mul(qf, qf, w), order // 2, w)
-    c, d = _euler_product(qf, order, w)
+    (c, d), (a, b) = _euler_products(qf, order, w)
     n = c * c + d * d
     r = ((a * c + b * d) << w) // n, ((b * c - a * d) << w) // n
     e = max(0, w + 1 - max(map(abs, r)).bit_length())
     r = r[0] << e, r[1] << e
-    r3 = _mul(_mul(r, r, w), r, w)
-    r6 = _mul(r3, r3, w)
-    r12 = _mul(r6, r6, w)
-    r24 = _mul(r12, r12, w)
+    r3 = _mul(_sqr(r, w), r, w)
+    r24 = _sqr(_sqr(_sqr(r3, w), w), w)
     return q * mpmath.mpc(*(mpmath.mpf((x, -w - 24 * e)) for x in r24))
 
 
@@ -182,6 +173,47 @@ def omega2_value(form, tau, prec):
     if a % 2:
         return eval_omega2(tau, prec)
     return 4096 / eval_omega2(tau / 2 if c % 2 else (tau + 1) / 2, prec)
+
+
+def auto_prec(*discs, value=j_value):
+    """Working precision in bits for the values of value (j_value or
+    omega2_value) at the points of one or two discriminants:
+    64 + ceil(1.2 S), where S sums, over every tuple of one reduced form per
+    discriminant, the largest height in the tuple.
+
+    The height h of a form bounds the bits of twice its class value v, up
+    to what the factor 1.2 and the 64 bits absorb.  So for one discriminant
+    S bounds the coefficients of prod_Q (X - v_Q), at most prod (1 + |v_Q|),
+    and for two it bounds prod (v1 - v2), as |v1 - v2| <= 2 max(|v1|, |v2|);
+    with every h > 0 it covers both integer polynomials too.  At the form
+    (a, b, c) of d, sqrt|d| / a >= sqrt 3:
+    - j: h = pi sqrt|d| / (a log 2), the bits of |j| ~ |q|^-1 at the CM
+      point (Enge, Math. Comp. 2009); h > 7.8, so 1.2 h covers the factor 2
+      and the O(1) in |j| = |q|^-1 + O(1).
+    - omega2 = 4096 q prod (1 + q^n)^24 at the odd-norm point
+      (omega2_value).  Odd a: at tau, |q| <= e^(-pi sqrt 3), so |omega2| <=
+      4096 e^(-pi sqrt 3) prod (1 + e^(-pi sqrt 3 n))^24 < 19.7 < 2^4.4.
+      Even a: 1 / (q' prod (1 + q'^n)^24) at tau' = tau/2 or (tau + 1)/2,
+      |q'| = e^(-pi sqrt|d| / 2a) <= e^(-pi sqrt 3 / 2), so |omega2| <=
+      |q'|^-1 / prod (1 - e^(-pi sqrt 3 n / 2))^24 < 5.74 |q'|^-1.  With
+      the bit of 2|v|: h = 5.4 at odd a, pi sqrt|d| / (2a log 2) + 3.6 else.
+    """
+    omega2 = value is omega2_value
+    heights = [[(5.4 if a % 2 else pi * sqrt(-d) / (2 * a * log(2)) + 3.6)
+                if omega2 else pi * sqrt(-d) / (a * log(2))
+                for a, _, _ in reduced_forms(d)] for d in discs]
+    return 64 + ceil(1.2 * sum(map(max, product(*heights))))
+
+
+def conjugate_orbits(d):
+    """The orbit under (a, b, c) -> (a, -b, c) that each reduced form of d,
+    in order, stands for: 2 at b > 0 when (a, -b, c) is reduced too, 0 at
+    that conjugate, whose class value is the conjugate, and 1 at a
+    self-conjugate form (b = 0, |b| = a or a = c), whose value is real."""
+    forms = reduced_forms(d)
+    paired = set(forms)
+    return [(2 if b > 0 else 0) if b and (a, -b, c) in paired else 1
+            for a, b, c in forms]
 
 
 def cm_values(value, d, prec):
@@ -220,19 +252,17 @@ def integer_polynomial(d, values):
     """prod (X - v) over the class values of d, in the order of cm_values,
     expanded over real mpf at the current precision and rounded: one factor
     X^2 - 2 Re(v) X + |v|^2 per conjugate pair of forms (a, +-b, c), and
-    X - v per self-conjugate form, whose value is real.  The integer
-    coefficients, leading first, or None when a coefficient does not round
-    with residual below 2^-TOL_BITS or a self-conjugate value has an
-    imaginary part of at least 2^-TOL_BITS."""
-    forms = reduced_forms(d)
-    paired = set(forms)
+    X - v per self-conjugate form, whose value is real (conjugate_orbits).
+    The integer coefficients, leading first, or None when a coefficient does
+    not round with residual below 2^-TOL_BITS or a self-conjugate value has
+    an imaginary part of at least 2^-TOL_BITS."""
     poly = [mpmath.mpf(1)]
-    for (a, b, c), v in zip(forms, values):
+    for v, orbit in zip(values, conjugate_orbits(d)):
         re, im = v.real, v.imag
-        if b and (a, -b, c) in paired:
-            if b < 0:
-                continue        # its conjugate's factor covers it
+        if orbit == 2:
             factor = -2 * re, re * re + im * im
+        elif not orbit:
+            continue        # its conjugate's factor covers it
         elif abs(im) >= mpmath.ldexp(1, -TOL_BITS):
             return None
         else:

@@ -7,9 +7,9 @@ One driver serves both formulas, at the CM points of the reduced forms of
 both discriminants, and runs the same checks for both, the resultant oracle
 among them.  A formula only chooses the evaluator of a class value
 (numeric.j_value or numeric.omega2_value) and the scale of the arithmetic
-side.  The precision follows numeric's one policy: numeric.auto_prec(d1, d2)
-bits unless the caller gives prec, every CM point, pair product and log at
-numeric.GUARD_BITS above it, and the doublings of numeric.precisions.
+side.  The precision follows numeric's one policy: numeric.auto_prec of the
+evaluator unless the caller gives prec, every CM point, pair product and
+log at numeric.GUARD_BITS above it, and the doublings of numeric.precisions.
 
 The class values and class polynomials of each discriminant come from
 numeric's per-discriminant table (numeric.class_values), so a discriminant
@@ -101,13 +101,25 @@ def _factor_check(n, predicted, scale, notes):
     return fact, match
 
 
+def _pair_product(vals1, vals2, d2):
+    """prod (v2 - v1) over the class values v1 of d1 and v2 of d2, one
+    factor |prod_{v1} (v2 - v1)|^2 per conjugate pair of forms of d2
+    (numeric.conjugate_orbits), as the v1 are closed under conjugation."""
+    product = mpmath.mpc(1)
+    for v2, orbit in zip(vals2, numeric.conjugate_orbits(d2)):
+        if orbit:
+            pv = mpmath.fprod(v2 - v1 for v1 in vals1)
+            product *= pv if orbit == 1 else pv.real ** 2 + pv.imag ** 2
+    return product
+
+
 def _verify(kind, d1, d2, prec, value, scale, rhs):
     """The driver: class values and class polynomials of d1 and of d2 from
     numeric's table (numeric.class_values), the pair product of the values
     recognized as an integer N, the factor check against rhs at the given
     scale, the resultant oracle and the log residual."""
     if prec is None:
-        prec = numeric.auto_prec(d1, d2)
+        prec = numeric.auto_prec(d1, d2, value=value)
     report = VerificationReport(kind=kind, d1=d1, d2=d2, prec=prec,
                                 status="precision",
                                 rhs_exponents=rhs.exponents())
@@ -118,10 +130,7 @@ def _verify(kind, d1, d2, prec, value, scale, rhs):
         (vals1, poly1), (vals2, poly2) = (numeric.class_values(value, d, prec)
                                           for d in (d1, d2))
         with mpmath.workprec(prec + numeric.GUARD_BITS):
-            product = mpmath.mpc(1)
-            for v2 in vals2:
-                for v1 in vals1:
-                    product *= v2 - v1
+            product = _pair_product(vals1, vals2, d2)
             n = numeric.recognize_integer(product)
         # a coefficient that fails to round is a precision failure too
         if n is not None and poly1 is not None and poly2 is not None:

@@ -9,7 +9,8 @@ from cmfactor import numeric
 from cmfactor.classgroup import heegner_point, reduced_forms
 from cmfactor.numeric import (eval_j, eval_omega2, recognize_integer,
                               class_polynomial, auto_prec, cm_values,
-                              j_value, omega2_value, GUARD_BITS)
+                              integer_polynomial, j_value, omega2_value,
+                              GUARD_BITS, TOL_BITS)
 from cmfactor.quadarith import is_fundamental_discriminant
 
 
@@ -94,15 +95,22 @@ def test_omega2_against_mpmath_kleinj(x, y):
         assert abs((w + 16) ** 3 / w - want) < mpmath.mpf(2) ** -232 * abs(want)
 
 
-@pytest.mark.parametrize("prec", [1, 8, 30, 100, 300, 1000, 3000])
+@pytest.mark.parametrize("prec", [1, 8, 30, 100, 300, 1000, 3000, 10000,
+                                  25000])
 def test_kernel_accuracy_at_random_points(prec):
-    # seeded random tau, Re in [-1/2, 1/2] and Im in [0.3, 4]: j against
+    # seeded random tau, Re in [-1/2, 1/2] and Im in [low, high]: j against
     # 1728 kleinj, and omega2 through the level-2 modular equation
     # j(2 tau) = (omega2 + 256)^3 / omega2^2, each to a relative
-    # 2^-(prec + 8) of a reference at prec + 200 bits
+    # 2^-(prec + 8) of a reference at prec + 200 bits; two points at 10000
+    # bits and one at 25000 reach the Im (12.2) and the bits of the
+    # |d| <= 600 pairs
+    if prec < 10000:
+        points, low, high = 12, 0.3, 4
+    else:
+        points, low, high = (2 if prec == 10000 else 1), 3 ** 0.5 / 4, 12.2
     rng = random.Random(f"kernel:{prec}")
-    for _ in range(12):
-        tau = mpmath.mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.3, 4))
+    for _ in range(points):
+        tau = mpmath.mpc(rng.uniform(-0.5, 0.5), rng.uniform(low, high))
         j, w = eval_j(tau, prec), eval_omega2(tau, prec)
         with mpmath.workprec(prec + 200):
             tol = mpmath.mpf(2) ** -(prec + 8)
@@ -137,6 +145,23 @@ def test_auto_prec_covers_the_class_polynomial(d):
     # polynomial; -311 (h = 19) gets 543 bits for a 397-bit coefficient
     coeffs = class_polynomial(d)
     assert auto_prec(d) >= max(abs(c) for c in coeffs).bit_length()
+
+
+def test_omega2_bound_covers_its_class_polynomial():
+    # every fundamental d = 1 mod 8 with |d| < 400: W_d = prod (X - omega2)
+    # expanded at the omega2 bound of d itself equals the one at the j
+    # bound, far above it, and has TOL_BITS to spare below the bound
+    discs = [d for d in range(-7, -400, -8) if is_fundamental_discriminant(d)]
+    for d in discs:
+        polys = []
+        for prec in (auto_prec(d, value=omega2_value), auto_prec(d)):
+            with mpmath.workprec(prec + GUARD_BITS):
+                polys.append(integer_polynomial(
+                    d, cm_values(omega2_value, d, prec)))
+        assert polys[0] is not None and polys[0] == polys[1], d
+        bits = max(abs(c) for c in polys[0]).bit_length()
+        assert auto_prec(d, value=omega2_value) >= bits + TOL_BITS, d
+    assert len(discs) == 42
 
 
 def odd_norm_points(d):

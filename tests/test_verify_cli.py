@@ -3,6 +3,7 @@ command line interface."""
 
 import io
 import json
+import random
 import re
 import shlex
 import sys
@@ -15,9 +16,11 @@ import mpmath
 import pytest
 
 from cmfactor import numeric, verify
-from cmfactor.numeric import auto_prec, MAX_RETRIES, TOL_BITS
+from cmfactor.numeric import (auto_prec, class_values, j_value,
+                              omega2_value, GUARD_BITS, MAX_RETRIES,
+                              TOL_BITS)
 from cmfactor.verify import (gz_verify, yz_verify, borcherds_verify,
-                             _sylvester_resultant)
+                             _pair_product, _sylvester_resultant)
 from cmfactor.cli import (main, EXIT_OK, EXIT_MISMATCH, EXIT_HYPOTHESIS,
                           EXIT_PRECISION, EXIT_USAGE)
 from cmfactor.quadarith import PrimeLog, is_fundamental_discriminant
@@ -25,6 +28,8 @@ from cmfactor.quadarith import PrimeLog, is_fundamental_discriminant
 # one small admissible pair per formula
 DRIVER_CASES = [("gz", gz_verify, "gz_rhs", -3, -67),
                 ("yz", yz_verify, "yz_rhs", -7, -15)]
+# the class values of each formula, whose heights auto_prec sums
+CLASS_VALUE = {"gz": j_value, "yz": omega2_value}
 
 
 def test_sylvester_resultant_hand_checks():
@@ -54,8 +59,38 @@ def test_auto_prec_covers_every_small_pair():
     assert len(runs) == 78
     for r in runs:
         assert r.ok() and r.notes == [], (r.kind, r.d1, r.d2, r.notes)
-        assert r.prec == auto_prec(r.d1, r.d2)
+        assert r.prec == auto_prec(r.d1, r.d2, value=CLASS_VALUE[r.kind])
         assert r.prec >= abs(r.product_integer).bit_length() + TOL_BITS
+
+
+def test_omega2_bound_covers_a_sample_of_yz_pairs():
+    # a seeded sample of the coprime pairs of fundamental d = 1 mod 8 with
+    # |d| < 400, each exact at the omega2 bound with TOL_BITS to spare
+    discs = [d for d in range(-7, -400, -8) if is_fundamental_discriminant(d)]
+    pairs = [(d1, d2) for i, d1 in enumerate(discs) for d2 in discs[i + 1:]
+             if gcd(d1, d2) == 1]
+    for d1, d2 in random.Random("yz-bound").sample(pairs, 24):
+        r = yz_verify(d1, d2)
+        assert r.ok() and r.notes == [], (d1, d2, r.notes)
+        assert r.prec == auto_prec(d1, d2, value=omega2_value)
+        assert r.prec >= abs(r.product_integer).bit_length() + TOL_BITS
+
+
+@pytest.mark.parametrize("value,d1,d2", [
+    (j_value, -4, -3), (j_value, -3, -4), (j_value, -15, -4),
+    (j_value, -71, -84), (j_value, -84, -71), (j_value, -119, -15),
+    (omega2_value, -15, -71), (omega2_value, -71, -119)])
+def test_pair_product_over_conjugate_orbits(value, d1, d2):
+    # the product over the conjugate orbits of the forms of d2 against the
+    # naive double product, to a relative 2^-prec: d2 with forms of b = 0
+    # (-4, -84), |b| = a (-3, -15, -84) and a = c (-84), with conjugate
+    # pairs (-71, -119), and omega2 at even a (-71, -119)
+    prec = auto_prec(d1, d2, value=value)
+    vals1, vals2 = (class_values(value, d, prec)[0] for d in (d1, d2))
+    with mpmath.workprec(prec + GUARD_BITS):
+        got = _pair_product(vals1, vals2, d2)
+        want = mpmath.fprod(v2 - v1 for v2 in vals2 for v1 in vals1)
+        assert abs(got - want) <= mpmath.ldexp(abs(want), -prec), (d1, d2)
 
 
 def test_gz_verify_minus3_minus67():
@@ -90,7 +125,8 @@ def test_driver_reports_exhausted_precision(monkeypatch, capsys, kind, fn,
     assert r.resultant_match is None
     retries = [n for n in r.notes if n.startswith("retry at")]
     assert len(retries) == MAX_RETRIES == len(r.notes)
-    assert r.prec == auto_prec(d1, d2) * 2 ** MAX_RETRIES
+    assert r.prec == auto_prec(d1, d2, value=CLASS_VALUE[kind]) * \
+        2 ** MAX_RETRIES
     assert main([kind, "--d1", str(d1), "--d2", str(d2)]) == EXIT_PRECISION
     # the class polynomial shares the retry count and the exit code
     assert main(["class-poly", "--d", "-15"]) == EXIT_PRECISION
