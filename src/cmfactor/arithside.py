@@ -77,7 +77,8 @@ def _odd_diff_terms(chi, keep=None):
     the t of the m in t_range (with keep(m), even in m, if given) at once,
     and for each t whose Diff is a single prime P of F, inert in E/F at odd
     order e, yield (red, P, w): red is t P^-1 as a fresh dict, and w =
-    (1 + e)/2 * f(P), e being odd, doubled at m > 0 for the term of t_-m."""
+    (1 + e)/2, e being odd, doubled at m > 0 for the term of t_-m; N(P) = p
+    (factor_principal_ideals)."""
     ms = t_range(chi.d1, chi.d2)
     ms = ms if keep is None else filter(keep, ms)
     for m, fact in factor_principal_ideals(ms, chi.d1, chi.d2).items():
@@ -86,7 +87,7 @@ def _odd_diff_terms(chi, keep=None):
             continue
         P = diff[0]
         e = fact[P]
-        w = (1 + e) // 2 * P.residue_degree()
+        w = (1 + e) // 2
         yield {**fact, P: e - 1}, P, 2 * w if m else w
 
 
@@ -167,7 +168,7 @@ def chi_log_identity(m, d1, d2):
     """Both sides of the divisor-sum identity, t = (m + sqrt(D))/2,
     sum_{a | t O_F} chi_{E/F}(a) log N(a)
       = - sum_{p inert in E/F} (1 + ord_p(t))/2 rho(t p^-1) log N(p),
-    as a pair of PrimeLogs."""
+    as a pair of PrimeLogs, where N(p) = p (factor_principal_ideals)."""
     fact = factor_principal_ideal(m, d1, d2)
     table = EFCharacter(d1, d2)
     chi = {P: 1 if table[P.p] else -1 for P in fact}
@@ -180,7 +181,7 @@ def chi_log_identity(m, d1, d2):
             if Q == P:
                 continue
             other *= sum(chi[Q] ** a for a in range(eq + 1))
-        lhs.add(P.p, s1 * other * P.residue_degree())
+        lhs.add(P.p, s1 * other)
     rhs = PrimeLog()
     for P, e in fact.items():
         if chi[P] != -1:
@@ -189,5 +190,5 @@ def chi_log_identity(m, d1, d2):
         red[P] = e - 1
         r = rho(red, table)
         if r:
-            rhs.add(P.p, -Fraction(1 + e, 2) * r * P.residue_degree())
+            rhs.add(P.p, -Fraction(1 + e, 2) * r)
     return lhs, rhs

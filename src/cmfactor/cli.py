@@ -134,7 +134,7 @@ def main(argv=None):
                 print(f"  {P.kind} prime above {P.p}"
                       + (f" (branch {P.branch:+d})" if P.branch else "")
                       + f": exponent {e}")
-            diff = diff_set(fact, chi)
+            diff = sorted(diff_set(fact, chi))
             print("Diff:", [(P.p, P.kind) for P in diff])
             print("rho(t O_F) =", rho(fact, chi))
             for P in diff:

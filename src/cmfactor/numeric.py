@@ -17,12 +17,13 @@ odd; Yui-Zagier, Math. Comp. 1997): tau itself if a is odd, else -1/tau if
 c is odd, else -1/(tau +- 1).  By omega2(tau + 1) = omega2(tau) and
 omega2(-1/tau) = 2^12 / omega2(tau/2), omega2_value takes eval_omega2 at
 tau, tau/2 or (tau + 1)/2, so every kernel argument has
-Im >= sqrt(3)/4.  CM values come once per conjugate pair of forms
+Im >= sqrt(3)/4.  CM values come once per conjugate orbit of forms
 (cm_values): both functions have real q-coefficients, the CM point of
 (a, -b, c) is -conj of that of (a, b, c), and so is the argument
 omega2_value gives the kernel there, up to a translation by 1; the value
-there is exactly the conjugate.  Products take each such pair once too
-(conjugate_orbits).
+there is exactly the conjugate.  So an orbit is named by its form with
+b >= 0 and weighs 2 iff 0 < b < a < c, when (a, -b, c) is reduced too;
+any other form is self-conjugate, with a real value.
 
 The precision policy: a computation with CM values starts at auto_prec, an
 a-priori bound on the bits of what it must round to integers from a height
@@ -205,31 +206,17 @@ def auto_prec(*discs, value=j_value):
     return 64 + ceil(1.2 * sum(map(max, product(*heights))))
 
 
-def conjugate_orbits(d):
-    """The orbit under (a, b, c) -> (a, -b, c) that each reduced form of d,
-    in order, stands for: 2 at b > 0 when (a, -b, c) is reduced too, 0 at
-    that conjugate, whose class value is the conjugate, and 1 at a
-    self-conjugate form (b = 0, |b| = a or a = c), whose value is real."""
-    forms = reduced_forms(d)
-    paired = set(forms)
-    return [(2 if b > 0 else 0) if b and (a, -b, c) in paired else 1
-            for a, b, c in forms]
-
-
 def cm_values(value, d, prec):
-    """value(form, tau, prec) at the CM point tau of each reduced form of
-    discriminant d, in the order of reduced_forms(d), with one call per pair
-    (a, b, c), (a, -b, c): the second takes mpmath.conj of the first's
-    value.  Pairs are matched by form, never by value; a form whose
-    conjugate is not reduced (b = 0, |b| = a or a = c) is evaluated."""
-    values = {}
+    """One (value(form, tau, prec), weight) pair per conjugate orbit of the
+    reduced forms of d: at the CM point tau of each form (a, b, c) with
+    b >= 0, in the order of reduced_forms(d).  The weight is 2 iff
+    0 < b < a < c, when (a, -b, c) is reduced too and its value is the
+    conjugate; else 1, and the form is self-conjugate (b = 0, b = a or
+    a = c), its value real."""
     with mpmath.workprec(prec + GUARD_BITS):
-        for a, b, c in reduced_forms(d):
-            mirror = values.get((a, -b, c))
-            values[a, b, c] = (
-                value((a, b, c), heegner_point((a, b, c), d), prec)
-                if mirror is None else mpmath.conj(mirror))
-    return list(values.values())
+        return [(value((a, b, c), heegner_point((a, b, c), d), prec),
+                 2 if 0 < b < a < c else 1)
+                for a, b, c in reduced_forms(d) if b >= 0]
 
 
 def precisions(prec):
@@ -248,21 +235,19 @@ def recognize_integer(x):
     return n
 
 
-def integer_polynomial(d, values):
-    """prod (X - v) over the class values of d, in the order of cm_values,
-    expanded over real mpf at the current precision and rounded: one factor
-    X^2 - 2 Re(v) X + |v|^2 per conjugate pair of forms (a, +-b, c), and
-    X - v per self-conjugate form, whose value is real (conjugate_orbits).
-    The integer coefficients, leading first, or None when a coefficient does
-    not round with residual below 2^-TOL_BITS or a self-conjugate value has
-    an imaginary part of at least 2^-TOL_BITS."""
+def integer_polynomial(values):
+    """prod (X - v) over the class values of one discriminant, given as the
+    (value, weight) pairs of cm_values, expanded over real mpf at the
+    current precision and rounded: one factor X^2 - 2 Re(v) X + |v|^2 at
+    weight 2, and X - v at weight 1, whose value is real.  The integer
+    coefficients, leading first, or None when a coefficient does not round
+    with residual below 2^-TOL_BITS or a value of weight 1 has an imaginary
+    part of at least 2^-TOL_BITS."""
     poly = [mpmath.mpf(1)]
-    for v, orbit in zip(values, conjugate_orbits(d)):
+    for v, weight in values:
         re, im = v.real, v.imag
-        if orbit == 2:
+        if weight == 2:
             factor = -2 * re, re * re + im * im
-        elif not orbit:
-            continue        # its conjugate's factor covers it
         elif abs(im) >= mpmath.ldexp(1, -TOL_BITS):
             return None
         else:
@@ -277,9 +262,9 @@ def integer_polynomial(d, values):
 
 
 def class_values(value, d, prec):
-    """The class values of d (cm_values) and their integer polynomial
-    (integer_polynomial, None while it does not round), from the table
-    entry of (value, d).  A request at or below the entry's precision reads
+    """The class values of d, one (value, weight) pair per conjugate orbit
+    (cm_values), and their integer polynomial (integer_polynomial, None
+    while it does not round), from the table entry of (value, d).  A request at or below the entry's precision reads
     its values, which meet the kernel's 2^-(prec+8) bound at any lower prec
     too; one above it recomputes and replaces them, and expands the
     polynomial, which is exact, only while the entry has none.  TABLE_SIZE
@@ -294,7 +279,7 @@ def class_values(value, d, prec):
         with mpmath.workprec(prec + GUARD_BITS):
             vals = tuple(cm_values(value, d, prec))
             if poly is None:
-                poly = integer_polynomial(d, vals)
+                poly = integer_polynomial(vals)
         if entry is None and len(_table) >= TABLE_SIZE:
             del _table[next(iter(_table))]
         entry = _table[key] = prec, vals, poly

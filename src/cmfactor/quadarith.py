@@ -106,9 +106,6 @@ class PrimeOfF(NamedTuple):
     kind: str
     branch: int = 0
 
-    def residue_degree(self):
-        return 2 if self.kind == "inert" else 1
-
 
 def primes_of_F_above(p, D):
     """The primes of F = Q(sqrt(D)) above the rational prime p."""
@@ -188,13 +185,15 @@ def factor_principal_ideals(ms, d1, d2):
     """Factor t O_F, t = (m + sqrt(D))/2, for every m in ms, as a dict
     m -> {PrimeOfF: exponent}.
 
-    Each m must have m = D mod 2 (t integral) and t nonzero norm.  Primes
-    inert in F never divide t O_F.  Fewer than SIEVE_FROM elements are
-    trial-divided one by one, up to the square root of the shrinking
-    cofactor; longer lists are sieved over m with every prime
-    p <= isqrt(max |N(t)|), each residue class of m carrying its prime of
-    F, after which what is left of N(t) is 1 or a prime.  Exponents at
-    primes not dividing t O_F are omitted.
+    Each m must have m = D mod 2 (t integral) and t nonzero norm.  Every
+    prime P of F dividing t O_F has N(P) = p: D is the discriminant of F,
+    so O_F = Z[(D + sqrt(D))/2] and the sqrt(D)-coefficient 1/2 of t keeps
+    every rational n > 1 from dividing t, while an inert P is p O_F.  So
+    N(t) = prod p^e.  Fewer than SIEVE_FROM elements are trial-divided one
+    by one, up to the square root of the shrinking cofactor; longer lists
+    are sieved over m with every prime p <= isqrt(max |N(t)|), each residue
+    class of m carrying its prime of F, after which what is left of N(t) is
+    1 or a prime.  Exponents at primes not dividing t O_F are omitted.
     """
     D = d1 * d2
     norms = {}
@@ -225,8 +224,7 @@ def factor_principal_ideals(ms, d1, d2):
             if legendre(D, n) == -1:
                 raise ArithmeticError("odd valuation at an inert prime")
             facts[m][_prime_above(n, D, m)] = 1
-        if prod(p ** (2 * e if kind == "inert" else e)
-                for (p, kind, _), e in facts[m].items()) != norms[m]:
+        if prod(P.p ** e for P, e in facts[m].items()) != norms[m]:
             raise ArithmeticError("factorization does not multiply to N(t)")
     return facts
 
@@ -258,9 +256,9 @@ def rho(fact, chi):
 
 
 def diff_set(fact, chi):
-    """The primes of F inert in E/F at odd order in `fact`, sorted; chi as
-    in rho."""
-    return sorted(P for P, e in fact.items() if e % 2 and not chi[P.p])
+    """The primes of F inert in E/F at odd order in `fact`, in its order;
+    chi as in rho."""
+    return [P for P, e in fact.items() if e % 2 and not chi[P.p]]
 
 
 class PrimeLog:

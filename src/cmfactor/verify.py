@@ -101,15 +101,16 @@ def _factor_check(n, predicted, scale, notes):
     return fact, match
 
 
-def _pair_product(vals1, vals2, d2):
-    """prod (v2 - v1) over the class values v1 of d1 and v2 of d2, one
-    factor |prod_{v1} (v2 - v1)|^2 per conjugate pair of forms of d2
-    (numeric.conjugate_orbits), as the v1 are closed under conjugation."""
+def _pair_product(vals1, vals2):
+    """prod (v2 - v1) over the class values v1 of d1 and v2 of d2, from the
+    (value, weight) pairs of their conjugate orbits (numeric.cm_values): a
+    v1 of weight 2 gives (v2 - v1)(v2 - conj v1), and a v2 of weight 2 the
+    factor |prod_{v1} (v2 - v1)|^2, as the v1 are closed under conjugation."""
     product = mpmath.mpc(1)
-    for v2, orbit in zip(vals2, numeric.conjugate_orbits(d2)):
-        if orbit:
-            pv = mpmath.fprod(v2 - v1 for v1 in vals1)
-            product *= pv if orbit == 1 else pv.real ** 2 + pv.imag ** 2
+    for v2, w2 in vals2:
+        pv = mpmath.fprod((v2 - v1) * (v2 - mpmath.conj(v1)) if w1 == 2
+                          else v2 - v1 for v1, w1 in vals1)
+        product *= pv if w2 == 1 else pv.real ** 2 + pv.imag ** 2
     return product
 
 
@@ -130,7 +131,7 @@ def _verify(kind, d1, d2, prec, value, scale, rhs):
         (vals1, poly1), (vals2, poly2) = (numeric.class_values(value, d, prec)
                                           for d in (d1, d2))
         with mpmath.workprec(prec + numeric.GUARD_BITS):
-            product = _pair_product(vals1, vals2, d2)
+            product = _pair_product(vals1, vals2)
             n = numeric.recognize_integer(product)
         # a coefficient that fails to round is a precision failure too
         if n is not None and poly1 is not None and poly2 is not None:
@@ -142,7 +143,8 @@ def _verify(kind, d1, d2, prec, value, scale, rhs):
     report.factorization, report.factor_match = _factor_check(
         n, report.rhs_exponents, scale, report.notes)
     res = _sylvester_resultant(poly1, poly2)
-    report.resultant_match = res == (-1) ** (len(vals1) * len(vals2)) * n
+    h1, h2 = len(poly1) - 1, len(poly2) - 1     # the class numbers
+    report.resultant_match = res == (-1) ** (h1 * h2) * n
 
     # the analytic product, not N: the gate tests the CM values themselves
     with mpmath.workprec(prec + numeric.GUARD_BITS):

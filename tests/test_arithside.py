@@ -211,7 +211,8 @@ def per_t_reference_sum(d1, d2, level2):
             red[p_t_of(red)[0]] -= 2
         r = 0 if min(red.values()) < 0 else prod(
             e + 1 if splits(Q.p) else 1 - e % 2 for Q, e in red.items())
-        total.add(P.p, Fraction(1 + fact[P], 2) * r * P.residue_degree())
+        f = 2 if P.kind == "inert" else 1      # N(P) = p^f
+        total.add(P.p, Fraction(1 + fact[P], 2) * r * f)
     return total
 
 
@@ -240,7 +241,7 @@ def test_t_minus_m_is_the_conjugate_of_t_m():
             fact = factor_principal_ideal(m, d1, d2)
             conj = factor_principal_ideal(-m, d1, d2)
             assert conj == {sigma(P): e for P, e in fact.items()}, (d1, d2, m)
-            assert diff_set(conj, chi) == sorted(
+            assert sorted(diff_set(conj, chi)) == sorted(
                 map(sigma, diff_set(fact, chi))), (d1, d2, m)
             for P, e in fact.items():
                 assert rho({**fact, P: e - 1}, chi) == \

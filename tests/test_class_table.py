@@ -72,20 +72,22 @@ def test_a_shared_discriminant_is_evaluated_once_per_precision(monkeypatch):
     # one evaluation per conjugate pair of forms: 1 for -7 (h = 1), 2 for
     # -15 (h = 2, both forms self-conjugate), 2 for -23 (h = 3)
     seen = kernel_calls(monkeypatch)
-    expansions = []
+    expansions = []     # the class polynomials, as they are expanded
     expand = numeric.integer_polynomial
-    monkeypatch.setattr(numeric, "integer_polynomial", lambda d, values:
-                        expansions.append(d) or expand(d, values))
+    monkeypatch.setattr(numeric, "integer_polynomial", lambda values:
+                        expansions.append(expand(values)) or expansions[-1])
+    H = {-7: (1, 3375), -15: (1, 191025, -121287375),
+         -23: (1, 3491750, -5151296875, 12771880859375)}
     assert gz_verify(-7, -15, prec=300).ok()
-    assert seen == [300] * 3 and expansions == [-7, -15]
+    assert seen == [300] * 3 and expansions == [H[-7], H[-15]]
     seen.clear()
     # -7 is read at 300 bits
     assert gz_verify(-7, -23, prec=200).ok()
-    assert seen == [200] * 2 and expansions == [-7, -15, -23]
+    assert seen == [200] * 2 and expansions == [H[-7], H[-15], H[-23]]
     seen.clear()
     # both need more bits; their polynomials are kept
     assert gz_verify(-15, -23, prec=400).ok()
-    assert seen == [400] * 4 and expansions == [-7, -15, -23]
+    assert seen == [400] * 4 and expansions == [H[-7], H[-15], H[-23]]
     seen.clear()
     # class-poly reads the same j entry
     assert class_polynomial(-23) == [1, 3491750, -5151296875, 12771880859375]
@@ -152,12 +154,13 @@ def test_a_warm_table_still_rejects_nonpositive_precision(prec):
 
 def test_a_complex_self_conjugate_value_does_not_round():
     # both reduced forms of -15, (1, 1, 4) and (2, 1, 2), are self-conjugate,
-    # so each gets a linear factor over the reals and its imaginary part must
-    # vanish to 2^-TOL_BITS
+    # so each has weight 1 and gets a linear factor over the reals, and its
+    # imaginary part must vanish to 2^-TOL_BITS
     with mpmath.workprec(200):
         vals = cm_values(j_value, -15, 136)
-        assert integer_polynomial(-15, vals) == (1, 191025, -121287375)
+        assert [weight for _, weight in vals] == [1, 1]
+        assert integer_polynomial(vals) == (1, 191025, -121287375)
         for bits, want in ((TOL_BITS, None),
                            (TOL_BITS + 8, (1, 191025, -121287375))):
-            tilted = mpmath.mpc(vals[1].real, mpmath.ldexp(1, -bits))
-            assert integer_polynomial(-15, [vals[0], tilted]) == want
+            tilted = mpmath.mpc(vals[1][0].real, mpmath.ldexp(1, -bits))
+            assert integer_polynomial([vals[0], (tilted, 1)]) == want

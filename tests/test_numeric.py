@@ -6,7 +6,7 @@ import mpmath
 import pytest
 
 from cmfactor import numeric
-from cmfactor.classgroup import heegner_point, reduced_forms
+from cmfactor.classgroup import class_number, heegner_point, reduced_forms
 from cmfactor.numeric import (eval_j, eval_omega2, recognize_integer,
                               class_polynomial, auto_prec, cm_values,
                               integer_polynomial, j_value, omega2_value,
@@ -157,7 +157,7 @@ def test_omega2_bound_covers_its_class_polynomial():
         for prec in (auto_prec(d, value=omega2_value), auto_prec(d)):
             with mpmath.workprec(prec + GUARD_BITS):
                 polys.append(integer_polynomial(
-                    d, cm_values(omega2_value, d, prec)))
+                    cm_values(omega2_value, d, prec)))
         assert polys[0] is not None and polys[0] == polys[1], d
         bits = max(abs(c) for c in polys[0]).bit_length()
         assert auto_prec(d, value=omega2_value) >= bits + TOL_BITS, d
@@ -190,6 +190,41 @@ def odd_norm_points(d):
 CLASS_VALUE = {eval_j: j_value, eval_omega2: omega2_value}
 
 
+def test_cm_values_names_each_conjugate_orbit_once():
+    # every discriminant -3 >= d >= -3000, fundamental or not, with a value
+    # function that returns its form: the representatives are the reduced
+    # forms with b >= 0, in order, weight 2 marks exactly those whose
+    # conjugate (a, -b, c) is reduced too, and the weights sum to h(d).
+    # Weight 2 at 0 < b <= a < c, or at every b > 0, fails it
+    count = 0
+    for d in range(-3, -3001, -1):
+        if d % 4 not in (0, 1):
+            continue
+        forms = reduced_forms(d)
+        got = cm_values(lambda form, tau, prec: form, d, 8)
+        assert [f for f, _ in got] == [f for f in forms if f[1] >= 0], d
+        for (a, b, c), weight in got:
+            assert (weight == 2) == ((a, -b, c) in forms and b != 0), \
+                (d, (a, b, c))
+        assert sum(w for _, w in got) == class_number(d), d
+        count += 1
+    assert count == 1500
+
+
+def class_values_per_form(value, d, prec):
+    """The class value at every reduced form of d, in the order of
+    reduced_forms, from the orbits of cm_values: a value of weight 2 also
+    stands, conjugated at the working precision, for (a, -b, c)."""
+    reps = [form for form in reduced_forms(d) if form[1] >= 0]
+    per_form = {}
+    with mpmath.workprec(prec + GUARD_BITS):
+        for (a, b, c), (v, weight) in zip(reps, cm_values(value, d, prec)):
+            per_form[a, b, c] = v
+            if weight == 2:
+                per_form[a, -b, c] = mpmath.conj(v)
+    return [per_form[form] for form in reduced_forms(d)]
+
+
 @pytest.mark.parametrize("evaluate,points", [
     (eval_j, reduced_forms), (eval_omega2, odd_norm_points)])
 @pytest.mark.parametrize("d", [-119, -199])
@@ -199,7 +234,7 @@ def test_cm_values_conjugates_agree_with_direct_evaluation(evaluate, points,
     # the CM point of each class's point: its reduced form for j, its
     # odd-norm form for omega2
     prec = 200
-    got = cm_values(CLASS_VALUE[evaluate], d, prec)
+    got = class_values_per_form(CLASS_VALUE[evaluate], d, prec)
     with mpmath.workprec(prec + GUARD_BITS):
         for form, value in zip(points(d), got):
             want = evaluate(heegner_point(form, d), prec)
@@ -214,7 +249,7 @@ def test_omega2_value_is_omega2_at_the_odd_norm_point():
     forms = 0
     for d in discs:
         prec = auto_prec(d)
-        got = cm_values(omega2_value, d, prec)
+        got = class_values_per_form(omega2_value, d, prec)
         with mpmath.workprec(prec + GUARD_BITS):
             for form, value in zip(odd_norm_points(d), got):
                 want = eval_omega2(heegner_point(form, d), prec)
@@ -227,9 +262,10 @@ def test_omega2_value_is_omega2_at_the_odd_norm_point():
 @pytest.mark.parametrize("d,calls", [(-199, 5), (-119, 6), (-20, 2),
                                      (-84, 4), (-71, 4), (-3, 1)])
 def test_cm_values_evaluates_once_per_conjugate_pair(monkeypatch, d, calls):
-    # (h + number of self-conjugate forms) / 2 calls of the evaluator, looked
-    # up in numeric at call time: -199 has h = 9 and one self-conjugate
-    # form, (1, 1, 50); omega2 (d = 1 mod 8) pairs the same forms
+    # (h + number of self-conjugate forms) / 2 orbits and as many calls of
+    # the evaluator, looked up in numeric at call time, with weights summing
+    # to h: -199 has h = 9 and one self-conjugate form, (1, 1, 50); omega2
+    # (d = 1 mod 8) pairs the same forms
     seen = []
     for name in ("eval_j", "eval_omega2"):
         exact = getattr(numeric, name)
@@ -240,5 +276,7 @@ def test_cm_values_evaluates_once_per_conjugate_pair(monkeypatch, d, calls):
                          for a, b, c in forms)
     for value in [j_value] + [omega2_value] * (d % 8 == 1):
         seen.clear()
-        assert len(cm_values(value, d, 64)) == len(forms)
-        assert len(seen) == (len(forms) + self_conjugate) // 2 == calls
+        got = cm_values(value, d, 64)
+        assert sum(weight for _, weight in got) == len(forms)
+        assert len(seen) == len(got) == (len(forms) + self_conjugate) // 2 \
+            == calls

@@ -24,6 +24,7 @@ from cmfactor.verify import (gz_verify, yz_verify, borcherds_verify,
 from cmfactor.cli import (main, EXIT_OK, EXIT_MISMATCH, EXIT_HYPOTHESIS,
                           EXIT_PRECISION, EXIT_USAGE)
 from cmfactor.quadarith import PrimeLog, is_fundamental_discriminant
+from cmfactor.classgroup import class_number
 
 # one small admissible pair per formula
 DRIVER_CASES = [("gz", gz_verify, "gz_rhs", -3, -67),
@@ -81,15 +82,21 @@ def test_omega2_bound_covers_a_sample_of_yz_pairs():
     (j_value, -71, -84), (j_value, -84, -71), (j_value, -119, -15),
     (omega2_value, -15, -71), (omega2_value, -71, -119)])
 def test_pair_product_over_conjugate_orbits(value, d1, d2):
-    # the product over the conjugate orbits of the forms of d2 against the
-    # naive double product, to a relative 2^-prec: d2 with forms of b = 0
-    # (-4, -84), |b| = a (-3, -15, -84) and a = c (-84), with conjugate
-    # pairs (-71, -119), and omega2 at even a (-71, -119)
+    # the product over the conjugate orbits of the forms of both
+    # discriminants against the naive double product over all h1 h2 pairs of
+    # class values, each orbit's representative and, at weight 2, its
+    # conjugate, to a relative 2^-prec: forms of b = 0 (-4, -84), |b| = a
+    # (-3, -15, -84) and a = c (-84), conjugate pairs (-71, -119), and
+    # omega2 at even a (-71, -119)
     prec = auto_prec(d1, d2, value=value)
     vals1, vals2 = (class_values(value, d, prec)[0] for d in (d1, d2))
     with mpmath.workprec(prec + GUARD_BITS):
-        got = _pair_product(vals1, vals2, d2)
-        want = mpmath.fprod(v2 - v1 for v2 in vals2 for v1 in vals1)
+        got = _pair_product(vals1, vals2)
+        all1, all2 = ([u for v, weight in vals
+                       for u in (v, mpmath.conj(v))[:weight]]
+                      for vals in (vals1, vals2))
+        assert (len(all1), len(all2)) == (class_number(d1), class_number(d2))
+        want = mpmath.fprod(v2 - v1 for v2 in all2 for v1 in all1)
         assert abs(got - want) <= mpmath.ldexp(abs(want), -prec), (d1, d2)
 
 
