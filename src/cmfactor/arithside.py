@@ -11,7 +11,6 @@ term: t_range gives the m >= 0, and each m > 0 counts twice.
 """
 
 from fractions import Fraction
-from functools import cache
 from math import gcd, isqrt
 
 from .quadarith import (PrimeLog, EFCharacter, rho, diff_set,
@@ -33,7 +32,6 @@ def check_yz_hypotheses(d1, d2):
         raise ValueError("both discriminants must be 1 mod 8")
 
 
-@cache   # keys (a, o, s): a in {0, 1}, o <= log2 N(t)
 def whittaker2_Ma(a, o, s):
     """Value at s of the normalized 2-adic Whittaker function attached to
     the parity-a section, for ord_2(t) = o (o < 0 means t not integral,

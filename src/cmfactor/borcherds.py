@@ -31,12 +31,12 @@ def weyl_vector(f_M):
     principal part is a single q^-1 the latter equals -c(-1) + c(0)/24, which
     is checked.
     """
-    c0 = f_M.coeff(0)
-    rl = -c0 / 24
+    rl = Fraction(-f_M.coeff(0), 24)
     depth = max(0, -int(f_M.lo()))
     e2 = e2_series(depth + 1)
-    rlp = sum(f_M.coeff(-k) * e2.coeff(k) for k in range(0, depth + 1)) / 24
-    if depth <= 1 and rlp != -f_M.coeff(-1) + c0 / 24:
+    e2_term = sum(f_M.coeff(-k) * e2.coeff(k) for k in range(depth + 1))
+    rlp = Fraction(e2_term, 24)
+    if depth <= 1 and rlp != -f_M.coeff(-1) - rl:
         raise ArithmeticError("Weyl vector cross-check failed")
     return WeylVector(rl=rl, rlp=rlp)
 
@@ -44,7 +44,7 @@ def weyl_vector(f_M):
 @dataclass
 class BiQSeries:
     """Truncated bivariate series: coeffs maps (e1, e2) Fraction pairs to
-    rational coefficients, exact on the region e1 <= cut1, e2 <= cut2."""
+    int coefficients, exact on the region e1 <= cut1, e2 <= cut2."""
     coeffs: dict
     cut1: Fraction
     cut2: Fraction
@@ -53,21 +53,16 @@ class BiQSeries:
         e1, e2 = Fraction(e1), Fraction(e2)
         if e1 > self.cut1 or e2 > self.cut2:
             raise ValueError("coefficient outside the exact region")
-        return self.coeffs.get((e1, e2), Fraction(0))
+        return self.coeffs.get((e1, e2), 0)
 
     def compare(self, other):
-        """(equal, mismatches) over the intersection of exact regions."""
+        """(equal, mismatches) over the intersection of exact regions; the
+        mismatches are (key, self's value, other's value), sorted by key."""
         c1 = min(self.cut1, other.cut1)
         c2 = min(self.cut2, other.cut2)
-        keys = set(self.coeffs) | set(other.coeffs)
-        bad = []
-        for k in sorted(keys):
-            if k[0] > c1 or k[1] > c2:
-                continue
-            a = self.coeffs.get(k, Fraction(0))
-            b = other.coeffs.get(k, Fraction(0))
-            if a != b:
-                bad.append((k, a, b))
+        a, b = self.coeffs, other.coeffs
+        bad = sorted((k, a.get(k, 0), b.get(k, 0)) for k in a.keys() | b.keys()
+                     if k[0] <= c1 and k[1] <= c2 and a.get(k, 0) != b.get(k, 0))
         return (not bad, bad)
 
 
@@ -149,13 +144,13 @@ def product_expansion_j(f_M, N1, N2):
 
 def bi_difference(s, N1, N2):
     """S(q1) - S(q2) for a scalar exact series S."""
+    zero = Fraction(0)
     coeffs = {}
     for e, c in s.terms():
         if e <= N1:
-            coeffs[(e, Fraction(0))] = coeffs.get((e, Fraction(0)), Fraction(0)) + c
+            coeffs[e, zero] = coeffs.get((e, zero), 0) + c
         if e <= N2:
-            key = (Fraction(0), e)
-            coeffs[key] = coeffs.get(key, Fraction(0)) - c
+            coeffs[zero, e] = coeffs.get((zero, e), 0) - c
     coeffs = {k: v for k, v in coeffs.items() if v}
     if s.cutoff <= max(N1, N2):
         raise ValueError("series too short for requested box")

@@ -42,10 +42,6 @@ def reduced_forms(d):
     return sorted(forms)
 
 
-def class_number(d):
-    return len(reduced_forms(d))
-
-
 def heegner_point(form, d):
     """CM point (b + sqrt(d))/(2a) of the form (a, b, c), as an mpc at the
     current working precision."""

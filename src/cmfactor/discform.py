@@ -102,8 +102,8 @@ def weil_matrix(g):
         if tok == "S":
             out = mat_mul(out, S)
         else:
-            # T is diagonal with entries +-1, so it is its own inverse
-            for _ in range(abs(tok[1])):
+            # T is diagonal with entries +-1, so T^n is T or the identity
+            if tok[1] % 2:
                 out = mat_mul(out, T)
     return out
 
@@ -157,8 +157,8 @@ def build_weber_f(order):
 
 def restrict_to_M(f):
     """Restriction to the sublattice index-2 dual pair: the scalar form
-    f_mu0 + f_mu2, which has integer exponents."""
+    f_mu0 + f_mu2, which must have exponent denominator 1."""
     s = f.components["mu0"] + f.components["mu2"]
-    if any(c for i, c in enumerate(s.a) if (s.off + i) % s.den):
+    if s.den != 1:
         raise ArithmeticError("restriction has fractional exponents")
-    return FracQSeries(1, {int(e): c for e, c in s.terms()}, s.cutoff)
+    return s

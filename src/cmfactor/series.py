@@ -5,7 +5,9 @@ list `a` of Python ints, an integer exponent offset `off` and an exponent
 denominator `den`.  Every term below the cutoff (off + len(a)) / den is
 stored, and a[0] != 0 unless the series is zero.  Exponents may be negative
 (principal parts).  Powers, the inverse among them, are taken of monic
-series (a[0] == 1) only, so every coefficient stays an integer.
+series (a[0] == 1) only, so every coefficient stays an integer.  The
+accessors `coeff` and `terms` give coefficients as ints; only exponents and
+cutoffs are Fractions.
 """
 
 from fractions import Fraction
@@ -42,13 +44,13 @@ class FracQSeries:
         if den <= 0:
             raise ValueError("den must be positive")
         end = ceil(Fraction(cutoff) * den)
-        coeffs = {k: Fraction(c) for k, c in coeffs.items() if k < end}
-        if any(c.denominator != 1 for c in coeffs.values()):
+        coeffs = {k: c for k, c in coeffs.items() if k < end}
+        if any(int(c) != c for c in coeffs.values()):
             raise ValueError("coefficients must be integers")
         off = min(coeffs, default=end)
         a = [0] * (end - off)
         for k, c in coeffs.items():
-            a[k - off] = c.numerator
+            a[k - off] = int(c)
         self._set(den, off, a)
 
     def _set(self, den, off, a):
@@ -62,11 +64,6 @@ class FracQSeries:
         s = cls.__new__(cls)
         s._set(den, off, a)
         return s
-
-    @classmethod
-    def monomial(cls, e, c, cutoff):
-        e = Fraction(e)
-        return cls(e.denominator, {e.numerator: c}, cutoff)
 
     @classmethod
     def constant(cls, c, cutoff):
@@ -90,12 +87,13 @@ class FracQSeries:
             raise ValueError(f"coefficient of q^{e} beyond cutoff {self.cutoff}")
         i = e * self.den - self.off
         if i < 0 or i.denominator != 1:
-            return Fraction(0)
-        return Fraction(self.a[int(i)])
+            return 0
+        return self.a[int(i)]
 
     def terms(self):
-        """Sorted list of (exponent, coefficient) pairs."""
-        return [(Fraction(self.off + i, self.den), Fraction(c))
+        """Sorted list of (exponent, coefficient) pairs: Fraction
+        exponents, int coefficients."""
+        return [(Fraction(self.off + i, self.den), c)
                 for i, c in enumerate(self.a) if c]
 
     def truncate(self, cutoff):

@@ -200,24 +200,23 @@ def borcherds_verify(case, n1=8, n2=8):
         j = j_series((n1 + 1) * (n1 + n2 + 1))
         prod = product_expansion_j(j - 744, n1, n2)
         return prod.compare(bi_difference(j.truncate(max(n1, n2) + 2), n1, n2))
-    order = 1 + max(0, n1 - 1) * (n1 + n2 - 2)
-    if case == "eta1":
-        f = constant_vvform({"mu0": 1, "mu1": 1}, cutoff=order)
-        prod = product_expansion_level2(f, 1, n1, n2)
-        e = eta_series(max(n1, n2) + 1)
-        return prod.compare(bi_product(e, e, n1, n2))
-    if case == "eta2":
+    # the constant forms: case -> (coset values, S through q^n), the
+    # product being S(z1) S(z2)
+    constant_cases = {
+        "eta1": ({"mu0": 1, "mu1": 1}, lambda n: eta_series(n + 1)),
         # the Borcherds constant is sqrt(2); both sides are compared with it
         # divided out, which leaves exact rational series
-        f = constant_vvform({"mu0": 1, "mu2": 1}, cutoff=order)
-        prod = product_expansion_level2(f, 1, n1, n2)
-        e2 = eta_series(2 * max(n1, n2) + 2).subst_power(2)
-        return prod.compare(bi_product(e2, e2, n1, n2))
-    if case == "f2":
+        "eta2": ({"mu0": 1, "mu2": 1},
+                 lambda n: eta_series(2 * n + 2).subst_power(2)),
         # identity: sqrt(2) * product = (1/sqrt(2)) f2(z1) f2(z2), i.e.
         # product = (eta(2 z1)/eta(z1)) (eta(2 z2)/eta(z2))
-        f = constant_vvform({"mu1": -1, "mu2": 1}, cutoff=order)
-        prod = product_expansion_level2(f, 1, n1, n2)
-        eq = eta_quotient_2_series(max(n1, n2) + 1)
-        return prod.compare(bi_product(eq, eq, n1, n2))
-    raise ValueError(f"unknown case {case!r}")
+        "f2": ({"mu1": -1, "mu2": 1}, lambda n: eta_quotient_2_series(n + 1)),
+    }
+    if case not in constant_cases:
+        raise ValueError(f"unknown case {case!r}")
+    values, target = constant_cases[case]
+    order = 1 + max(0, n1 - 1) * (n1 + n2 - 2)
+    prod = product_expansion_level2(constant_vvform(values, cutoff=order), 1,
+                                    n1, n2)
+    s = target(max(n1, n2))
+    return prod.compare(bi_product(s, s, n1, n2))

@@ -10,10 +10,11 @@ import pytest
 from cmfactor.borcherds import (WeylVector, weyl_vector, BiQSeries,
                                 product_expansion_level2, product_expansion_j,
                                 bi_difference, bi_product, _expand_product)
-from cmfactor.discform import build_weber_f, restrict_to_M, constant_vvform
+from cmfactor.discform import (VVForm, build_weber_f, restrict_to_M,
+                               constant_vvform)
 from cmfactor.series import (FracQSeries, j_series, omega2_series,
                              eta_series, eta_quotient_2_series)
-from cmfactor import discform, series
+from cmfactor import borcherds, discform, series
 from cmfactor.verify import borcherds_verify
 
 CASES = ("weber", "j", "eta1", "eta2", "f2")
@@ -115,12 +116,12 @@ def test_bi_product_region_checks():
 
 
 def test_compare_reports_mismatches():
-    a = BiQSeries({(Fraction(0), Fraction(0)): Fraction(1)}, 2, 2)
-    b = BiQSeries({(Fraction(0), Fraction(0)): Fraction(2),
-                   (Fraction(5), Fraction(0)): Fraction(9)}, 9, 9)
+    a = BiQSeries({(Fraction(0), Fraction(0)): 1}, 2, 2)
+    b = BiQSeries({(Fraction(0), Fraction(0)): 2,
+                   (Fraction(5), Fraction(0)): 9}, 9, 9)
     ok, bad = a.compare(b)
     assert not ok
-    assert bad == [((Fraction(0), Fraction(0)), Fraction(1), Fraction(2))]
+    assert bad == [((Fraction(0), Fraction(0)), 1, 2)]
 
 
 def _naive_expand(exponents, rho, C, N1, N2):
@@ -224,7 +225,47 @@ def test_input_form_order_is_the_smallest(monkeypatch, case, module, name,
 def test_product_exponents_are_checked():
     f_M = j_series(40) - 744
     with pytest.raises(ArithmeticError, match="deeper"):
-        product_expansion_j(f_M + FracQSeries.monomial(-2, 1, 41), 2, 2)
+        product_expansion_j(f_M + FracQSeries(1, {-2: 1}, 41), 2, 2)
     # a half-integer exponent is refused when its series is built
     with pytest.raises(ValueError, match="integers"):
-        FracQSeries.monomial(3, Fraction(1, 2), 41)
+        FracQSeries(1, {3: Fraction(1, 2)}, 41)
+
+
+CONSTANT_FORMS = ({"mu0": 1, "mu1": 1}, {"mu0": 1, "mu2": 1},
+                  {"mu1": -1, "mu2": 1})
+
+
+def test_coefficients_are_ints_and_weyl_vectors_fractions(monkeypatch):
+    # every value of both boxes that borcherds_verify compares is an int
+    compared = []
+    compare = BiQSeries.compare
+
+    def recording(self, other):
+        compared.extend((self, other))
+        return compare(self, other)
+
+    monkeypatch.setattr(borcherds.BiQSeries, "compare", recording)
+    for case in CASES:
+        compared.clear()
+        assert borcherds_verify(case, 4, 4) == (True, [])
+        assert len(compared) == 2 and all(b.coeffs for b in compared)
+        for box in compared:
+            assert all(type(c) is int for c in box.coeffs.values()), case
+    # the one-variable accessors give int coefficients, Fraction exponents
+    for s in [*build_weber_f(4).components.values(), j_series(6)]:
+        assert s.terms()
+        for e, c in s.terms():
+            assert type(e) is Fraction and type(c) is int
+            assert type(s.coeff(e)) is int
+        assert type(s.coeff(Fraction(-7, 3))) is int
+    # a restriction with fractional exponents is refused
+    half = FracQSeries(2, {1: 1}, 4)
+    f = VVForm(components={"mu0": half, "mu2": FracQSeries.constant(0, 4)})
+    with pytest.raises(ArithmeticError, match="fractional exponents"):
+        restrict_to_M(f)
+    # Weyl vectors are exact rationals, never floats
+    forms = [restrict_to_M(build_weber_f(4)), j_series(6) - 744]
+    forms += [restrict_to_M(constant_vvform(v)) for v in CONSTANT_FORMS]
+    for f_M in forms:
+        rho = weyl_vector(f_M)
+        assert type(rho.rl) is Fraction and type(rho.rlp) is Fraction
