@@ -25,9 +25,9 @@ there is exactly the conjugate.  So an orbit is named by its form with
 b >= 0 and weighs 2 iff 0 < b < a < c, when (a, -b, c) is reduced too;
 any other form is self-conjugate, with a real value.
 
-The precision policy: a computation with CM values starts at auto_prec, an
-a-priori bound on the bits of what it must round to integers from a height
-per form of each class-value function, runs at that precision plus
+The precision policy: a computation with CM values starts at auto_prec, 64
+bits above an a-priori bound on the bits of what it must round to integers
+from a derived height per form (form_height), runs at that precision plus
 GUARD_BITS (the evaluators, the CM points they are given and every product
 of their values alike), and doubles the precision at most MAX_RETRIES
 times (precisions) while a value fails to round within 2^-TOL_BITS.
@@ -43,7 +43,7 @@ differ between a cold and a warm table within one process.
 """
 
 from itertools import product
-from math import ceil, log, pi, sqrt
+from math import ceil, log, log2, pi, sqrt
 
 import mpmath
 
@@ -176,34 +176,43 @@ def omega2_value(form, tau, prec):
     return 4096 / eval_omega2(tau / 2 if c % 2 else (tau + 1) / 2, prec)
 
 
+def form_height(value, d, a):
+    """The height H of the form (a, b, c) of d for value (j_value or
+    omega2_value): a bound on log2(2|v|) and on log2(1 + |v|) for its class
+    value v.  |q| = 2^-h at the CM point, h = pi sqrt|d| / (a log 2) > 7.8
+    (Enge, Math. Comp. 2009):
+    - j = q^-1 + sum_{n >= 0} c(n) q^n, sum |c(n)| e^(-pi sqrt 3 n) < 2079
+      (2078.8 to n = 39, the rest < 2^-200): H = h + 1 + log2(1 + 2079 2^-h).
+    - omega2 = 4096 q prod (1 + q^n)^24 at the odd-norm point.  Odd a:
+      |omega2| <= 4096 2^-h prod (1 + e^(-pi sqrt 3 n))^24 < 4096 * 1.11 *
+      2^-h and log2(2 * 4096 * 1.11) < 13.2, so H = max(1, 13.2 - h), the 1
+      for |v| < 1.  Even a: 1 / (q' prod (1 + q'^n)^24), |q'| = 2^(-h/2) <=
+      e^(-pi sqrt 3 / 2), so 1 < |omega2| <= 2^(h/2) / prod (1 -
+      e^(-pi sqrt 3 n / 2))^24 < 5.74 * 2^(h/2): H = h/2 + 3.6."""
+    h = pi * sqrt(-d) / (a * log(2))
+    if value is not omega2_value:
+        return h + 1 + log2(1 + 2079 * 2 ** -h)
+    return max(1, 13.2 - h) if a % 2 else h / 2 + 3.6
+
+
 def auto_prec(*discs, value=j_value):
     """Working precision in bits for the values of value (j_value or
-    omega2_value) at the points of one or two discriminants:
-    64 + ceil(1.2 S), where S sums, over every tuple of one reduced form per
-    discriminant, the largest height in the tuple.
+    omega2_value) at the points of one or two discriminants: 64 + ceil(S),
+    where S sums, over every tuple of one reduced form per discriminant,
+    the largest form_height in the tuple.
 
-    The height h of a form bounds the bits of twice its class value v, up
-    to what the factor 1.2 and the 64 bits absorb.  So for one discriminant
-    S bounds the coefficients of prod_Q (X - v_Q), at most prod (1 + |v_Q|),
-    and for two it bounds prod (v1 - v2), as |v1 - v2| <= 2 max(|v1|, |v2|);
-    with every h > 0 it covers both integer polynomials too.  At the form
-    (a, b, c) of d, sqrt|d| / a >= sqrt 3:
-    - j: h = pi sqrt|d| / (a log 2), the bits of |j| ~ |q|^-1 at the CM
-      point (Enge, Math. Comp. 2009); h > 7.8, so 1.2 h covers the factor 2
-      and the O(1) in |j| = |q|^-1 + O(1).
-    - omega2 = 4096 q prod (1 + q^n)^24 at the odd-norm point
-      (omega2_value).  Odd a: at tau, |q| <= e^(-pi sqrt 3), so |omega2| <=
-      4096 e^(-pi sqrt 3) prod (1 + e^(-pi sqrt 3 n))^24 < 19.7 < 2^4.4.
-      Even a: 1 / (q' prod (1 + q'^n)^24) at tau' = tau/2 or (tau + 1)/2,
-      |q'| = e^(-pi sqrt|d| / 2a) <= e^(-pi sqrt 3 / 2), so |omega2| <=
-      |q'|^-1 / prod (1 - e^(-pi sqrt 3 n / 2))^24 < 5.74 |q'|^-1.  With
-      the bit of 2|v|: h = 5.4 at odd a, pi sqrt|d| / (2a log 2) + 3.6 else.
-    """
-    omega2 = value is omega2_value
-    heights = [[(5.4 if a % 2 else pi * sqrt(-d) / (2 * a * log(2)) + 3.6)
-                if omega2 else pi * sqrt(-d) / (a * log(2))
-                for a, _, _ in reduced_forms(d)] for d in discs]
-    return 64 + ceil(1.2 * sum(map(max, product(*heights))))
+    So S bounds the bits of prod (v1 - v2), as |v1 - v2| <= 2 max(|v1|,
+    |v2|), and of the coefficients of each prod_Q (X - v_Q), at most
+    prod (1 + |v_Q|).  The 64 bits: from the kernel's relative 2^-(prec+8)
+    on s, omega2 is off by 2^-(prec+8) |v| and j = (1 + 256 s)^3 / s by
+    2^-(prec+8) (|v| + 768 |1 + 256 s|^2) < 2^-(prec+8) (|v| + 3900), both
+    below 2^(H - prec - 6); so v1 - v2 is off by twice that at the larger
+    H, and as the other factors have S - H bits, the product of h1 h2
+    factors by 2 h1 h2 2^(S - prec - 6) < 2^-TOL_BITS for any h1 h2 < 2^37,
+    with TOL_BITS to spare above its S bits."""
+    heights = [[form_height(value, d, a) for a, _, _ in reduced_forms(d)]
+               for d in discs]
+    return 64 + ceil(sum(map(max, product(*heights))))
 
 
 def cm_values(value, d, prec):
@@ -264,12 +273,13 @@ def integer_polynomial(values):
 def class_values(value, d, prec):
     """The class values of d, one (value, weight) pair per conjugate orbit
     (cm_values), and their integer polynomial (integer_polynomial, None
-    while it does not round), from the table entry of (value, d).  A request at or below the entry's precision reads
-    its values, which meet the kernel's 2^-(prec+8) bound at any lower prec
-    too; one above it recomputes and replaces them, and expands the
-    polynomial, which is exact, only while the entry has none.  TABLE_SIZE
-    entries hold every fundamental |d| <= 600 of both functions (184 of j,
-    63 of omega2); the oldest is dropped when the table is full."""
+    while it does not round), from the table entry of (value, d).
+    A request at or below the entry's precision reads its values, which
+    meet the kernel's 2^-(prec+8) bound at any lower prec too; one above it
+    recomputes and replaces them, and expands the polynomial, which is
+    exact, only while the entry has none.  TABLE_SIZE entries hold every
+    fundamental |d| <= 600 of both functions (184 of j, 63 of omega2); the
+    oldest is dropped when the table is full."""
     if prec < 1:
         raise ValueError(f"working precision {prec} must be at least 1 bit")
     key = value, d

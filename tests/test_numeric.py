@@ -9,9 +9,10 @@ from cmfactor import numeric
 from cmfactor.classgroup import heegner_point, reduced_forms
 from cmfactor.numeric import (eval_j, eval_omega2, recognize_integer,
                               class_polynomial, auto_prec, cm_values,
-                              integer_polynomial, j_value, omega2_value,
-                              GUARD_BITS, TOL_BITS)
+                              form_height, integer_polynomial, j_value,
+                              omega2_value, GUARD_BITS, TOL_BITS)
 from cmfactor.quadarith import is_fundamental_discriminant
+from cmfactor.series import j_series
 
 
 def test_j_at_i_is_1728():
@@ -142,7 +143,7 @@ def test_class_polynomials():
 @pytest.mark.parametrize("d", [-15, -23, -71, -311])
 def test_auto_prec_covers_the_class_polynomial(d):
     # the bound of one discriminant is on the coefficients of its class
-    # polynomial; -311 (h = 19) gets 543 bits for a 397-bit coefficient
+    # polynomial; -311 (h = 19) gets 493 bits for a 397-bit coefficient
     coeffs = class_polynomial(d)
     assert auto_prec(d) >= max(abs(c) for c in coeffs).bit_length()
 
@@ -162,6 +163,33 @@ def test_omega2_bound_covers_its_class_polynomial():
         bits = max(abs(c) for c in polys[0]).bit_length()
         assert auto_prec(d, value=omega2_value) >= bits + TOL_BITS, d
     assert len(discs) == 42
+
+
+def test_form_heights_bound_every_class_value():
+    # |j - q^-1| <= sum_{n >= 0} |c(n)| e^(-pi sqrt 3 n) < 2079 where
+    # Im tau >= sqrt(3)/2; c(n) < e^(4 pi sqrt n), so from n = 40 on the
+    # terms are below 2^-200
+    x = mpmath.exp(-mpmath.pi * mpmath.sqrt(3))
+    assert sum(abs(c) * x ** int(e) for e, c in j_series(39).terms()
+               if e >= 0) < 2079
+    # both bounds of the height at every reduced form of every fundamental
+    # |d| <= 1000, for j and, at d = 1 mod 8, for omega2; at a = b = 1,
+    # log2(2|j|) = h + 1 - O(2^-h) meets the j height within the rounding
+    # of the float h, hence the relative 2^-40
+    discs = [d for d in range(-3, -1001, -1) if is_fundamental_discriminant(d)]
+    checked = 0
+    for d in discs:
+        values = (j_value, omega2_value) if d % 8 == 1 else (j_value,)
+        with mpmath.workprec(64 + GUARD_BITS):
+            for form in reduced_forms(d):
+                tau = heegner_point(form, d)
+                for value in values:
+                    v = abs(value(form, tau, 64))
+                    height = form_height(value, d, form[0]) * (1 + 2 ** -40)
+                    assert mpmath.log(2 * v, 2) <= height, (d, form, value)
+                    assert mpmath.log(1 + v, 2) <= height, (d, form, value)
+                    checked += 1
+    assert (len(discs), checked) == (305, 4528)
 
 
 def odd_norm_points(d):

@@ -77,6 +77,20 @@ def test_omega2_bound_covers_a_sample_of_yz_pairs():
         assert r.prec >= abs(r.product_integer).bit_length() + TOL_BITS
 
 
+def test_j_bound_covers_a_sample_of_gz_pairs():
+    # a seeded sample of the coprime pairs of fundamental |d| <= 300, each
+    # exact at the j bound with TOL_BITS to spare
+    discs = [d for d in range(-3, -301, -1) if is_fundamental_discriminant(d)]
+    pairs = [(d1, d2) for i, d1 in enumerate(discs) for d2 in discs[i + 1:]
+             if gcd(d1, d2) == 1]
+    assert len(pairs) == 3413
+    for d1, d2 in random.Random("gz-bound").sample(pairs, 24):
+        r = gz_verify(d1, d2)
+        assert r.ok() and r.notes == [], (d1, d2, r.notes)
+        assert r.prec == auto_prec(d1, d2)
+        assert r.prec >= abs(r.product_integer).bit_length() + TOL_BITS
+
+
 @pytest.mark.parametrize("value,d1,d2", [
     (j_value, -4, -3), (j_value, -3, -4), (j_value, -15, -4),
     (j_value, -71, -84), (j_value, -84, -71), (j_value, -119, -15),
