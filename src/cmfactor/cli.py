@@ -86,7 +86,6 @@ def main(argv=None):
         p = sub.add_parser(name)
         p.add_argument("--d1", type=int, required=True)
         p.add_argument("--d2", type=int, required=True)
-        p.add_argument("--prec", type=int, default=None)
         p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("borcherds-check")
@@ -101,7 +100,6 @@ def main(argv=None):
 
     p = sub.add_parser("class-poly")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--prec", type=int, default=None)
 
     p = sub.add_parser("whittaker")
     p.add_argument("--a", type=int, required=True, choices=[0, 1])
@@ -112,7 +110,7 @@ def main(argv=None):
     try:
         if args.cmd in ("gz", "yz"):
             fn = gz_verify if args.cmd == "gz" else yz_verify
-            report = fn(args.d1, args.d2, prec=args.prec)
+            report = fn(args.d1, args.d2)
             return _emit_report(report, args.json)
 
         if args.cmd == "borcherds-check":
@@ -144,7 +142,7 @@ def main(argv=None):
             return EXIT_OK
 
         if args.cmd == "class-poly":
-            coeffs = numeric.class_polynomial(args.d, args.prec)
+            coeffs = numeric.class_polynomial(args.d)
             deg = len(coeffs) - 1
             body = " + ".join(f"{c}*X^{deg - i}" if deg - i else str(c)
                               for i, c in enumerate(coeffs) if c)

@@ -37,9 +37,10 @@ discriminant (class_values), keyed by (class-value function, d): the values
 at the highest precision computed so far, read at any lower precision and
 recomputed only for more bits (a higher auto_prec, a retry), and their
 integer polynomial prod (X - v), kept once it rounds.  It holds TABLE_SIZE
-entries and drops the oldest when full.  What rounds does not depend on its
-state, but digits below the working precision (of a log residual, say) can
-differ between a cold and a warm table within one process.
+entries and drops the oldest when full.  Values read from it may carry more
+bits than asked for: what rounds does not depend on its state, but digits
+below the working precision (of a log of CM values or a log residual, say)
+can differ between a cold and a warm table within one process.
 """
 
 from itertools import product
@@ -296,16 +297,15 @@ def class_values(value, d, prec):
     return entry[1], entry[2]
 
 
-def class_polynomial(d, prec=None):
+def class_polynomial(d):
     """Hilbert class polynomial of the imaginary quadratic order of
     discriminant d, as a list of integer coefficients, leading first.
 
-    The polynomial of the j entry of d (class_values), starting at
-    auto_prec(d) bits; the precision is doubled (up to MAX_RETRIES times,
-    precisions) until every coefficient rounds to an integer with residual
-    below 2^-TOL_BITS.
+    The polynomial of the j entry of d (class_values), at auto_prec(d) bits
+    doubled (up to MAX_RETRIES times, precisions) until every coefficient
+    rounds to an integer with residual below 2^-TOL_BITS.
     """
-    for prec in precisions(auto_prec(d) if prec is None else prec):
+    for prec in precisions(auto_prec(d)):
         poly = class_values(j_value, d, prec)[1]
         if poly is not None:
             return list(poly)

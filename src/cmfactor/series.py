@@ -126,8 +126,6 @@ class FracQSeries:
                 out[i] += c
         return self.dense(den, off, out)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return self.dense(self.den, self.off, [-c for c in self.a])
 
@@ -135,9 +133,6 @@ class FracQSeries:
         if not isinstance(other, FracQSeries):
             other = FracQSeries.constant(other, self.cutoff)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, FracQSeries):

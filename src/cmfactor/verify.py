@@ -8,19 +8,17 @@ both discriminants, and runs the same checks for both, the resultant oracle
 among them.  A formula only chooses the evaluator of a class value
 (numeric.j_value or numeric.omega2_value) and the scale of the arithmetic
 side.  The precision follows numeric's one policy: numeric.auto_prec of the
-evaluator unless the caller gives prec, every CM point, pair product and
-log at numeric.GUARD_BITS above it, and the doublings of numeric.precisions.
+evaluator, every CM point, pair product and log at numeric.GUARD_BITS above
+it, and the doublings of numeric.precisions.
 
 The class values and class polynomials of each discriminant come from
 numeric's per-discriminant table (numeric.class_values), so a discriminant
 shared by several pairs is evaluated again only for a pair that needs more
-bits than the table holds, and its polynomial is expanded once.  Values
-read from the table may carry more bits than the pair's precision: the
-exact fields of a report (status, prec, product, factorizations, matches,
-notes) do not depend on the table's state, but the digits of lhs_log and
-residual below the working precision can differ between a cold and a warm
-table within one process.  The CLI verifies one pair per process, so its
-output does not depend on it.
+bits than the table holds, and its polynomial is expanded once.  The exact
+fields of a report (status, prec, product, factorizations, matches, notes)
+do not depend on the table's state; for the low digits of lhs_log and
+residual, see the numeric module.  The CLI verifies one pair per process,
+so its output does not depend on it.
 """
 
 from dataclasses import dataclass, field
@@ -114,13 +112,12 @@ def _pair_product(vals1, vals2):
     return product
 
 
-def _verify(kind, d1, d2, prec, value, scale, rhs):
+def _verify(kind, d1, d2, value, scale, rhs):
     """The driver: class values and class polynomials of d1 and of d2 from
     numeric's table (numeric.class_values), the pair product of the values
     recognized as an integer N, the factor check against rhs at the given
     scale, the resultant oracle and the log residual."""
-    if prec is None:
-        prec = numeric.auto_prec(d1, d2, value=value)
+    prec = numeric.auto_prec(d1, d2, value=value)
     report = VerificationReport(kind=kind, d1=d1, d2=d2, prec=prec,
                                 status="precision",
                                 rhs_exponents=rhs.exponents())
@@ -152,6 +149,10 @@ def _verify(kind, d1, d2, prec, value, scale, rhs):
                           * mpmath.log(abs(product)))
         report.rhs_log = rhs.value(prec + numeric.GUARD_BITS)
         report.residual = abs(report.lhs_log - report.rhs_log)
+    # once N rounds within 2^-TOL_BITS and factor_match holds, the residual
+    # is below about scale 2^-TOL_BITS / |N|: the gate can fail only for
+    # |N| below about scale 2^(prec//4 - TOL_BITS), a precision with slack
+    # over |N|; hence the gate's test forces 400 bits on gz(-3, -4)
     tight = report.residual < mpmath.mpf(2) ** (-(prec // 4))
     if not tight:
         report.notes.append(f"residual {mpmath.nstr(report.residual, 3)} "
@@ -161,19 +162,19 @@ def _verify(kind, d1, d2, prec, value, scale, rhs):
     return report
 
 
-def gz_verify(d1, d2, prec=None):
+def gz_verify(d1, d2):
     """Verify the singular moduli factorization for coprime fundamental
     discriminants d1, d2."""
     rhs = gz_rhs(d1, d2)
     scale = Fraction(8, units_w(d1) * units_w(d2))
-    return _verify("gz", d1, d2, prec, numeric.j_value, scale, rhs)
+    return _verify("gz", d1, d2, numeric.j_value, scale, rhs)
 
 
-def yz_verify(d1, d2, prec=None):
+def yz_verify(d1, d2):
     """Verify the level-2 Hauptmodul factorization for distinct coprime
     fundamental discriminants d1 = d2 = 1 mod 8.  The arithmetic side
     computes log |prod|^2, hence the scale 2."""
-    return _verify("yz", d1, d2, prec, numeric.omega2_value, Fraction(2),
+    return _verify("yz", d1, d2, numeric.omega2_value, Fraction(2),
                    yz_rhs(d1, d2))
 
 

@@ -68,9 +68,12 @@ def test_exact_fields_do_not_depend_on_the_table(monkeypatch):
     assert len(set(warm_calls)) == len(warm_calls)
 
 
-def test_a_shared_discriminant_is_evaluated_once_per_precision(monkeypatch):
+def test_a_shared_discriminant_is_evaluated_once_per_precision(monkeypatch,
+                                                               force_prec):
     # one evaluation per conjugate pair of forms: 1 for -7 (h = 1), 2 for
     # -15 (h = 2, both forms self-conjugate), 2 for -23 (h = 3)
+    for bits, d1, d2 in [(300, -7, -15), (200, -7, -23), (400, -15, -23)]:
+        force_prec(bits, d1, d2)
     seen = kernel_calls(monkeypatch)
     expansions = []     # the class polynomials, as they are expanded
     expand = numeric.integer_polynomial
@@ -78,27 +81,28 @@ def test_a_shared_discriminant_is_evaluated_once_per_precision(monkeypatch):
                         expansions.append(expand(values)) or expansions[-1])
     H = {-7: (1, 3375), -15: (1, 191025, -121287375),
          -23: (1, 3491750, -5151296875, 12771880859375)}
-    assert gz_verify(-7, -15, prec=300).ok()
+    assert gz_verify(-7, -15).ok()
     assert seen == [300] * 3 and expansions == [H[-7], H[-15]]
     seen.clear()
     # -7 is read at 300 bits
-    assert gz_verify(-7, -23, prec=200).ok()
+    assert gz_verify(-7, -23).ok()
     assert seen == [200] * 2 and expansions == [H[-7], H[-15], H[-23]]
     seen.clear()
     # both need more bits; their polynomials are kept
-    assert gz_verify(-15, -23, prec=400).ok()
+    assert gz_verify(-15, -23).ok()
     assert seen == [400] * 4 and expansions == [H[-7], H[-15], H[-23]]
     seen.clear()
     # class-poly reads the same j entry
     assert class_polynomial(-23) == [1, 3491750, -5151296875, 12771880859375]
     assert seen == []
     # omega2 has entries of its own
-    assert yz_verify(-7, -15, prec=300).ok()
+    assert yz_verify(-7, -15).ok()
     assert seen == [300] * 3
     assert {key[0] for key in numeric._table} == {j_value, omega2_value}
 
 
-def test_a_forced_retry_recomputes_at_the_doubled_precision(monkeypatch):
+def test_a_forced_retry_recomputes_at_the_doubled_precision(monkeypatch,
+                                                            force_prec):
     # j values off by a relative 2^-20 at 200 bits round neither the product
     # nor the class polynomial of -15; the retry evaluates both
     # discriminants again at 400 bits and replaces their entries
@@ -111,7 +115,8 @@ def test_a_forced_retry_recomputes_at_the_doubled_precision(monkeypatch):
         return v * (1 + mpmath.mpf(2) ** -20) if prec == 200 else v
 
     monkeypatch.setattr(numeric, "eval_j", noisy)
-    r = gz_verify(-7, -15, prec=200)
+    force_prec(200, -7, -15)
+    r = gz_verify(-7, -15)
     assert r.ok() and r.prec == 400 and r.notes == ["retry at 400 bits"]
     assert r.product_integer == -3 ** 6 * 5 ** 3 * 7 ** 2 * 13 ** 2
     assert seen == [200] * 3 + [400] * 3
@@ -144,10 +149,7 @@ def test_a_warm_table_still_rejects_nonpositive_precision(prec):
     assert gz_verify(-3, -4).ok() and yz_verify(-7, -15).ok()
     assert class_polynomial(-15) == [1, 191025, -121287375]
     for call in (lambda: cm_values(j_value, -15, prec),
-                 lambda: class_values(j_value, -15, prec),
-                 lambda: class_polynomial(-15, prec),
-                 lambda: gz_verify(-3, -4, prec=prec),
-                 lambda: yz_verify(-7, -15, prec=prec)):
+                 lambda: class_values(j_value, -15, prec)):
         with pytest.raises(ValueError, match="must be at least 1 bit"):
             call()
 

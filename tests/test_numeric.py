@@ -138,6 +138,11 @@ def test_class_polynomials():
     assert class_polynomial(-4) == [1, -1728]
     assert class_polynomial(-15) == [1, 191025, -121287375]
     assert class_polynomial(-23) == [1, 3491750, -5151296875, 12771880859375]
+    # non-maximal orders (Cox, Primes of the form x^2 + ny^2, section 12)
+    assert class_polynomial(-12) == [1, -54000]
+    assert class_polynomial(-16) == [1, -287496]
+    assert class_polynomial(-27) == [1, 12288000]
+    assert class_polynomial(-28) == [1, -16581375]
 
 
 @pytest.mark.parametrize("d", [-15, -23, -71, -311])

@@ -178,15 +178,17 @@ def test_gz_verify_rejects_bad_inputs():
 
 @pytest.mark.parametrize("kind,fn,d1,d2,n", [("gz", gz_verify, -3, -4, 1728),
                                               ("yz", yz_verify, -7, -15, -45)])
-def test_residual_gate_catches_perturbed_cm_values(monkeypatch, kind, fn,
-                                                   d1, d2, n):
+def test_residual_gate_catches_perturbed_cm_values(monkeypatch, force_prec,
+                                                   kind, fn, d1, d2, n):
     # CM values off by a relative 2^-60 still round to the right product and
-    # factor exactly; only the residual of the analytic product sees them
+    # factor exactly; only the residual of the analytic product sees them,
+    # and only at a precision with slack over |N|: 400 bits
+    force_prec(400, d1, d2)
     for name in ("eval_j", "eval_omega2"):
         exact = getattr(numeric, name)
         monkeypatch.setattr(numeric, name, lambda tau, prec, f=exact:
                             f(tau, prec) * (1 + mpmath.mpf(2) ** -60))
-    r = fn(d1, d2, prec=400)
+    r = fn(d1, d2)
     assert r.product_integer == n
     assert r.factor_match and r.resultant_match
     assert r.status == "mismatch"
@@ -194,26 +196,29 @@ def test_residual_gate_catches_perturbed_cm_values(monkeypatch, kind, fn,
     # 2.89e-19 for gz, 7.55e-20 for yz: 2^12 / omega2 flips the sign of the
     # perturbation at the classes whose a is even
     assert re.fullmatch(r"residual \S+e-(19|20) above 2\^-100", r.notes[0])
-    argv = [kind, "--d1", str(d1), "--d2", str(d2), "--prec", "400"]
+    argv = [kind, "--d1", str(d1), "--d2", str(d2)]
     with redirect_stdout(io.StringIO()):
         assert main(argv) == EXIT_MISMATCH
 
 
-@pytest.mark.parametrize("prec", [0, -7])
-def test_nonpositive_precision_is_rejected(capsys, prec):
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("prec", [1, 0, -7])
+def test_a_precision_option_is_a_usage_error(capsys, prec):
+    # the working precision comes only from auto_prec
+    with pytest.raises(TypeError):
         gz_verify(-3, -4, prec=prec)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         yz_verify(-7, -15, prec=prec)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         numeric.class_polynomial(-15, prec)
     for argv in (["gz", "--d1", "-3", "--d2", "-4"],
                  ["yz", "--d1", "-7", "--d2", "-15"],
                  ["class-poly", "--d", "-15"]):
-        assert main(argv + ["--prec", str(prec)]) == EXIT_HYPOTHESIS
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--prec", str(prec)])
+        assert exc.value.code == EXIT_USAGE
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err.count("must be at least 1 bit") == 3
+    assert out.err.count("unrecognized arguments: --prec") == 3
 
 
 # the six pairs of criterion 4, and two pairs of class numbers (7, 5) and
