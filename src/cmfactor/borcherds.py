@@ -67,11 +67,13 @@ class BiQSeries:
 
 
 def _exponents(s, lo, hi):
-    """The q^lo .. q^hi coefficients of s, read from its int list; each
-    must vanish below q^-1 and lie below the cutoff."""
-    start = lo * s.den - s.off
+    """The q^lo .. q^hi coefficients of s, an integer-exponent series, read
+    from its int list; each must vanish below q^-1 and lie below the cutoff."""
+    if s.off.denominator != 1:
+        raise ArithmeticError("product exponents at fractional powers of q")
+    start = lo - s.off
     ex = [s.a[i] if i >= 0 else 0
-          for i in range(start, len(s.a), s.den)[:hi - lo + 1]]
+          for i in range(start, len(s.a))[:hi - lo + 1]]
     if any(ex[:max(0, -1 - lo)]):
         raise ArithmeticError("principal part deeper than q^-1")
     if len(ex) <= hi - lo:
@@ -114,9 +116,9 @@ def _expand_product(minus, plus, rho, C, N1, N2):
             n, sign = N // k, 1 if k % 2 else -1
             for m in range(-1, (T - 1) // k + 1):
                 d[N + m * k] += n * (sign * b[K1 + n * m] - a[K1 + n * m])
-        D.append(FracQSeries.dense(1, -N, d))
+        D.append(FracQSeries.dense(-N, d))
         s = sum((D[k] * F[N - k] for k in range(2, N + 1)), D[1] * F[N - 1])
-        F.append(FracQSeries.dense(1, s.off, [c // N for c in s.a]))
+        F.append(FracQSeries.dense(s.off, [c // N for c in s.a]))
     s1, s2 = rho.rlp, -rho.rl
     for N, row in enumerate(F):
         for e2, c in row.truncate(K2 + 1).terms():

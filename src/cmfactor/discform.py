@@ -112,8 +112,9 @@ def weil_matrix(g):
 class VVForm:
     """A vector-valued q-expansion with one FracQSeries per coset.
 
-    Exponents in component mu are congruent to Q(mu) mod 1 for honest forms;
-    that is checked where it matters (`restrict_to_M`), not on construction.
+    The exponents of component mu lie in Q(mu) + Z, the class that its
+    offset carries mod 1; the class is checked where it matters
+    (`restrict_to_M`), not on construction.
     """
     components: dict
 
@@ -138,27 +139,26 @@ def build_weber_f(order):
     and symmetrized over the cosets:
       f_mu0 = g + even(g|S), f_mu1 = -12 + even(g|S),
       f_mu2 = 12 + even(g|S), f_mu3 = odd(g|S).
-    Components are exact through q^order: their cutoff is q^(order+1).
+    Components are exact through q^order: the cutoff of mu0..mu2 is
+    q^(order+1), and that of mu3 its next exponent q^(order+3/2).
     """
-    g = FracQSeries.dense(1, -1, prod_one_plus(order + 1, -24).a) + 12
+    g = FracQSeries.dense(-1, prod_one_plus(order + 1, -24).a) + 12
     # a[i] is the coefficient of x^(i+1) in g|S, i <= 2 order
     a = [4096 * c for c in prod_one_plus(2 * order, 24).a]
-    even = FracQSeries.dense(1, 0, [12] + a[1::2])
-    odd = [0] * len(a)
-    odd[::2] = a[::2]
+    even = FracQSeries.dense(0, [12] + a[1::2])
     comps = {
         "mu0": g + even,
         "mu1": even - 12,
         "mu2": even + 12,
-        "mu3": FracQSeries.dense(2, 1, odd),
+        "mu3": FracQSeries.dense(Fraction(1, 2), a[::2]),
     }
     return VVForm(components=comps)
 
 
 def restrict_to_M(f):
     """Restriction to the sublattice index-2 dual pair: the scalar form
-    f_mu0 + f_mu2, which must have exponent denominator 1."""
+    f_mu0 + f_mu2, whose exponents must be integers."""
     s = f.components["mu0"] + f.components["mu2"]
-    if s.den != 1:
+    if s.lo().denominator != 1:
         raise ArithmeticError("restriction has fractional exponents")
     return s

@@ -168,7 +168,7 @@ def test_integer_expansion_matches_fraction_reference():
         def exponents(k):
             return (ta[k + 1], tb[k + 1]) if k >= -1 else (0, 0)
 
-        minus, plus = (FracQSeries.dense(1, -1, t) for t in (ta, tb))
+        minus, plus = (FracQSeries.dense(-1, t) for t in (ta, tb))
         got = _expand_product(minus, plus, rho, C, N1, N2)
         want = BiQSeries(_naive_expand(exponents, rho, C, N1, N2), N1, N2)
         ok, bad = got.compare(want)
@@ -225,10 +225,14 @@ def test_input_form_order_is_the_smallest(monkeypatch, case, module, name,
 def test_product_exponents_are_checked():
     f_M = j_series(40) - 744
     with pytest.raises(ArithmeticError, match="deeper"):
-        product_expansion_j(f_M + FracQSeries(1, {-2: 1}, 41), 2, 2)
+        product_expansion_j(f_M + FracQSeries({-2: 1}, 41), 2, 2)
+    # q^-1/2 + 5 q^1/2 + 7 q^3/2 has no integer exponents to read
+    half = {Fraction(-1, 2): 1, Fraction(1, 2): 5, Fraction(3, 2): 7}
+    with pytest.raises(ArithmeticError, match="fractional"):
+        product_expansion_j(FracQSeries(half, 12), 2, 2)
     # a half-integer exponent is refused when its series is built
     with pytest.raises(ValueError, match="integers"):
-        FracQSeries(1, {3: Fraction(1, 2)}, 41)
+        FracQSeries({3: Fraction(1, 2)}, 41)
 
 
 CONSTANT_FORMS = ({"mu0": 1, "mu1": 1}, {"mu0": 1, "mu2": 1},
@@ -259,10 +263,15 @@ def test_coefficients_are_ints_and_weyl_vectors_fractions(monkeypatch):
             assert type(s.coeff(e)) is int
         assert type(s.coeff(Fraction(-7, 3))) is int
     # a restriction with fractional exponents is refused
-    half = FracQSeries(2, {1: 1}, 4)
+    half = FracQSeries({Fraction(1, 2): 1}, 4)
     f = VVForm(components={"mu0": half, "mu2": FracQSeries.constant(0, 4)})
     with pytest.raises(ArithmeticError, match="fractional exponents"):
         restrict_to_M(f)
+    # eta^24 = Delta has integer exponents, reached from the offset 1/24
+    f = VVForm(components={"mu0": eta_series(12) ** 24,
+                           "mu2": FracQSeries.constant(0, 5)})
+    delta = FracQSeries({1: 1, 2: -24, 3: 252, 4: -1472}, 5)
+    assert restrict_to_M(f).cutoff == 5 and restrict_to_M(f) == delta
     # Weyl vectors are exact rationals, never floats
     forms = [restrict_to_M(build_weber_f(4)), j_series(6) - 744]
     forms += [restrict_to_M(constant_vvform(v)) for v in CONSTANT_FORMS]

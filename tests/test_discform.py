@@ -195,3 +195,10 @@ def test_constant_vvform():
     assert f.coeff(0, "mu2") == 5
     assert f.coeff(0, "mu1") == 0
     assert f.coeff(3, "mu0") == 0
+
+
+def test_weber_mu3_is_stored_at_unit_steps():
+    # mu3 lives in q^(1/2) Z[[q]]: one int per exponent of that class
+    mu3 = build_weber_f(10).components["mu3"]
+    assert mu3.off == Fraction(1, 2) and len(mu3.a) == 11
+    assert mu3.cutoff == Fraction(23, 2)

@@ -39,7 +39,7 @@ def test_prod_one_plus_matches_naive_oracle():
             if k + n <= order:
                 new[k + n] = new.get(k + n, 0) + c
         coeffs = new
-    naive = FracQSeries(1, coeffs, order + 1)
+    naive = FracQSeries(coeffs, order + 1)
     for k in (1, 24, -24):
         got = prod_one_plus(order, k)
         assert got.cutoff == order + 1
@@ -94,7 +94,7 @@ def test_inverse_roundtrip():
     coeffs = {0: Fraction(1)}
     for k in range(1, 12):
         coeffs[k] = Fraction(random.randint(-9, 9))
-    s = FracQSeries(1, coeffs, 12)
+    s = FracQSeries(coeffs, 12)
     prod = s * s.inverse()
     assert prod.coeff(0) == 1
     for k in range(1, 10):
@@ -111,7 +111,7 @@ def test_negative_power_and_shift():
     s = euler_product(15)
     inv = s ** -2
     assert (inv * s * s).coeff(0) == 1
-    m = FracQSeries(1, {-1: 1}, 10)
+    m = FracQSeries({-1: 1}, 10)
     assert (m * s).lo() == -1
 
 
@@ -136,10 +136,10 @@ def test_coeff_beyond_cutoff_raises():
 
 def test_integer_coefficients_and_monic_powers_are_required():
     with pytest.raises(ValueError):
-        FracQSeries(1, {0: 1, 1: Fraction(1, 2)}, 3)
+        FracQSeries({0: 1, 1: Fraction(1, 2)}, 3)
     with pytest.raises(ValueError):
-        FracQSeries(3, {1: Fraction(5, 2)}, 2)
-    s = FracQSeries(1, {0: 2, 1: 1}, 4)
+        FracQSeries({Fraction(1, 3): Fraction(5, 2)}, 2)
+    s = FracQSeries({0: 2, 1: 1}, 4)
     for k in (-1, 2):
         with pytest.raises(ValueError):
             s ** k
@@ -155,14 +155,18 @@ def test_truncate_cannot_extend():
     assert t.cutoff == 3
 
 
-# q^(off/den) + c_1 q^((off+1)/den) + ... + O(q^((off+n)/den)) with
-# integer coefficients: monic, so that every power is defined
-int_series = st.builds(
-    lambda den, off, rest: FracQSeries(
-        den, {off + i: c for i, c in enumerate([1] + rest)},
-        Fraction(off + 1 + len(rest), den)),
-    st.integers(1, 3), st.integers(-3, 3),
-    st.lists(st.integers(-9, 9), max_size=10))
+# q^off + c_1 q^(off+1) + ... + O(q^(off+n)) with integer coefficients at
+# a rational offset: monic, so that every power is defined
+offsets = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+def _series(off, rest):
+    return FracQSeries({off + i: c for i, c in enumerate([1] + rest)},
+                       off + 1 + len(rest))
+
+
+rests = st.lists(st.integers(-9, 9), max_size=10)
+int_series = st.builds(_series, offsets, rests)
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -208,3 +212,50 @@ def test_power_of_a_power(s, a, b):
     p = (s ** a) ** b
     assert p.cutoff == _power_cutoff(s, a * b)
     assert p == s ** (a * b)
+
+
+@PROPERTY
+@given(offsets, st.integers(-3, 3), rests, rests, st.integers(1, 4))
+def test_subst_power_distributes(off, shift, rest1, rest2, r):
+    # s and t share the class of off, so their sum is defined
+    s, t = _series(off, rest1), _series(off + shift, rest2)
+    for f in (lambda x, y: x * y, lambda x, y: x + y):
+        want = f(s.subst_power(r), t.subst_power(r))
+        got = f(s, t).subst_power(r)
+        assert got.cutoff == want.cutoff
+        assert got == want
+    assert s.subst_power(r).lo() == r * s.lo()
+
+
+@PROPERTY
+@given(int_series, st.integers(2, 5), offsets)
+def test_sum_needs_one_class_or_a_zero_series(s, den, cut):
+    other = FracQSeries.dense(s.off + Fraction(1, den), [1])
+    with pytest.raises(ValueError, match="classes"):
+        s + other
+    with pytest.raises(ValueError, match="classes"):
+        other - s
+    zero = FracQSeries({}, cut)
+    want = s.truncate(min(s.cutoff, cut))
+    for got in (s + zero, zero + s, s - zero):
+        assert got.cutoff == want.cutoff
+        assert got.terms() == want.terms()
+
+
+@PROPERTY
+@given(int_series, st.integers(2, 5), st.integers(-3, 12))
+def test_coeff_off_the_class_is_zero(s, den, k):
+    e = s.lo() + k + Fraction(1, den)
+    if e < s.cutoff:
+        assert s.coeff(e) == 0 and type(s.coeff(e)) is int
+    assert all((x - s.lo()).denominator == 1 for x, _ in s.terms())
+
+
+def test_one_class_and_unit_steps():
+    with pytest.raises(ValueError, match="class"):
+        FracQSeries({0: 1, Fraction(1, 2): 1}, 3)
+    e = eta_series(10)
+    assert len(e.a) == 11 and e.off == Fraction(1, 24)
+    # offsets that are integers are stored as ints
+    assert type((e ** 24).off) is int and (e ** 24).off == 1
+    assert type(FracQSeries({Fraction(2): 1}, 3).off) is int
