@@ -42,11 +42,12 @@ def reduced_forms(d):
     return sorted(forms)
 
 
-def heegner_point(form, d):
+def heegner_point(form, d, root=None):
     """CM point (b + sqrt(d))/(2a) of the form (a, b, c), as an mpc at the
-    current working precision."""
+    current working precision.  root, when given, is sqrt(d) at that
+    precision, so the forms of one discriminant share one square root."""
     a, b, c = form
     if b * b - 4 * a * c != d:
         raise ValueError("form has wrong discriminant")
-    return (b + mpmath.sqrt(mpmath.mpf(d))) / (2 * a)
+    return (b + (mpmath.sqrt(d) if root is None else root)) / (2 * a)
 

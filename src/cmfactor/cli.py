@@ -15,7 +15,7 @@ import mpmath
 from .quadarith import EFCharacter, factor_principal_ideal, diff_set, rho
 from .arithside import check_gz_hypotheses, whittaker2_Ma
 from . import numeric
-from .verify import gz_verify, yz_verify, borcherds_verify
+from .verify import gz_verify, yz_verify, borcherds_verify, gate_prec
 
 EXIT_OK = 0
 EXIT_MISMATCH = 2
@@ -40,15 +40,16 @@ def _num_str(x, prec):
 
 
 def _report_json(r):
+    p_g = gate_prec(r.prec)
     return {
         "kind": r.kind,
         "d1": r.d1,
         "d2": r.d2,
         "prec": r.prec,
         "status": r.status,
-        "lhs_log": _num_str(r.lhs_log, r.prec) if r.lhs_log is not None else None,
-        "rhs_log": _num_str(r.rhs_log, r.prec) if r.rhs_log is not None else None,
-        "residual": _num_str(r.residual, r.prec) if r.residual is not None else None,
+        "lhs_log": _num_str(r.lhs_log, p_g) if r.lhs_log is not None else None,
+        "rhs_log": _num_str(r.rhs_log, p_g) if r.rhs_log is not None else None,
+        "residual": _num_str(r.residual, p_g) if r.residual is not None else None,
         "product_integer": str(r.product_integer) if r.product_integer is not None else None,
         "factorization": [{"p": p, "e": e} for p, e in sorted(r.factorization.items())],
         "rhs_exponents": [{"p": p, "e": str(e)} for p, e in sorted(r.rhs_exponents.items())],
@@ -68,7 +69,7 @@ def _emit_report(r, as_json):
             print(f"  product = {r.product_integer} = {'-' if r.product_integer < 0 else ''}{fact}")
             print(f"  arithmetic side exponents: "
                   + ", ".join(f"{p}:{e}" for p, e in sorted(r.rhs_exponents.items())))
-            print(f"  residual = {_num_str(r.residual, min(r.prec, 64))}")
+            print(f"  residual = {_num_str(r.residual, min(gate_prec(r.prec), 64))}")
     if r.status == "ok":
         return EXIT_OK
     if r.status == "precision":

@@ -27,20 +27,27 @@ any other form is self-conjugate, with a real value.
 
 The precision policy: a computation with CM values starts at auto_prec, 64
 bits above an a-priori bound on the bits of what it must round to integers
-from a derived height per form (form_height), runs at that precision plus
-GUARD_BITS (the evaluators, the CM points they are given and every product
-of their values alike), and doubles the precision at most MAX_RETRIES
-times (precisions) while a value fails to round within 2^-TOL_BITS.
+from a derived height per form (form_height), and doubles the precision at
+most MAX_RETRIES times (precisions) while a value fails to round within
+2^-TOL_BITS.  Each step runs at the precision its own result needs, plus
+GUARD_BITS: the evaluators and the CM points they are given (one square
+root of d per discriminant) at the computation's precision; every product
+of their values on complex fixed-point ints at scale 2^(prec + GUARD_BITS),
+like the kernel, with a bound of its own (the pair product in verify,
+integer_polynomial here); a class polynomial at the auto_prec of its own
+discriminant, whatever computation asked for it; and the log gate of the
+verification driver at the bits it tests (verify.gate_prec).
 
 One table serves every computation with the class values of a
 discriminant (class_values), keyed by (class-value function, d): the values
 at the highest precision computed so far, read at any lower precision and
 recomputed only for more bits (a higher auto_prec, a retry), and their
-integer polynomial prod (X - v), kept once it rounds.  It holds TABLE_SIZE
-entries and drops the oldest when full.  Values read from it may carry more
-bits than asked for: what rounds does not depend on its state, but digits
-below the working precision (of a log of CM values or a log residual, say)
-can differ between a cold and a warm table within one process.
+integer polynomial prod (X - v) (class_poly), kept once it rounds.  It holds
+TABLE_SIZE entries and drops the oldest when full.  Values read from it may
+carry more bits than asked for: what rounds does not depend on its state,
+but digits below the working precision (of a log of CM values or a log
+residual, say) can differ between a cold and a warm table within one
+process.
 """
 
 from itertools import product
@@ -55,7 +62,7 @@ TOL_BITS = 32
 MAX_RETRIES = 3
 TABLE_SIZE = 256
 
-_table = {}     # (value, d) -> (prec, class values, integer polynomial)
+_table = {}     # (value, d) -> [prec, class values, integer polynomial]
 
 
 def _to_mpc(tau):
@@ -69,6 +76,12 @@ def _series_order(tau, prec):
     """Number of q-powers needed so the tail is below 2^-(prec+16)."""
     y = float(mpmath.im(tau))
     return max(8, ceil((prec + 16) * log(2) / (2 * pi * y)) + 8)
+
+
+def _fixed(z, w):
+    """The complex fixed-point pair (re, im) of z at scale 2^w; each part
+    truncates, by less than a unit 2^-w."""
+    return int(mpmath.ldexp(z.real, w)), int(mpmath.ldexp(z.imag, w))
 
 
 def _mul(x, y, w):
@@ -135,8 +148,7 @@ def _eta_quotient(tau, prec):
     order = _series_order(tau, prec)
     q = mpmath.expjpi(2 * tau)
     w = prec + GUARD_BITS + 8
-    qf = int(mpmath.ldexp(q.real, w)), int(mpmath.ldexp(q.imag, w))
-    (c, d), (a, b) = _euler_products(qf, order, w)
+    (c, d), (a, b) = _euler_products(_fixed(q, w), order, w)
     n = c * c + d * d
     r = ((a * c + b * d) << w) // n, ((b * c - a * d) << w) // n
     e = max(0, w + 1 - max(map(abs, r)).bit_length())
@@ -222,9 +234,10 @@ def cm_values(value, d, prec):
     b >= 0, in the order of reduced_forms(d).  The weight is 2 iff
     0 < b < a < c, when (a, -b, c) is reduced too and its value is the
     conjugate; else 1, and the form is self-conjugate (b = 0, b = a or
-    a = c), its value real."""
+    a = c), its value real.  The forms share one square root of d."""
     with mpmath.workprec(prec + GUARD_BITS):
-        return [(value((a, b, c), heegner_point((a, b, c), d), prec),
+        root = mpmath.sqrt(d)
+        return [(value((a, b, c), heegner_point((a, b, c), d, root), prec),
                  2 if 0 < b < a < c else 1)
                 for a, b, c in reduced_forms(d) if b >= 0]
 
@@ -235,78 +248,91 @@ def precisions(prec):
     return [prec * 2 ** k for k in range(MAX_RETRIES + 1)]
 
 
-def recognize_integer(x):
-    """The integer nearest to a complex value, or None when it is not within
-    2^-TOL_BITS."""
-    x = mpmath.mpmathify(x)
-    n = int(mpmath.nint(mpmath.re(x)))
-    if abs(x - n) >= mpmath.ldexp(1, -TOL_BITS):
-        return None
-    return n
+def recognize_integer(z, w):
+    """The integer n nearest to a complex fixed-point pair z = (re, im) at
+    scale 2^w, or None when |z - n| is not below 2^-TOL_BITS."""
+    x, y = z
+    n = (x + (1 << (w - 1))) >> w
+    x -= n << w
+    return n if x * x + y * y < 1 << 2 * (w - TOL_BITS) else None
 
 
-def integer_polynomial(values):
+def integer_polynomial(values, w):
     """prod (X - v) over the class values of one discriminant, given as the
-    (value, weight) pairs of cm_values, expanded over real mpf at the
-    current precision and rounded: one factor X^2 - 2 Re(v) X + |v|^2 at
-    weight 2, and X - v at weight 1, whose value is real.  The integer
-    coefficients, leading first, or None when a coefficient does not round
-    with residual below 2^-TOL_BITS or a value of weight 1 has an imaginary
-    part of at least 2^-TOL_BITS."""
-    poly = [mpmath.mpf(1)]
+    (value, weight) pairs of cm_values, expanded on fixed-point ints at
+    scale 2^w and rounded (recognize_integer): one factor X^2 - 2 Re(v) X +
+    |v|^2 at weight 2, and X - v at weight 1, whose value is real.  The
+    integer coefficients, leading first, or None when a coefficient does not
+    round or a value of weight 1 has an imaginary part of at least
+    2^-TOL_BITS.
+
+    The bound, at w = auto_prec(d) + GUARD_BITS >= S + 128 (S the height
+    sum of auto_prec): a step floors at most two terms per coefficient, and
+    the floor of |v|^2 puts its factor off by under 2^-w.  The later
+    factors multiply the first by at most prod (1 + |v|) <= 2^S in L1
+    norm, and the other factors bound the second by the same 2^S.  So the
+    h steps cost under 3 h 2^(S - w) <= 2^-(126 - log2 h), far below the
+    kernel's share of auto_prec, as is the truncation of v to scale 2^w
+    beside the kernel's 2^(H - prec - 6) on v."""
+    poly = [1 << w]
     for v, weight in values:
-        re, im = v.real, v.imag
+        re, im = _fixed(v, w)
         if weight == 2:
-            factor = -2 * re, re * re + im * im
-        elif abs(im) >= mpmath.ldexp(1, -TOL_BITS):
+            factor = -2 * re, (re * re + im * im) >> w
+        elif abs(im) >= 1 << (w - TOL_BITS):
             return None
         else:
             factor = -re,
         nxt = poly + [0] * len(factor)
         for k, f in enumerate(factor, 1):
             for i, x in enumerate(poly):
-                nxt[i + k] += f * x
+                nxt[i + k] += f * x >> w
         poly = nxt
-    ints = tuple(recognize_integer(x) for x in poly)
+    ints = tuple(recognize_integer((x, 0), w) for x in poly)
     return None if None in ints else ints
 
 
 def class_values(value, d, prec):
     """The class values of d, one (value, weight) pair per conjugate orbit
-    (cm_values), and their integer polynomial (integer_polynomial, None
-    while it does not round), from the table entry of (value, d).
-    A request at or below the entry's precision reads its values, which
-    meet the kernel's 2^-(prec+8) bound at any lower prec too; one above it
-    recomputes and replaces them, and expands the polynomial, which is
-    exact, only while the entry has none.  TABLE_SIZE entries hold every
-    fundamental |d| <= 600 of both functions (184 of j, 63 of omega2); the
-    oldest is dropped when the table is full."""
+    (cm_values), from the table entry of (value, d).  A request at or below
+    the entry's precision reads its values, which meet the kernel's
+    2^-(prec+8) bound at any lower prec too; one above it recomputes and
+    replaces them, and keeps the entry's polynomial (class_poly), which is
+    exact.  TABLE_SIZE entries hold every fundamental |d| <= 600 of both
+    functions (184 of j, 63 of omega2); the oldest is dropped when the
+    table is full."""
     if prec < 1:
         raise ValueError(f"working precision {prec} must be at least 1 bit")
     key = value, d
     entry = _table.get(key)
     if entry is None or entry[0] < prec:
-        poly = None if entry is None else entry[2]
-        with mpmath.workprec(prec + GUARD_BITS):
-            vals = tuple(cm_values(value, d, prec))
-            if poly is None:
-                poly = integer_polynomial(vals)
+        vals = tuple(cm_values(value, d, prec))
         if entry is None and len(_table) >= TABLE_SIZE:
             del _table[next(iter(_table))]
-        entry = _table[key] = prec, vals, poly
-    return entry[1], entry[2]
+        entry = _table[key] = [prec, vals, entry and entry[2]]
+    return entry[1]
+
+
+def class_poly(value, d):
+    """The integer polynomial prod (X - v) over the class values of d, kept
+    in the table entry of (value, d) once it rounds: integer_polynomial at
+    auto_prec(d) + GUARD_BITS, whatever precision the entry's values have,
+    that precision doubled at most MAX_RETRIES times (precisions) while it
+    does not round; None if it never does."""
+    for prec in precisions(auto_prec(d, value=value)):
+        vals = class_values(value, d, prec)
+        entry = _table[value, d]
+        entry[2] = entry[2] or integer_polynomial(vals, prec + GUARD_BITS)
+        if entry[2]:
+            return entry[2]
+    return None
 
 
 def class_polynomial(d):
     """Hilbert class polynomial of the imaginary quadratic order of
-    discriminant d, as a list of integer coefficients, leading first.
-
-    The polynomial of the j entry of d (class_values), at auto_prec(d) bits
-    doubled (up to MAX_RETRIES times, precisions) until every coefficient
-    rounds to an integer with residual below 2^-TOL_BITS.
-    """
-    for prec in precisions(auto_prec(d)):
-        poly = class_values(j_value, d, prec)[1]
-        if poly is not None:
-            return list(poly)
-    raise ArithmeticError(f"class polynomial for d={d} did not stabilize")
+    discriminant d, as a list of integer coefficients, leading first: the
+    polynomial of the j entry of d (class_poly)."""
+    poly = class_poly(j_value, d)
+    if poly is None:
+        raise ArithmeticError(f"class polynomial for d={d} did not stabilize")
+    return list(poly)

@@ -77,8 +77,9 @@ def test_a_shared_discriminant_is_evaluated_once_per_precision(monkeypatch,
     seen = kernel_calls(monkeypatch)
     expansions = []     # the class polynomials, as they are expanded
     expand = numeric.integer_polynomial
-    monkeypatch.setattr(numeric, "integer_polynomial", lambda values:
-                        expansions.append(expand(values)) or expansions[-1])
+    monkeypatch.setattr(numeric, "integer_polynomial", lambda values, w:
+                        expansions.append(expand(values, w))
+                        or expansions[-1])
     H = {-7: (1, 3375), -15: (1, 191025, -121287375),
          -23: (1, 3491750, -5151296875, 12771880859375)}
     assert gz_verify(-7, -15).ok()
@@ -103,9 +104,10 @@ def test_a_shared_discriminant_is_evaluated_once_per_precision(monkeypatch,
 
 def test_a_forced_retry_recomputes_at_the_doubled_precision(monkeypatch,
                                                             force_prec):
-    # j values off by a relative 2^-20 at 200 bits round neither the product
-    # nor the class polynomial of -15; the retry evaluates both
-    # discriminants again at 400 bits and replaces their entries
+    # j values off by a relative 2^-20 at 200 bits do not round the
+    # product; the retry evaluates both discriminants again at 400 bits and
+    # replaces their entries, and the class polynomials, at their own
+    # auto_prec below 200 bits, read the exact values of 400 bits
     seen = []
     exact = numeric.eval_j
 
@@ -158,11 +160,11 @@ def test_a_complex_self_conjugate_value_does_not_round():
     # both reduced forms of -15, (1, 1, 4) and (2, 1, 2), are self-conjugate,
     # so each has weight 1 and gets a linear factor over the reals, and its
     # imaginary part must vanish to 2^-TOL_BITS
+    vals = cm_values(j_value, -15, 136)
+    assert [weight for _, weight in vals] == [1, 1]
+    assert integer_polynomial(vals, 200) == (1, 191025, -121287375)
     with mpmath.workprec(200):
-        vals = cm_values(j_value, -15, 136)
-        assert [weight for _, weight in vals] == [1, 1]
-        assert integer_polynomial(vals) == (1, 191025, -121287375)
         for bits, want in ((TOL_BITS, None),
                            (TOL_BITS + 8, (1, 191025, -121287375))):
             tilted = mpmath.mpc(vals[1][0].real, mpmath.ldexp(1, -bits))
-            assert integer_polynomial([vals[0], (tilted, 1)]) == want
+            assert integer_polynomial([vals[0], (tilted, 1)], 200) == want

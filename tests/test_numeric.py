@@ -33,7 +33,8 @@ def test_j_at_omega_is_zero():
 def test_j_at_class_number_one_points(d, value):
     with mpmath.workprec(320):
         tau = (1 + mpmath.mpc(0, mpmath.sqrt(-d))) / 2
-        assert recognize_integer(eval_j(tau, 256)) == value
+        assert recognize_integer(numeric._fixed(eval_j(tau, 256), 320),
+                                 320) == value
 
 
 def test_modular_invariance_of_j():
@@ -129,8 +130,19 @@ def test_precision_monotonicity():
 
 
 def test_recognize_integer():
-    assert recognize_integer(mpmath.mpf(5) + mpmath.mpf(2) ** -40) == 5
-    assert recognize_integer(mpmath.mpf(5.2)) is None
+    # complex fixed-point pairs at scale 2^w: 5 + 2^-40 rounds, 5.2 does
+    # not, and neither does a point at 2^-TOL_BITS from the integer, by
+    # either part or by its modulus
+    w = 64
+    assert recognize_integer(((5 << w) + (1 << (w - 40)), 0), w) == 5
+    assert recognize_integer((int(mpmath.ldexp(mpmath.mpf(5.2), w)), 0),
+                             w) is None
+    tol = 1 << (w - TOL_BITS)
+    assert recognize_integer(((-7 << w) - tol + 1, tol - 1), w) is None
+    assert recognize_integer(((-7 << w) - tol // 2, tol // 2), w) == -7
+    for z in (((-7 << w) - tol, 0), ((-7 << w) + tol, 0), (-7 << w, tol),
+              (-7 << w, -tol)):
+        assert recognize_integer(z, w) is None
 
 
 def test_class_polynomials():
@@ -161,9 +173,8 @@ def test_omega2_bound_covers_its_class_polynomial():
     for d in discs:
         polys = []
         for prec in (auto_prec(d, value=omega2_value), auto_prec(d)):
-            with mpmath.workprec(prec + GUARD_BITS):
-                polys.append(integer_polynomial(
-                    cm_values(omega2_value, d, prec)))
+            polys.append(integer_polynomial(
+                cm_values(omega2_value, d, prec), prec + GUARD_BITS))
         assert polys[0] is not None and polys[0] == polys[1], d
         bits = max(abs(c) for c in polys[0]).bit_length()
         assert auto_prec(d, value=omega2_value) >= bits + TOL_BITS, d
@@ -313,3 +324,62 @@ def test_cm_values_evaluates_once_per_conjugate_pair(monkeypatch, d, calls):
         assert sum(weight for _, weight in got) == len(forms)
         assert len(seen) == len(got) == (len(forms) + self_conjugate) // 2 \
             == calls
+
+
+@pytest.mark.parametrize("d", [-3, -4, -84, -199, -2399])
+def test_cm_values_takes_one_square_root_per_discriminant(monkeypatch, d):
+    # one mpmath.sqrt(d) serves every form of d, for j and for omega2 alike,
+    # and each CM point equals heegner_point's own
+    seen = []
+    sqrt = mpmath.sqrt
+    monkeypatch.setattr(mpmath, "sqrt", lambda x: seen.append(x) or sqrt(x))
+    for value in [j_value] + [omega2_value] * (d % 8 == 1):
+        seen.clear()
+        cm_values(value, d, 64)
+        assert seen == [d]
+    seen.clear()
+    points = cm_values(lambda form, tau, prec: tau, d, 200)
+    assert seen == [d]
+    forms = [form for form in reduced_forms(d) if form[1] >= 0]
+    with mpmath.workprec(200 + GUARD_BITS):
+        assert [tau for tau, _ in points] == \
+            [heegner_point(form, d) for form in forms]
+    assert len(seen) == 1 + len(forms)
+
+
+def reference_polynomial(value, d, prec):
+    """prod (X - v) over every class value v of d, both of a conjugate
+    orbit, expanded over mpc at prec + GUARD_BITS and rounded: an oracle for
+    integer_polynomial that shares none of its arithmetic."""
+    with mpmath.workprec(prec + GUARD_BITS):
+        poly = [mpmath.mpc(1)]
+        for v, weight in cm_values(value, d, prec):
+            for u in (v, mpmath.conj(v))[:weight]:
+                poly = [a - u * b for a, b in zip(poly + [0], [0] + poly)]
+        ints = tuple(int(mpmath.nint(c.real)) for c in poly)
+        assert all(abs(c - n) < mpmath.ldexp(1, -TOL_BITS)
+                   for c, n in zip(poly, ints)), d
+    return ints
+
+
+def test_class_polynomials_round_at_their_own_precision():
+    # every fundamental |d| <= 300: H_d expanded on ints at auto_prec(d) +
+    # GUARD_BITS is class_polynomial(d), and equals the polynomial expanded
+    # over mpc at the precision of a pair of d with a class number 3
+    # discriminant, above it; so does W_d at the omega2 bounds, for
+    # d = 1 mod 8
+    discs = [d for d in range(-3, -301, -1) if is_fundamental_discriminant(d)]
+    checked = 0
+    for d in discs:
+        partner = -31 if d == -23 else -23
+        for value in [j_value] + [omega2_value] * (d % 8 == 1):
+            prec = auto_prec(d, value=value)
+            pair = auto_prec(d, partner, value=value)
+            got = integer_polynomial(cm_values(value, d, prec),
+                                     prec + GUARD_BITS)
+            assert pair > prec and got == reference_polynomial(value, d,
+                                                               pair), d
+            if value is j_value:
+                assert list(got) == class_polynomial(d), d
+            checked += 1
+    assert (len(discs), checked) == (94, 94 + 32)

@@ -9,7 +9,8 @@ import shlex
 import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
-from math import gcd
+from itertools import combinations
+from math import floor, gcd, log10
 from pathlib import Path
 
 import mpmath
@@ -20,7 +21,7 @@ from cmfactor.numeric import (auto_prec, class_values, j_value,
                               omega2_value, GUARD_BITS, MAX_RETRIES,
                               TOL_BITS)
 from cmfactor.verify import (gz_verify, yz_verify, borcherds_verify,
-                             _pair_product, _sylvester_resultant)
+                             gate_prec, _pair_product, _sylvester_resultant)
 from cmfactor.cli import (main, EXIT_OK, EXIT_MISMATCH, EXIT_HYPOTHESIS,
                           EXIT_PRECISION, EXIT_USAGE)
 from cmfactor.quadarith import PrimeLog, is_fundamental_discriminant
@@ -103,9 +104,11 @@ def test_pair_product_over_conjugate_orbits(value, d1, d2):
     # (-3, -15, -84) and a = c (-84), conjugate pairs (-71, -119), and
     # omega2 at even a (-71, -119)
     prec = auto_prec(d1, d2, value=value)
-    vals1, vals2 = (class_values(value, d, prec)[0] for d in (d1, d2))
-    with mpmath.workprec(prec + GUARD_BITS):
-        got = _pair_product(vals1, vals2)
+    w = prec + GUARD_BITS
+    vals1, vals2 = (class_values(value, d, prec) for d in (d1, d2))
+    x, y = _pair_product(vals1, vals2, w)
+    with mpmath.workprec(w):
+        got = mpmath.mpc(mpmath.mpf((x, -w)), mpmath.mpf((y, -w)))
         all1, all2 = ([u for v, weight in vals
                        for u in (v, mpmath.conj(v))[:weight]]
                       for vals in (vals1, vals2))
@@ -113,6 +116,28 @@ def test_pair_product_over_conjugate_orbits(value, d1, d2):
                                           len(reduced_forms(d2)))
         want = mpmath.fprod(v2 - v1 for v2 in all2 for v1 in all1)
         assert abs(got - want) <= mpmath.ldexp(abs(want), -prec), (d1, d2)
+
+
+def test_fixed_point_product_is_the_resultant():
+    # every coprime gz pair of fundamental |d| <= 60 and the six yz pairs of
+    # criterion 4: N, the pair product on ints at auto_prec(d1, d2) rounded,
+    # is (-1)^(h1 h2) Res(H_d1, H_d2) of the class polynomials, at their own
+    # auto_prec
+    discs = [d for d in range(-3, -61, -1) if is_fundamental_discriminant(d)]
+    cases = [(j_value, d1, d2) for i, d1 in enumerate(discs)
+             for d2 in discs[i + 1:] if gcd(d1, d2) == 1]
+    cases += [(omega2_value, d1, d2) for d1, d2 in combinations(
+        (-7, -15, -23, -31), 2)]
+    for value, d1, d2 in cases:
+        prec = auto_prec(d1, d2, value=value)
+        w = prec + GUARD_BITS
+        n = numeric.recognize_integer(_pair_product(
+            *(class_values(value, d, prec) for d in (d1, d2)), w), w)
+        polys = [numeric.class_poly(value, d) for d in (d1, d2)]
+        h1, h2 = (len(poly) - 1 for poly in polys)
+        assert n == (-1) ** (h1 * h2) * _sylvester_resultant(*polys), \
+            (d1, d2)
+    assert len(cases) == 165 + 6
 
 
 def test_gz_verify_minus3_minus67():
@@ -199,6 +224,29 @@ def test_residual_gate_catches_perturbed_cm_values(monkeypatch, force_prec,
     argv = [kind, "--d1", str(d1), "--d2", str(d2)]
     with redirect_stdout(io.StringIO()):
         assert main(argv) == EXIT_MISMATCH
+
+
+@pytest.mark.parametrize("kind,fn,d1,d2,bits", [
+    ("gz", gz_verify, -3, -4, 400), ("gz", gz_verify, -7, -15, 2000),
+    ("yz", yz_verify, -7, -15, 400), ("yz", yz_verify, -7, -15, 2000)])
+def test_log_gate_sees_perturbations_just_above_its_threshold(
+        monkeypatch, force_prec, kind, fn, d1, d2, bits):
+    # CM values off by a relative 2^-(prec//4 - 8) put the log residual
+    # above the gate's 2^-(prec//4): by 2^6.4 for gz(-3, -4), where j = 0 at
+    # -3, by 2^10 for gz(-7, -15) and by 2^4.5 for yz(-7, -15).  The logs,
+    # at verify.gate_prec(prec) bits, resolve it; the unperturbed pair is ok
+    force_prec(bits, d1, d2)
+    assert fn(d1, d2).ok()
+    numeric._table.clear()
+    eps = mpmath.ldexp(1, -(bits // 4 - 8))
+    for name in ("eval_j", "eval_omega2"):
+        exact = getattr(numeric, name)
+        monkeypatch.setattr(numeric, name, lambda tau, prec, f=exact:
+                            f(tau, prec) * (1 + eps))
+    r = fn(d1, d2)
+    assert r.factor_match and r.resultant_match
+    assert r.status == "mismatch"
+    assert len(r.notes) == 1 and r.notes[0].endswith(f"above 2^-{bits // 4}")
 
 
 @pytest.mark.parametrize("prec", [1, 0, -7])
@@ -298,6 +346,25 @@ def test_cli_json_deterministic():
     assert doc["status"] == "ok"
     assert doc["product_integer"] == "-45"
     assert doc["factorization"] == [{"p": 3, "e": 2}, {"p": 5, "e": 1}]
+
+
+def test_cli_json_of_a_large_pair_is_deterministic():
+    # two runs from an empty table, as in two processes, and one on the
+    # table the first left: the logs and the residual carry the digits of
+    # verify.gate_prec(prec), not of prec
+    argv = ["gz", "--d1", "-167", "--d2", "-311", "--json"]
+    runs = []
+    for clear in (True, False, True):
+        if clear:
+            numeric._table.clear()
+        runs.append(_run_cli(argv))
+    assert runs[0] == runs[1] == runs[2] and runs[0][0] == EXIT_OK
+    doc = json.loads(runs[0][1])
+    assert doc["prec"] == 6146
+    digits = floor(gate_prec(6146) * log10(2))
+    mantissa = doc["lhs_log"].split("e")[0].replace(".", "").lstrip("0")
+    assert 400 < len(mantissa) <= digits < floor(6146 * log10(2))
+    assert mpmath.mpf(doc["residual"]) < mpmath.ldexp(1, -(6146 // 4))
 
 
 def test_cli_borcherds_check():
