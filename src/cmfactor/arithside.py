@@ -4,7 +4,10 @@ Both formulas are finite double sums over totally-indefinite trace elements
 t = (m + sqrt(D))/2 of F = Q(sqrt(d1 d2)) with |m| < sqrt(D), and over primes
 of F inert in E = Q(sqrt(d1), sqrt(d2)); each term contributes a rational
 multiple of log N(p), collected here into exact PrimeLog sums.  D is fixed
-per sum, so the integer m alone names t.  With sigma the conjugation of F,
+per sum, so the integer m alone names t, and the sums walk the integer
+factorizations {p: e} of N(t) (quadarith.factor_norms): by the lemma of the
+quadarith docstring, e is the order of t at the one prime above p that
+divides t, whose norm is p.  With sigma the conjugation of F,
 t_-m = -sigma(t_m); sigma only swaps the branches of split primes and E/Q is
 Galois, so t_-m has the Diff, e, f(P) and rho(t P^-1) of t_m and an equal
 term: t_range gives the m >= 0, and each m > 0 counts twice.
@@ -13,9 +16,8 @@ term: t_range gives the m >= 0, and each m > 0 counts twice.
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .quadarith import (PrimeLog, EFCharacter, rho, diff_set,
-                        factor_principal_ideal, factor_principal_ideals,
-                        primes_of_F_above, is_fundamental_discriminant)
+from .quadarith import (PrimeLog, EFCharacter, rho, diff_set, factor_norms,
+                        factor_principal_ideal, is_fundamental_discriminant)
 
 
 def check_gz_hypotheses(d1, d2):
@@ -72,21 +74,21 @@ def t_range(d1, d2):
 
 def _odd_diff_terms(chi, keep=None):
     """The walk of both sums over the pair of the EFCharacter chi.  Factor
-    the t of the m in t_range (with keep(m), even in m, if given) at once,
+    N(t) for the m in t_range (with keep(m), even in m, if given) at once,
     and for each t whose Diff is a single prime P of F, inert in E/F at odd
-    order e, yield (red, P, w): red is t P^-1 as a fresh dict, and w =
-    (1 + e)/2, e being odd, doubled at m > 0 for the term of t_-m; N(P) = p
-    (factor_principal_ideals)."""
+    order e, yield (red, p, w): red is the {p: e} of t P^-1 as a fresh
+    dict, p = N(P), and w = (1 + e)/2, e being odd, doubled at m > 0 for
+    the term of t_-m."""
     ms = t_range(chi.d1, chi.d2)
     ms = ms if keep is None else filter(keep, ms)
-    for m, fact in factor_principal_ideals(ms, chi.d1, chi.d2).items():
+    for m, fact in factor_norms(ms, chi.d1 * chi.d2).items():
         diff = diff_set(fact, chi)
         if len(diff) != 1:
             continue
-        P = diff[0]
-        e = fact[P]
+        p = diff[0]
+        e = fact[p]
         w = (1 + e) // 2
-        yield {**fact, P: e - 1}, P, 2 * w if m else w
+        yield {**fact, p: e - 1}, p, 2 * w if m else w
 
 
 def _cm_sum(d1, d2, level2):
@@ -94,17 +96,18 @@ def _cm_sum(d1, d2, level2):
     prime P of F inert in E/F at odd order e, the term (1 + e)/2 *
     rho(t P^-1) * log N(P), each conjugate pair walked once.  The level-2
     sum keeps the t with 4 | N(t), i.e. m^2 = D mod 16, and divides by
-    P_t^2 inside rho: both even in m, as P_t of t_-m is sigma P_t."""
+    P_t^2 inside rho, P_t the prime above 2 that divides t: both even in
+    m, as P_t of t_-m is sigma P_t."""
     D = d1 * d2
     total = PrimeLog()
     chi = EFCharacter(d1, d2)
     keep = (lambda m: (m * m - D) % 16 == 0) if level2 else None
-    for red, P, w in _odd_diff_terms(chi, keep):
+    for red, p, w in _odd_diff_terms(chi, keep):
         if level2:
-            red[p_t_of(red)[0]] -= 2
+            red[2] -= 2
         r = rho(red, chi)
         if r:
-            total.add(P.p, w * r)
+            total.add(p, w * r)
     return total
 
 
@@ -114,16 +117,6 @@ def gz_rhs(d1, d2):
     """
     check_gz_hypotheses(d1, d2)
     return _cm_sum(d1, d2, level2=False)
-
-
-def p_t_of(fact):
-    """The unique prime P_t of F above 2 at which t has positive valuation,
-    together with that valuation, read from the factorization of t O_F.
-    Needs d1 = d2 = 1 mod 8 (2 splits in F) and 2 | N(t)."""
-    above2 = [(P, e) for P, e in fact.items() if P.p == 2 and e > 0]
-    if len(above2) != 1:
-        raise ArithmeticError("expected exactly one prime above 2 dividing t")
-    return above2[0]
 
 
 def yz_rhs(d1, d2):
@@ -137,28 +130,26 @@ def yz_rhs(d1, d2):
 def yz_rhs_whittaker(d1, d2):
     """Independent route to yz_rhs through the 2-adic Whittaker values:
     each term is (1 + ord)/2 * rho-away-from-2 * 4 W(phi_0) W(phi_0),
-    with the parity-1 channel vanishing identically.  It folds as _cm_sum:
-    sigma swaps the orders (o1, o2), and 4 W(o1) W(o2) is symmetric."""
+    with the parity-1 channel vanishing identically.  The orders of t at
+    the two primes above 2 are o = v_2(N(t)) and 0 (quadarith's lemma), and
+    4 W(o) W(0) is symmetric, so it folds as _cm_sum, sigma swapping them."""
     check_yz_hypotheses(d1, d2)
     total = PrimeLog()
-    w2_of = {}       # (ord at P_2, ord at P_2'): 4 W(phi_0) W(phi_0)
-    above2 = primes_of_F_above(2, d1 * d2)    # P_2, P_2': branches +1, -1
+    w2_of = {}       # ord at P_t: 4 W(phi_0) W(phi_0)
     chi = EFCharacter(d1, d2)
-    for red, P, w in _odd_diff_terms(chi):
-        if P.p == 2:
+    for red, p, w in _odd_diff_terms(chi):
+        if p == 2:
             raise ArithmeticError("primes above 2 split in E/F here")
-        o1, o2 = (red.get(Q, 0) for Q in above2)
-        if (o1, o2) not in w2_of:
-            if whittaker2_Ma(1, o1, 0) * whittaker2_Ma(1, o2, 0) != 0:
+        o = red.pop(2, 0)
+        if o not in w2_of:
+            if whittaker2_Ma(1, o, 0) * whittaker2_Ma(1, 0, 0) != 0:
                 raise ArithmeticError("parity-1 channel should vanish")
             # L(1, chi) = 2 at each place above 2 turns W into W*, hence the
             # 4; at s = 0, 2 W(phi_0) is 1 or o - 1, so the product is an int
-            w2_of[o1, o2] = int(4 * whittaker2_Ma(0, o1, 0)
-                                * whittaker2_Ma(0, o2, 0))
-        r = rho({Q: e for Q, e in red.items() if Q.p != 2}, chi)
-        contrib = w * r * w2_of[o1, o2]
+            w2_of[o] = int(4 * whittaker2_Ma(0, o, 0) * whittaker2_Ma(0, 0, 0))
+        contrib = w * rho(red, chi) * w2_of[o]
         if contrib:
-            total.add(P.p, contrib)
+            total.add(p, contrib)
     return total
 
 
@@ -166,7 +157,7 @@ def chi_log_identity(m, d1, d2):
     """Both sides of the divisor-sum identity, t = (m + sqrt(D))/2,
     sum_{a | t O_F} chi_{E/F}(a) log N(a)
       = - sum_{p inert in E/F} (1 + ord_p(t))/2 rho(t p^-1) log N(p),
-    as a pair of PrimeLogs, where N(p) = p (factor_principal_ideals)."""
+    as a pair of PrimeLogs, where N(p) = p (the lemma of quadarith)."""
     fact = factor_principal_ideal(m, d1, d2)
     table = EFCharacter(d1, d2)
     chi = {P: 1 if table[P.p] else -1 for P in fact}

@@ -315,16 +315,19 @@ def class_values(value, d, prec):
 
 def class_poly(value, d):
     """The integer polynomial prod (X - v) over the class values of d, kept
-    in the table entry of (value, d) once it rounds: integer_polynomial at
-    auto_prec(d) + GUARD_BITS, whatever precision the entry's values have,
-    that precision doubled at most MAX_RETRIES times (precisions) while it
-    does not round; None if it never does."""
+    in the table entry of (value, d) once it rounds and read from it first:
+    integer_polynomial at auto_prec(d) + GUARD_BITS, whatever precision the
+    entry's values have, that precision doubled at most MAX_RETRIES times
+    (precisions) while it does not round; None if it never does."""
+    entry = _table.get((value, d))
+    if entry and entry[2]:
+        return entry[2]
     for prec in precisions(auto_prec(d, value=value)):
-        vals = class_values(value, d, prec)
-        entry = _table[value, d]
-        entry[2] = entry[2] or integer_polynomial(vals, prec + GUARD_BITS)
-        if entry[2]:
-            return entry[2]
+        poly = integer_polynomial(class_values(value, d, prec),
+                                  prec + GUARD_BITS)
+        if poly:
+            _table[value, d][2] = poly
+            return poly
     return None
 
 

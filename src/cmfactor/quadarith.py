@@ -7,6 +7,13 @@ reads the pair's E/F character table.
 
 d1 and d2 are coprime fundamental discriminants of imaginary quadratic fields,
 so D = d1 d2 is a fundamental discriminant of F and E/F is unramified.
+
+The lemma that puts t O_F on integers (factor_norms): a prime P of F dividing
+t has N(P) = p, as O_F = Z[(D + sqrt(D))/2] and the sqrt(D)-coefficient 1/2 of
+t keeps every rational n > 1, an inert P = p O_F among them, from dividing t;
+and at a split p one prime above p at most divides t, as p | (m + s)/2 and
+p | (m - s)/2, s^2 = D, would give p | D.  So v_P(t) = v_p(N(t)), and t O_F
+factors as N(t) = (m^2 - D)/4 does, P being _prime_above's prime above p.
 """
 
 from fractions import Fraction
@@ -107,32 +114,25 @@ class PrimeOfF(NamedTuple):
     branch: int = 0
 
 
-def primes_of_F_above(p, D):
-    """The primes of F = Q(sqrt(D)) above the rational prime p."""
-    chi = legendre(D, p)
-    if chi == 1:
-        return (PrimeOfF(p, "split", 1), PrimeOfF(p, "split", -1))
-    if chi == -1:
-        return (PrimeOfF(p, "inert"),)
-    return (PrimeOfF(p, "ramified"),)
-
-
 class EFCharacter(dict):
     """The E/F character of the pair (d1, d2), as a table p -> True iff the
     primes P of F above p, all conjugate, split in E (else they are inert, as
-    E/F is unramified); each entry is computed on its first lookup.  A P
-    inert in F splits: its decomposition group in Gal(E/Q) = (Z/2)^2 is
-    cyclic, so p has residue degree at most 2 in E, which P already has.
-    Any other P splits iff p has residue degree 1 in E: iff (d1/p) = 1, or
-    (d2/p) = 1 when p | d1.  Both read (d1/p) = 1 or (d2/p) = 1, as p is
-    inert in F iff one of the two is 1 and the other -1."""
+    E/F is unramified), each entry computed on its first lookup; a PrimeOfF
+    reads the entry of its p.  A P inert in F splits: its decomposition
+    group in Gal(E/Q) = (Z/2)^2 is cyclic, so p has residue degree at most
+    2 in E, which P already has.  Any other P splits iff p has residue
+    degree 1 in E: iff (d1/p) = 1, or (d2/p) = 1 when p | d1.  Both read
+    (d1/p) = 1 or (d2/p) = 1, as p is inert in F iff one of the two is 1
+    and the other -1."""
 
     def __init__(self, d1, d2):
         super().__init__()
         self.d1, self.d2 = d1, d2
 
     def __missing__(self, p):
-        split = self[p] = 1 in (legendre(self.d1, p), legendre(self.d2, p))
+        split = self[p] = (self[p.p] if isinstance(p, PrimeOfF) else
+                           legendre(self.d1, p) == 1
+                           or legendre(self.d2, p) == 1)
         return split
 
 
@@ -162,40 +162,34 @@ def _prime_above(p, D, m):
 
 
 def _sieve_hits(norms, D):
-    """(P, the m that P can divide) for the primes p <= isqrt(max N(t)) not
-    inert in F, one prime P of F per class of m (see _prime_above): for odd
-    p the m = c = +-sqrt(D) (mod p), one square root of D per prime; for
-    p = 2 every m if D is even, else if D = 1 mod 8 the m = 3 and the m = 1
-    (mod 4), as 2 | N(t) at every odd m."""
+    """(p, the m with p | N(t)) for the primes p <= isqrt(max N(t)) not
+    inert in F: for odd p the m = c = +-sqrt(D) (mod p), one square root of
+    D per prime; for p = 2 every m if D = 1 mod 8, and if D is even, when
+    N(t) = (m/2)^2 - D/4, the m = D/2 mod 4."""
     lo, hi = min(norms), max(norms)
     for p in _primes_upto(isqrt(max(norms.values()))):
         if p == 2:   # (class of m, its step), m = D mod 2 built in
-            classes = (((0, 2),) if D % 2 == 0 else
-                       ((3, 4), (1, 4)) if D % 8 == 1 else ())
+            classes = (((1, 2),) if D % 8 == 1 else () if D % 2 else
+                       ((D // 2 % 4, 4),))
         else:
             r = tonelli(D, p)
             classes = () if r is None else [(c + p * ((c - D) % 2), 2 * p)
                                             for c in {r, -r % p}]
         for c, step in classes:
-            yield (_prime_above(p, D, c),
-                   range(lo + (c - lo) % step, hi + 1, step))
+            yield p, range(lo + (c - lo) % step, hi + 1, step)
 
 
-def factor_principal_ideals(ms, d1, d2):
-    """Factor t O_F, t = (m + sqrt(D))/2, for every m in ms, as a dict
-    m -> {PrimeOfF: exponent}.
+def factor_norms(ms, D):
+    """Factor N(t) = (m^2 - D)/4, t = (m + sqrt(D))/2, up to sign for every
+    m in ms, as a dict m -> {p: e}: by the module's lemma, the factorization
+    of t O_F, e at the prime of F above p that divides t (_prime_above).
 
-    Each m must have m = D mod 2 (t integral) and t nonzero norm.  Every
-    prime P of F dividing t O_F has N(P) = p: D is the discriminant of F,
-    so O_F = Z[(D + sqrt(D))/2] and the sqrt(D)-coefficient 1/2 of t keeps
-    every rational n > 1 from dividing t, while an inert P is p O_F.  So
-    N(t) = prod p^e.  Fewer than SIEVE_FROM elements are trial-divided one
-    by one, up to the square root of the shrinking cofactor; longer lists
-    are sieved over m with every prime p <= isqrt(max |N(t)|), each residue
-    class of m carrying its prime of F, after which what is left of N(t) is
-    1 or a prime.  Exponents at primes not dividing t O_F are omitted.
-    """
-    D = d1 * d2
+    Each m must have m = D mod 2 (t integral) and t nonzero norm.  Fewer
+    than SIEVE_FROM elements are trial-divided one by one, up to the square
+    root of the shrinking cofactor; longer lists are sieved over m with
+    every prime p <= isqrt(max |N(t)|) not inert in F, each residue class
+    of m that p can divide, after which what is left of N(t) is 1 or a
+    prime, which must not be inert in F either (the lemma)."""
     norms = {}
     for m in ms:
         if (m - D) % 2:
@@ -205,28 +199,39 @@ def factor_principal_ideals(ms, d1, d2):
             raise ValueError("t must have nonzero norm")
         norms[m] = n
     if len(norms) < SIEVE_FROM:
-        hits = ((_prime_above(p, D, m), (m,)) for m, n in norms.items()
+        hits = ((p, (m,)) for m, n in norms.items()
                 for p in factorize(n) if legendre(D, p) != -1)
     else:
         hits = _sieve_hits(norms, D)
     rest = dict(norms)
     facts = {m: {} for m in norms}
-    for P, ms in hits:
-        p = P.p
+    for p, ms in hits:
         for m in ms:
             n = rest.get(m)
             if n is not None and n % p == 0:
-                v = valuation(n, p)
-                rest[m] = n // p ** v
-                facts[m][P] = v
+                v = 0
+                while n % p == 0:
+                    n //= p
+                    v += 1
+                rest[m] = n
+                facts[m][p] = v
     for m, n in rest.items():
         if n > 1:
             if legendre(D, n) == -1:
                 raise ArithmeticError("odd valuation at an inert prime")
-            facts[m][_prime_above(n, D, m)] = 1
-        if prod(P.p ** e for P, e in facts[m].items()) != norms[m]:
+            facts[m][n] = 1
+        if prod(p ** e for p, e in facts[m].items()) != norms[m]:
             raise ArithmeticError("factorization does not multiply to N(t)")
     return facts
+
+
+def factor_principal_ideals(ms, d1, d2):
+    """Factor t O_F, t = (m + sqrt(D))/2, for every m in ms, as a dict
+    m -> {PrimeOfF: exponent}: factor_norms with each p named by the prime
+    of F above it that divides t."""
+    D = d1 * d2
+    return {m: {_prime_above(p, D, m): e for p, e in fact.items()}
+            for m, fact in factor_norms(ms, D).items()}
 
 
 def factor_principal_ideal(m, d1, d2):
@@ -238,7 +243,8 @@ def factor_principal_ideal(m, d1, d2):
 
 def rho(fact, chi):
     """Number of integral ideals of E of relative norm to F the ideal with
-    factorization `fact` (a dict PrimeOfF -> exponent; a negative entry
+    factorization `fact` (a dict PrimeOfF -> exponent, or p -> exponent for
+    t O_F and its quotients, as factor_norms gives it; a negative entry
     means the ideal is not integral, hence count 0).  chi is the pair's
     EFCharacter; a sum passes one table to all its calls, so that each
     prime's character is computed once per sum."""
@@ -248,7 +254,7 @@ def rho(fact, chi):
             return 0
         if e == 0:
             continue
-        if chi[P.p]:
+        if chi[P]:
             count *= e + 1
         elif e % 2 != 0:
             return 0
@@ -257,8 +263,8 @@ def rho(fact, chi):
 
 def diff_set(fact, chi):
     """The primes of F inert in E/F at odd order in `fact`, in its order;
-    chi as in rho."""
-    return [P for P, e in fact.items() if e % 2 and not chi[P.p]]
+    fact and chi as in rho."""
+    return [P for P, e in fact.items() if e % 2 and not chi[P]]
 
 
 class PrimeLog:

@@ -10,9 +10,10 @@ import pytest
 from cmfactor.arithside import (check_gz_hypotheses, check_yz_hypotheses,
                                 whittaker2_Ma,
                                 whittaker2_shifted, t_range, gz_rhs, yz_rhs,
-                                yz_rhs_whittaker, p_t_of, chi_log_identity)
+                                yz_rhs_whittaker, chi_log_identity)
 from cmfactor.quadarith import (PrimeLog, SIEVE_FROM, EFCharacter,
-                                diff_set, factor_principal_ideal, rho,
+                                diff_set, factor_norms,
+                                factor_principal_ideal, rho, valuation,
                                 is_fundamental_discriminant)
 from test_quadarith import (COPRIME_PAIRS, frobenius_splitting_oracle,
                             ramified_splitting_oracle)
@@ -93,6 +94,17 @@ def test_t_range():
         D = d1 * d2
         want = [m for m in range(0, 201) if m * m < D and (m - D) % 2 == 0]
         assert list(t_range(d1, d2)) == want, (d1, d2)
+
+
+def p_t_of(fact):
+    """The unique prime P_t of F above 2 at which t has positive valuation,
+    together with that valuation, read from the factorization of t O_F, for
+    the per-t reference sum.  Needs d1 = d2 = 1 mod 8 (2 splits in F) and
+    2 | N(t)."""
+    above2 = [(P, e) for P, e in fact.items() if P.p == 2 and e > 0]
+    if len(above2) != 1:
+        raise ArithmeticError("expected exactly one prime above 2 dividing t")
+    return above2[0]
 
 
 def test_p_t_of():
@@ -249,6 +261,31 @@ def test_t_minus_m_is_the_conjugate_of_t_m():
             if d1 % 8 == d2 % 8 == 1 and (m * m - D) % 16 == 0:
                 P, v = p_t_of(fact)
                 assert p_t_of(conj) == (sigma(P), v), (d1, d2, m)
+    assert twos == {0, 1, 5}     # 2 ramified, split and inert in F
+
+
+def test_t_O_F_factors_as_the_integer_norm():
+    # the lemma of quadarith behind the sums' walk on {p: e}: t O_F has at
+    # most one prime above each p, at order v_p(N(t)), so factor_norms of
+    # the whole t-range (sieved or trial-divided) gives the same {p: e},
+    # and rho and the Diff read the same from it
+    twos = set()
+    for d1, d2 in WALK_PAIRS:
+        D = d1 * d2
+        twos.add(D % 8 if D % 2 else 0)
+        chi = EFCharacter(d1, d2)
+        ms = t_range(d1, d2)
+        norms = factor_norms(ms, D)
+        assert list(norms) == list(ms)
+        for m in ms:
+            fact = factor_principal_ideal(m, d1, d2)
+            by_p = {P.p: e for P, e in fact.items()}
+            assert len(by_p) == len(fact), (d1, d2, m)
+            assert all(e == valuation((D - m * m) // 4, P.p)
+                       for P, e in fact.items()), (d1, d2, m)
+            assert norms[m] == by_p, (d1, d2, m)
+            assert rho(by_p, chi) == rho(fact, chi), (d1, d2, m)
+            assert diff_set(by_p, chi) == [P.p for P in diff_set(fact, chi)]
     assert twos == {0, 1, 5}     # 2 ramified, split and inert in F
 
 

@@ -11,12 +11,23 @@ from hypothesis import example, given, settings, strategies as st
 
 from cmfactor.quadarith import (legendre, valuation, factorize,
                                 is_fundamental_discriminant, tonelli, PrimeOfF,
-                                primes_of_F_above, EFCharacter,
+                                EFCharacter, factor_norms,
                                 factor_principal_ideal,
                                 factor_principal_ideals, SIEVE_FROM, rho,
                                 diff_set, PrimeLog)
 
 PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+
+
+def primes_of_F_above(p, D):
+    """The primes of F = Q(sqrt(D)) above the rational prime p, for
+    reference_factor and the splitting tests."""
+    chi = legendre(D, p)
+    if chi == 1:
+        return (PrimeOfF(p, "split", 1), PrimeOfF(p, "split", -1))
+    if chi == -1:
+        return (PrimeOfF(p, "inert"),)
+    return (PrimeOfF(p, "ramified"),)
 
 
 def test_legendre_against_squares_mod_p():
@@ -312,6 +323,28 @@ def test_range_sieve_equals_per_element_reference(pair, start, count):
     assert got == {m: reference_factor(m, d1, d2) for m in ms}
     assert all(prod(norm(P) ** e for P, e in got[m].items())
                == abs(m * m - D) // 4 for m in ms)
+
+
+# windows of m on both sides of SIEVE_FROM: trial division and the sieve
+@settings(max_examples=150, deadline=None)
+@given(pair=pairs_any_two, start=st.integers(-3000, 3000),
+       count=st.integers(1, 2 * SIEVE_FROM))
+@example(pair=(-7, -15), start=-9, count=SIEVE_FROM - 1)    # 2 split
+@example(pair=(-7, -15), start=-9, count=SIEVE_FROM)
+@example(pair=(-8, -95), start=-27, count=SIEVE_FROM - 1)   # 2 ramified
+@example(pair=(-8, -95), start=-27, count=SIEVE_FROM)
+@example(pair=(-3, -199), start=-24, count=SIEVE_FROM - 1)  # 2 inert
+@example(pair=(-3, -199), start=-24, count=SIEVE_FROM)
+def test_factor_norms_is_the_factorization_of_the_norm(pair, start, count):
+    d1, d2 = pair
+    D = d1 * d2
+    first = start + (start - D) % 2
+    ms = [first + 2 * i for i in range(count)]
+    got = factor_norms(ms, D)
+    assert list(got) == ms
+    for m in ms:
+        assert got[m] == {p: e for p, e in factorize((m * m - D) // 4).items()
+                          if legendre(D, p) != -1}, (D, m)
 
 
 def test_factor_principal_ideal_large_m():
