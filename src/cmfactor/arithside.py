@@ -129,10 +129,10 @@ def yz_rhs(d1, d2):
 
 def yz_rhs_whittaker(d1, d2):
     """Independent route to yz_rhs through the 2-adic Whittaker values:
-    each term is (1 + ord)/2 * rho-away-from-2 * 4 W(phi_0) W(phi_0),
-    with the parity-1 channel vanishing identically.  The orders of t at
-    the two primes above 2 are o = v_2(N(t)) and 0 (quadarith's lemma), and
-    4 W(o) W(0) is symmetric, so it folds as _cm_sum, sigma swapping them."""
+    each term is (1 + ord)/2 * rho-away-from-2 * 4 W(phi_0) W(phi_0).  The
+    orders of t at the two primes above 2 are o = v_2(N(t)) and 0
+    (quadarith's lemma): 4 W(o) W(0) is symmetric, so it folds as _cm_sum,
+    and the parity-1 channel vanishes, as W1 at order 0 is 0 at s = 0."""
     check_yz_hypotheses(d1, d2)
     total = PrimeLog()
     w2_of = {}       # ord at P_t: 4 W(phi_0) W(phi_0)
@@ -142,8 +142,6 @@ def yz_rhs_whittaker(d1, d2):
             raise ArithmeticError("primes above 2 split in E/F here")
         o = red.pop(2, 0)
         if o not in w2_of:
-            if whittaker2_Ma(1, o, 0) * whittaker2_Ma(1, 0, 0) != 0:
-                raise ArithmeticError("parity-1 channel should vanish")
             # L(1, chi) = 2 at each place above 2 turns W into W*, hence the
             # 4; at s = 0, 2 W(phi_0) is 1 or o - 1, so the product is an int
             w2_of[o] = int(4 * whittaker2_Ma(0, o, 0) * whittaker2_Ma(0, 0, 0))

@@ -15,7 +15,7 @@ import mpmath
 from .quadarith import EFCharacter, factor_principal_ideal, diff_set, rho
 from .arithside import check_gz_hypotheses, whittaker2_Ma
 from . import numeric
-from .verify import gz_verify, yz_verify, borcherds_verify, gate_prec
+from .verify import gz_verify, yz_verify, borcherds_verify
 
 EXIT_OK = 0
 EXIT_MISMATCH = 2
@@ -40,7 +40,7 @@ def _num_str(x, prec):
 
 
 def _report_json(r):
-    p_g = gate_prec(r.prec)
+    p_g = numeric.gate_prec(r.prec)
     return {
         "kind": r.kind,
         "d1": r.d1,
@@ -69,7 +69,7 @@ def _emit_report(r, as_json):
             print(f"  product = {r.product_integer} = {'-' if r.product_integer < 0 else ''}{fact}")
             print(f"  arithmetic side exponents: "
                   + ", ".join(f"{p}:{e}" for p, e in sorted(r.rhs_exponents.items())))
-            print(f"  residual = {_num_str(r.residual, min(gate_prec(r.prec), 64))}")
+            print(f"  residual = {_num_str(r.residual, min(numeric.gate_prec(r.prec), 64))}")
     if r.status == "ok":
         return EXIT_OK
     if r.status == "precision":

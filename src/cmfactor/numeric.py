@@ -28,15 +28,16 @@ any other form is self-conjugate, with a real value.
 The precision policy: a computation with CM values starts at auto_prec, 64
 bits above an a-priori bound on the bits of what it must round to integers
 from a derived height per form (form_height), and doubles the precision at
-most MAX_RETRIES times (precisions) while a value fails to round within
-2^-TOL_BITS.  Each step runs at the precision its own result needs, plus
-GUARD_BITS: the evaluators and the CM points they are given (one square
-root of d per discriminant) at the computation's precision; every product
-of their values on complex fixed-point ints at scale 2^(prec + GUARD_BITS),
-like the kernel, with a bound of its own (the pair product in verify,
-integer_polynomial here); a class polynomial at the auto_prec of its own
-discriminant, whatever computation asked for it; and the log gate of the
-verification driver at the bits it tests (verify.gate_prec).
+most MAX_RETRIES times (_doubling, the one loop) while a value fails to
+round within 2^-TOL_BITS.  Each step runs at the precision its own result
+needs, plus GUARD_BITS: the evaluators and the CM points they are given
+(one square root of d per discriminant) at the computation's precision;
+every product of their values on complex fixed-point ints at scale
+2^(prec + GUARD_BITS), like the kernel, with a bound of its own
+(_pair_product, integer_polynomial); a class polynomial at the auto_prec of
+its own discriminant, whatever computation asked for it; and the log gate
+of the verification driver at the bits it tests (gate_prec).  The analytic
+side of a pair of discriminants is one call under this policy, pair_norm.
 
 One table serves every computation with the class values of a
 discriminant (class_values), keyed by (class-value function, d): the values
@@ -242,10 +243,15 @@ def cm_values(value, d, prec):
                 for a, b, c in reduced_forms(d) if b >= 0]
 
 
-def precisions(prec):
-    """The working precisions of one computation: prec, then prec doubled
-    at most MAX_RETRIES times."""
-    return [prec * 2 ** k for k in range(MAX_RETRIES + 1)]
+def _doubling(prec, attempt):
+    """The one precision loop: attempt(p) at p = prec, then prec doubled at
+    most MAX_RETRIES times, until a result is not None.  Returns the
+    precisions tried and the last result."""
+    for k in range(MAX_RETRIES + 1):
+        result = attempt(prec * 2 ** k)
+        if result is not None:
+            break
+    return [prec * 2 ** i for i in range(k + 1)], result
 
 
 def recognize_integer(z, w):
@@ -318,17 +324,79 @@ def class_poly(value, d):
     in the table entry of (value, d) once it rounds and read from it first:
     integer_polynomial at auto_prec(d) + GUARD_BITS, whatever precision the
     entry's values have, that precision doubled at most MAX_RETRIES times
-    (precisions) while it does not round; None if it never does."""
+    (_doubling) while it does not round; None if it never does."""
     entry = _table.get((value, d))
     if entry and entry[2]:
         return entry[2]
-    for prec in precisions(auto_prec(d, value=value)):
-        poly = integer_polynomial(class_values(value, d, prec),
-                                  prec + GUARD_BITS)
-        if poly:
-            _table[value, d][2] = poly
-            return poly
-    return None
+    _, poly = _doubling(auto_prec(d, value=value), lambda prec:
+                        integer_polynomial(class_values(value, d, prec),
+                                           prec + GUARD_BITS))
+    _table[value, d][2] = poly
+    return poly
+
+
+def _pair_product(vals1, vals2, w):
+    """prod (v2 - v1) over the class values v1 of d1 and v2 of d2, from the
+    (value, weight) pairs of their conjugate orbits (cm_values), as a
+    complex fixed-point pair at scale 2^w (_mul): a v1 of weight 2 gives
+    (v2 - v1)(v2 - conj v1), and a v2 of weight 2 the factor
+    |prod_{v1} (v2 - v1)|^2, as the v1 are closed under conjugation.
+
+    The bound, at w = prec + GUARD_BITS >= S + 128 (S the height sum of
+    auto_prec): each of the h1 h2 factors has |v2 - v1| <= 2^H, with
+    H >= 1 the larger height of its pair (form_height), so every subset
+    product of them is at most 2^S.  A product into 1 is exact, so at most
+    h1 h2 products round, each by under sqrt(2) 2^-w, and the rest of the
+    product multiplies that by a subset product, doubled inside a |.|^2.
+    So the roundings cost under 2^(S - w + 2 + log2(h1 h2)) <=
+    2^-(126 - log2(h1 h2)), and the truncation of each value to scale 2^w
+    is far below the kernel's 2^(H - prec - 6) on it."""
+    product = 1 << w, 0
+    vals1 = [(_fixed(v1, w), w1) for v1, w1 in vals1]
+    for v2, w2 in vals2:
+        x2, y2 = _fixed(v2, w)
+        pv = 1 << w, 0
+        for (x1, y1), w1 in vals1:
+            f = x2 - x1, y2 - y1
+            g = _mul(f, (x2 - x1, y2 + y1), w) if w1 == 2 else f
+            pv = _mul(pv, g, w)
+        if w2 == 2:
+            pv = (pv[0] * pv[0] + pv[1] * pv[1]) >> w, 0
+        product = _mul(product, pv, w)
+    return product
+
+
+def pair_norm(value, d1, d2):
+    """The analytic side of the pair d1, d2 for value (j_value or
+    omega2_value): their pair product (_pair_product) at auto_prec(d1, d2)
+    rounded to an integer N.  An attempt counts only when N and both class
+    polynomials (class_poly) round; else the precision doubles (_doubling).
+    Returns the precisions tried and (N, |prod|^2), |prod|^2 exact as
+    (mantissa, binary exponent), or None if no attempt counted."""
+    def attempt(prec):
+        w = prec + GUARD_BITS
+        x, y = _pair_product(*(class_values(value, d, prec)
+                               for d in (d1, d2)), w)
+        n = recognize_integer((x, y), w)
+        if n is None or None in [class_poly(value, d) for d in (d1, d2)]:
+            return None
+        return n, (x * x + y * y, -2 * w)
+    return _doubling(auto_prec(d1, d2, value=value), attempt)
+
+
+def gate_prec(prec):
+    """p_g, the bits of the verification driver's log gate at working
+    precision prec: it tests |lhs_log - rhs_log| < 2^-(prec//4), and
+    p_g = prec // 4 + GUARD_BITS + prec.bit_length() puts each log off by
+    under 2^-(prec//4 + 60).
+
+    With b = prec.bit_length(): log |N| < S log 2 < prec and the scale is
+    at most 2, so lhs_log is below 2 prec <= 2^(b+1), and so is rhs_log
+    wherever the factor check holds (it is then scale log |N|).  A unit in
+    the last place of such a number at p_g bits is 2^(b + 1 - p_g) =
+    2^-(prec//4 + 63), and each log is a few roundings of its argument, of
+    itself and of the scale, each within a unit: under 8 units."""
+    return prec // 4 + GUARD_BITS + prec.bit_length()
 
 
 def class_polynomial(d):

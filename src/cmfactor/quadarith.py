@@ -25,11 +25,15 @@ import mpmath
 
 def legendre(a, p):
     """Legendre symbol (a/p) for a prime p, by Euler's criterion; at p = 2
-    the Kronecker symbol (a/2): 0 for even a, else 1 iff a = +-1 mod 8."""
+    the Kronecker symbol (a/2): 0 for even a, else 1 iff a = +-1 mod 8.
+    A residue other than 0, 1 or p - 1 proves p composite: ArithmeticError
+    (one-sided: an Euler pseudoprime to base a passes)."""
     if p == 2:
         return 0 if a % 2 == 0 else 1 if a % 8 in (1, 7) else -1
     r = pow(a, (p - 1) // 2, p)
-    return -1 if r == p - 1 else r
+    if r > 1 and r != p - 1:
+        raise ArithmeticError(f"{p} is not prime")
+    return -1 if r > 1 else r
 
 
 def valuation(n, p):
@@ -189,7 +193,7 @@ def factor_norms(ms, D):
     root of the shrinking cofactor; longer lists are sieved over m with
     every prime p <= isqrt(max |N(t)|) not inert in F, each residue class
     of m that p can divide, after which what is left of N(t) is 1 or a
-    prime, which must not be inert in F either (the lemma)."""
+    prime, neither inert in F (the lemma) nor proved composite (legendre)."""
     norms = {}
     for m in ms:
         if (m - D) % 2:

@@ -1,27 +1,14 @@
-"""End-to-end verification: evaluate both sides of each CM value formula at
-working precision, recognize the analytic side as an integer N, and check N
-exactly against the arithmetic side; plus exact checks of the underlying
-Borcherds product identities.
+"""End-to-end verification: check the integer N of the analytic side of each
+CM value formula exactly against its arithmetic side; plus exact checks of
+the underlying Borcherds product identities.
 
-One driver serves both formulas, at the CM points of the reduced forms of
-both discriminants, and runs the same checks for both, the resultant oracle
-among them.  A formula only chooses the evaluator of a class value
-(numeric.j_value or numeric.omega2_value) and the scale of the arithmetic
-side.  The precision follows numeric's one policy: numeric.auto_prec of the
-evaluator, with its doublings (numeric.precisions), for the CM points and
-values; the pair product on fixed-point ints at numeric.GUARD_BITS above
-it (_pair_product); each class polynomial at its own discriminant's
-auto_prec (numeric.class_poly); and the two logs of the residual gate at
-gate_prec, the bits the gate tests.
-
-The class values and class polynomials of each discriminant come from
-numeric's per-discriminant table (numeric.class_values, numeric.class_poly),
-so a discriminant shared by several pairs is evaluated again only for a
-pair that needs more bits than the table holds, and its polynomial is
-expanded once.  The exact fields of a report (status, prec, product,
-factorizations, matches, notes) do not depend on the table's state; for
-the low digits of lhs_log and residual, see the numeric module.  The CLI
-verifies one pair per process, so its output does not depend on it.
+One driver serves both formulas and runs the same checks for both, the
+resultant oracle among them.  A formula only chooses the evaluator of a
+class value (numeric.j_value or numeric.omega2_value) and the scale of the
+arithmetic side.  The analytic side, with its precision, retries and
+rounding, is numeric's (numeric.pair_norm, numeric.gate_prec), and so are
+the class polynomials and the table of class values: see the numeric
+module for both, and for what of a report the table's state can change.
 """
 
 from dataclasses import dataclass, field
@@ -102,90 +89,33 @@ def _factor_check(n, predicted, scale, notes):
     return fact, match
 
 
-def _pair_product(vals1, vals2, w):
-    """prod (v2 - v1) over the class values v1 of d1 and v2 of d2, from the
-    (value, weight) pairs of their conjugate orbits (numeric.cm_values), as
-    a complex fixed-point pair at scale 2^w (numeric._mul): a v1 of weight
-    2 gives (v2 - v1)(v2 - conj v1), and a v2 of weight 2 the factor
-    |prod_{v1} (v2 - v1)|^2, as the v1 are closed under conjugation.
-
-    The bound, at w = prec + GUARD_BITS >= S + 128 (S the height sum of
-    numeric.auto_prec): each of the h1 h2 factors has |v2 - v1| <= 2^H,
-    with H >= 1 the larger height of its pair (numeric.form_height), so
-    every subset product of them is at most 2^S.  A product into 1 is
-    exact, so at most h1 h2 products round, each by under sqrt(2) 2^-w,
-    and the rest of the product multiplies that by a subset product,
-    doubled inside a |.|^2.  So the roundings cost under
-    2^(S - w + 2 + log2(h1 h2)) <= 2^-(126 - log2(h1 h2)), and the
-    truncation of each value to scale 2^w is far below the kernel's
-    2^(H - prec - 6) on it."""
-    mul, product = numeric._mul, (1 << w, 0)
-    vals1 = [(numeric._fixed(v1, w), w1) for v1, w1 in vals1]
-    for v2, w2 in vals2:
-        x2, y2 = numeric._fixed(v2, w)
-        pv = 1 << w, 0
-        for (x1, y1), w1 in vals1:
-            f = x2 - x1, y2 - y1
-            pv = mul(pv, mul(f, (x2 - x1, y2 + y1), w) if w1 == 2 else f, w)
-        if w2 == 2:
-            pv = (pv[0] * pv[0] + pv[1] * pv[1]) >> w, 0
-        product = mul(product, pv, w)
-    return product
-
-
-def gate_prec(prec):
-    """p_g, the bits of the log gate at working precision prec: it tests
-    |lhs_log - rhs_log| < 2^-(prec//4), and p_g = prec // 4 + GUARD_BITS +
-    prec.bit_length() puts each log off by under 2^-(prec//4 + 60).
-
-    With b = prec.bit_length(): log |N| < S log 2 < prec and the scale is
-    at most 2, so lhs_log is below 2 prec <= 2^(b+1), and so is rhs_log
-    wherever factor_match holds (it is then scale log |N|).  A unit in the
-    last place of such a number at p_g bits is 2^(b + 1 - p_g) =
-    2^-(prec//4 + 63), and each log is a few roundings of its argument, of
-    itself and of the scale, each within a unit: under 8 units."""
-    return prec // 4 + numeric.GUARD_BITS + prec.bit_length()
-
-
 def _verify(kind, d1, d2, value, scale, rhs):
-    """The driver: class values and class polynomials of d1 and of d2 from
-    numeric's table (numeric.class_values, numeric.class_poly), the pair
-    product of the values recognized as an integer N, the factor check
-    against rhs at the given scale, the resultant oracle and the log
-    residual."""
-    prec = numeric.auto_prec(d1, d2, value=value)
-    report = VerificationReport(kind=kind, d1=d1, d2=d2, prec=prec,
-                                status="precision",
-                                rhs_exponents=rhs.exponents())
-    for attempt, prec in enumerate(numeric.precisions(prec)):
-        if attempt:
-            report.notes.append(f"retry at {prec} bits")
-        report.prec = prec
-        w = prec + numeric.GUARD_BITS
-        product = _pair_product(*(numeric.class_values(value, d, prec)
-                                  for d in (d1, d2)), w)
-        n = numeric.recognize_integer(product, w)
-        if n is not None:
-            poly1, poly2 = (numeric.class_poly(value, d) for d in (d1, d2))
-            # a coefficient that fails to round is a precision failure too
-            if poly1 is not None and poly2 is not None:
-                break
-    else:
+    """The driver: the analytic side of the pair (numeric.pair_norm), then
+    the exact checks of its integer N: the factor check against rhs at the
+    given scale and the resultant oracle; then the log residual."""
+    tried, norm = numeric.pair_norm(value, d1, d2)
+    prec = tried[-1]
+    report = VerificationReport(
+        kind=kind, d1=d1, d2=d2, prec=prec, status="precision",
+        rhs_exponents=rhs.exponents(),
+        notes=[f"retry at {p} bits" for p in tried[1:]])
+    if norm is None:
         return report
+    n, square = norm
 
     report.product_integer = n
     report.factorization, report.factor_match = _factor_check(
         n, report.rhs_exponents, scale, report.notes)
+    poly1, poly2 = (numeric.class_poly(value, d) for d in (d1, d2))
     res = _sylvester_resultant(poly1, poly2)
     h1, h2 = len(poly1) - 1, len(poly2) - 1     # the class numbers
     report.resultant_match = res == (-1) ** (h1 * h2) * n
 
     # the analytic product, not N: the gate tests the CM values themselves
-    with mpmath.workprec(gate_prec(prec)):
-        report.lhs_log = (scale.numerator * mpmath.log(mpmath.mpf(
-            (product[0] ** 2 + product[1] ** 2, -2 * w)))
-            / (2 * scale.denominator))
-        report.rhs_log = rhs.value(gate_prec(prec))
+    with mpmath.workprec(numeric.gate_prec(prec)):
+        report.lhs_log = (scale.numerator * mpmath.log(mpmath.mpf(square))
+                          / (2 * scale.denominator))
+        report.rhs_log = rhs.value(numeric.gate_prec(prec))
         report.residual = abs(report.lhs_log - report.rhs_log)
     # once N rounds within 2^-TOL_BITS and factor_match holds, the residual
     # is below about scale 2^-TOL_BITS / |N|: the gate can fail only for

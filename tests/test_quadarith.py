@@ -9,6 +9,8 @@ from math import gcd, isqrt, prod
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cmfactor import quadarith
+from cmfactor.arithside import t_range
 from cmfactor.quadarith import (legendre, valuation, factorize,
                                 is_fundamental_discriminant, tonelli, PrimeOfF,
                                 EFCharacter, factor_norms,
@@ -370,6 +372,20 @@ def test_factor_principal_ideals_rejects_bad_elements():
     with pytest.raises(ValueError):
         factor_principal_ideals([2, 4, 6], -4, -4)
     assert factor_principal_ideals([], -7, -15) == {}
+
+
+def test_a_composite_cofactor_is_not_taken_for_a_prime(monkeypatch):
+    # Euler's criterion proves 15 composite at base 2; 561 = 3 11 17 is an
+    # Euler pseudoprime to base 2 and passes: the check is one-sided
+    with pytest.raises(ArithmeticError, match="^15 is not prime$"):
+        legendre(2, 15)
+    assert legendre(2, 561) == 1
+    # a sieve that skips 2 leaves composite cofactors of N(t), 2252 first
+    sieve = quadarith._primes_upto
+    monkeypatch.setattr(quadarith, "_primes_upto",
+                        lambda n: [p for p in sieve(n) if p != 2])
+    with pytest.raises(ArithmeticError, match="^2252 is not prime$"):
+        factor_norms(t_range(-71, -127), 9017)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,6 +1,7 @@
 """End-to-end verification reports, the resultant cross-check, and the
 command line interface."""
 
+import ast
 import io
 import json
 import random
@@ -17,11 +18,11 @@ import mpmath
 import pytest
 
 from cmfactor import numeric, verify
-from cmfactor.numeric import (auto_prec, class_values, j_value,
-                              omega2_value, GUARD_BITS, MAX_RETRIES,
-                              TOL_BITS)
+from cmfactor.numeric import (auto_prec, class_values, gate_prec, j_value,
+                              omega2_value, pair_norm, GUARD_BITS,
+                              MAX_RETRIES, TOL_BITS)
 from cmfactor.verify import (gz_verify, yz_verify, borcherds_verify,
-                             gate_prec, _pair_product, _sylvester_resultant)
+                             _sylvester_resultant)
 from cmfactor.cli import (main, EXIT_OK, EXIT_MISMATCH, EXIT_HYPOTHESIS,
                           EXIT_PRECISION, EXIT_USAGE)
 from cmfactor.quadarith import PrimeLog, is_fundamental_discriminant
@@ -98,41 +99,41 @@ def test_j_bound_covers_a_sample_of_gz_pairs():
     (omega2_value, -15, -71), (omega2_value, -71, -119)])
 def test_pair_product_over_conjugate_orbits(value, d1, d2):
     # the product over the conjugate orbits of the forms of both
-    # discriminants against the naive double product over all h1 h2 pairs of
-    # class values, each orbit's representative and, at weight 2, its
-    # conjugate, to a relative 2^-prec: forms of b = 0 (-4, -84), |b| = a
+    # discriminants (numeric.pair_norm) against the naive double product
+    # over all h1 h2 pairs of class values, each orbit's representative and,
+    # at weight 2, its conjugate: N its rounding and |prod|^2 its modulus
+    # squared to a relative 2^-prec; forms of b = 0 (-4, -84), |b| = a
     # (-3, -15, -84) and a = c (-84), conjugate pairs (-71, -119), and
     # omega2 at even a (-71, -119)
     prec = auto_prec(d1, d2, value=value)
-    w = prec + GUARD_BITS
+    tried, (n, square) = pair_norm(value, d1, d2)
+    assert tried == [prec]
     vals1, vals2 = (class_values(value, d, prec) for d in (d1, d2))
-    x, y = _pair_product(vals1, vals2, w)
-    with mpmath.workprec(w):
-        got = mpmath.mpc(mpmath.mpf((x, -w)), mpmath.mpf((y, -w)))
+    with mpmath.workprec(prec + GUARD_BITS):
         all1, all2 = ([u for v, weight in vals
                        for u in (v, mpmath.conj(v))[:weight]]
                       for vals in (vals1, vals2))
         assert (len(all1), len(all2)) == (len(reduced_forms(d1)),
                                           len(reduced_forms(d2)))
         want = mpmath.fprod(v2 - v1 for v2 in all2 for v1 in all1)
-        assert abs(got - want) <= mpmath.ldexp(abs(want), -prec), (d1, d2)
+        assert n == int(mpmath.nint(want.real)), (d1, d2)
+        assert abs(mpmath.mpf(square) - abs(want) ** 2) <= \
+            mpmath.ldexp(abs(want) ** 2, -prec), (d1, d2)
 
 
 def test_fixed_point_product_is_the_resultant():
     # every coprime gz pair of fundamental |d| <= 60 and the six yz pairs of
-    # criterion 4: N, the pair product on ints at auto_prec(d1, d2) rounded,
-    # is (-1)^(h1 h2) Res(H_d1, H_d2) of the class polynomials, at their own
-    # auto_prec
+    # criterion 4: N, the pair product on ints at auto_prec(d1, d2) rounded
+    # (numeric.pair_norm), is (-1)^(h1 h2) Res(H_d1, H_d2) of the class
+    # polynomials, at their own auto_prec
     discs = [d for d in range(-3, -61, -1) if is_fundamental_discriminant(d)]
     cases = [(j_value, d1, d2) for i, d1 in enumerate(discs)
              for d2 in discs[i + 1:] if gcd(d1, d2) == 1]
     cases += [(omega2_value, d1, d2) for d1, d2 in combinations(
         (-7, -15, -23, -31), 2)]
     for value, d1, d2 in cases:
-        prec = auto_prec(d1, d2, value=value)
-        w = prec + GUARD_BITS
-        n = numeric.recognize_integer(_pair_product(
-            *(class_values(value, d, prec) for d in (d1, d2)), w), w)
+        tried, (n, _) = pair_norm(value, d1, d2)
+        assert tried == [auto_prec(d1, d2, value=value)]
         polys = [numeric.class_poly(value, d) for d in (d1, d2)]
         h1, h2 = (len(poly) - 1 for poly in polys)
         assert n == (-1) ** (h1 * h2) * _sylvester_resultant(*polys), \
@@ -179,6 +180,35 @@ def test_driver_reports_exhausted_precision(monkeypatch, capsys, kind, fn,
     assert main(["class-poly", "--d", "-15"]) == EXIT_PRECISION
     assert "class polynomial for d=-15 did not stabilize" in \
         capsys.readouterr().err
+
+
+def test_driver_retries_when_only_the_class_polynomials_fail(monkeypatch):
+    # the pair product rounds at every precision, but an attempt counts only
+    # when both class polynomials round too
+    monkeypatch.setattr(numeric, "integer_polynomial", lambda *a: None)
+    r = gz_verify(-7, -15)
+    assert r.status == "precision" and r.product_integer is None
+    assert r.prec == 776 == 97 * 2 ** MAX_RETRIES
+    assert r.notes == ["retry at 194 bits", "retry at 388 bits",
+                       "retry at 776 bits"]
+
+
+def test_verify_leaves_the_analytic_side_to_numeric():
+    # the driver names no private name of numeric, no guard bits and no
+    # precision or precision loop of its own: numeric.pair_norm owns them
+    names = []
+    for node in ast.walk(ast.parse(Path(verify.__file__).read_text())):
+        if isinstance(node, ast.Attribute):
+            names.append(node.attr)
+            if isinstance(node.value, ast.Name):
+                names.append(f"{node.value.id}.{node.attr}")
+        elif isinstance(node, ast.ImportFrom):
+            names += [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, (ast.Name, ast.alias)):
+            names.append(getattr(node, "id", None) or node.name)
+    assert [name for name in names if name.startswith("numeric._")
+            or name in ("GUARD_BITS", "precisions", "auto_prec")] == []
+    assert len(names) > 100 and "numeric.pair_norm" in names
 
 
 @pytest.mark.parametrize("d1,d2", [(-119, -127), (-23, -399)])
@@ -234,7 +264,7 @@ def test_log_gate_sees_perturbations_just_above_its_threshold(
     # CM values off by a relative 2^-(prec//4 - 8) put the log residual
     # above the gate's 2^-(prec//4): by 2^6.4 for gz(-3, -4), where j = 0 at
     # -3, by 2^10 for gz(-7, -15) and by 2^4.5 for yz(-7, -15).  The logs,
-    # at verify.gate_prec(prec) bits, resolve it; the unperturbed pair is ok
+    # at numeric.gate_prec(prec) bits, resolve it; the unperturbed pair is ok
     force_prec(bits, d1, d2)
     assert fn(d1, d2).ok()
     numeric._table.clear()
@@ -351,7 +381,7 @@ def test_cli_json_deterministic():
 def test_cli_json_of_a_large_pair_is_deterministic():
     # two runs from an empty table, as in two processes, and one on the
     # table the first left: the logs and the residual carry the digits of
-    # verify.gate_prec(prec), not of prec
+    # numeric.gate_prec(prec), not of prec
     argv = ["gz", "--d1", "-167", "--d2", "-311", "--json"]
     runs = []
     for clear in (True, False, True):
