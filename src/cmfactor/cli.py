@@ -108,6 +108,9 @@ def main(argv=None):
 
     args = ap.parse_args(argv)
 
+    # print exact values past 4300 digits; argv was parsed under the limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         if args.cmd in ("gz", "yz"):
             fn = gz_verify if args.cmd == "gz" else yz_verify
@@ -151,15 +154,10 @@ def main(argv=None):
             return EXIT_OK
 
         if args.cmd == "whittaker":
-            limit = sys.get_int_max_str_digits()
-            sys.set_int_max_str_digits(0)   # exact values past 4300 digits
-            try:
-                v = whittaker2_Ma(args.a, args.o, 0)
-                print(f"parity a={args.a}, ord={args.o}: value at s=0 is {v}")
-                for s in (1, 2):
-                    print(f"  at s={s}: {whittaker2_Ma(args.a, args.o, s)}")
-            finally:
-                sys.set_int_max_str_digits(limit)
+            v = whittaker2_Ma(args.a, args.o, 0)
+            print(f"parity a={args.a}, ord={args.o}: value at s=0 is {v}")
+            for s in (1, 2):
+                print(f"  at s={s}: {whittaker2_Ma(args.a, args.o, s)}")
             return EXIT_OK
 
     except ValueError as exc:
@@ -168,6 +166,8 @@ def main(argv=None):
     except ArithmeticError as exc:
         print(f"precision exhausted: {exc}", file=sys.stderr)
         return EXIT_PRECISION
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -37,7 +37,8 @@ every product of their values on complex fixed-point ints at scale
 (_pair_product, integer_polynomial); a class polynomial at the auto_prec of
 its own discriminant, whatever computation asked for it; and the log gate
 of the verification driver at the bits it tests (gate_prec).  The analytic
-side of a pair of discriminants is one call under this policy, pair_norm.
+side of a pair is one call, pair_norm: one loop rounds its product, and
+then each of its two class polynomials runs its own loop once.
 
 One table serves every computation with the class values of a
 discriminant (class_values), keyed by (class-value function, d): the values
@@ -369,19 +370,19 @@ def _pair_product(vals1, vals2, w):
 def pair_norm(value, d1, d2):
     """The analytic side of the pair d1, d2 for value (j_value or
     omega2_value): their pair product (_pair_product) at auto_prec(d1, d2)
-    rounded to an integer N.  An attempt counts only when N and both class
-    polynomials (class_poly) round; else the precision doubles (_doubling).
-    Returns the precisions tried and (N, |prod|^2), |prod|^2 exact as
-    (mantissa, binary exponent), or None if no attempt counted."""
+    rounded to an integer N, doubling the precision (_doubling) while N does
+    not round; then each class polynomial (class_poly) once, from the values
+    the loop left.  Returns the precisions tried and (N, |prod|^2, H_d1,
+    H_d2), |prod|^2 exact as (mantissa, binary exponent) and a polynomial
+    None if it never rounds; or None if N never rounds."""
     def attempt(prec):
         w = prec + GUARD_BITS
         x, y = _pair_product(*(class_values(value, d, prec)
                                for d in (d1, d2)), w)
         n = recognize_integer((x, y), w)
-        if n is None or None in [class_poly(value, d) for d in (d1, d2)]:
-            return None
-        return n, (x * x + y * y, -2 * w)
-    return _doubling(auto_prec(d1, d2, value=value), attempt)
+        return None if n is None else (n, (x * x + y * y, -2 * w))
+    tried, norm = _doubling(auto_prec(d1, d2, value=value), attempt)
+    return tried, norm and (*norm, *(class_poly(value, d) for d in (d1, d2)))
 
 
 def gate_prec(prec):

@@ -5,14 +5,15 @@ the underlying Borcherds product identities.
 One driver serves both formulas and runs the same checks for both, the
 resultant oracle among them.  A formula only chooses the evaluator of a
 class value (numeric.j_value or numeric.omega2_value) and the scale of the
-arithmetic side.  The analytic side, with its precision, retries and
-rounding, is numeric's (numeric.pair_norm, numeric.gate_prec), and so are
-the class polynomials and the table of class values: see the numeric
-module for both, and for what of a report the table's state can change.
+arithmetic side.  All of the analytic side is numeric's: one call,
+numeric.pair_norm, gives N, |prod|^2 and both class polynomials, and
+numeric.gate_prec the log gate's bits.  See the numeric module for their
+precision searches, and for what of a report its table's state can change.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 import mpmath
 
@@ -44,28 +45,29 @@ class VerificationReport:
 
 
 def _sylvester_resultant(f, g):
-    """Exact resultant of integer polynomials (leading coefficient first),
-    via Bareiss fraction-free elimination of the Sylvester matrix."""
-    m, n = len(f) - 1, len(g) - 1
-    size = m + n
-    rows = ([[0] * i + list(f) + [0] * (n - 1 - i) for i in range(n)]
-            + [[0] * i + list(g) + [0] * (m - 1 - i) for i in range(m)])
-    sign, prev = 1, 1
-    for k in range(size):
-        piv = next((r for r in range(k, size) if rows[r][k] != 0), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            rows[k], rows[piv] = rows[piv], rows[k]
-            sign = -sign
-        pk = rows[k]
-        for r in range(k + 1, size):
-            row = rows[r]
-            # exact: every entry is a minor of the original matrix
-            row[k + 1:] = [(row[c] * pk[k] - row[k] * pk[c]) // prev
-                           for c in range(k + 1, size)]
-        prev = pk[k]
-    return sign * prev
+    """Exact resultant of integer polynomials (leading coefficient first and
+    nonzero), the determinant of their Sylvester matrix: the subresultant
+    PRS (Collins, J. ACM 1967) on their primitive parts, as in Cohen, "A
+    Course in Computational Algebraic Number Theory", Alg. 3.3.7."""
+    ca, cb = gcd(*f), gcd(*g)
+    a, b = [x // ca for x in f], [x // cb for x in g]
+    m, n = len(a) - 1, len(b) - 1
+    t, s, lg, h = ca ** n * cb ** m, 1, 1, 1
+    if m < n:                   # Res(b, a) = (-1)^(m n) Res(a, b)
+        a, b, m, n, s = b, a, n, m, (-1) ** (m * n)
+    while n > 0:
+        delta, s = m - n, -s if m & n & 1 else s
+        r, lb, tail = list(a), b[0], b[1:] + [0] * delta
+        for i in range(delta + 1):      # lb^(delta + 1) a = b q + r
+            r[i + 1:] = [lb * x - r[i] * y for x, y in zip(r[i + 1:], tail)]
+        r = r[delta + 1:]
+        while r and not r[0]:
+            del r[0]
+        a, b, m = b, [x // (lg * h ** delta) for x in r], n
+        n, lg = len(b) - 1, a[0]
+        h = lg ** delta * h // h ** delta           # h^(1 - delta) lg^delta
+    # h^(1 - m) lc(b)^m, which is 0 when b = 0 (then m > 0)
+    return s * t * (b[0] if b else 0) ** m * h // h ** m
 
 
 def _factor_check(n, predicted, scale, notes):
@@ -90,9 +92,10 @@ def _factor_check(n, predicted, scale, notes):
 
 
 def _verify(kind, d1, d2, value, scale, rhs):
-    """The driver: the analytic side of the pair (numeric.pair_norm), then
-    the exact checks of its integer N: the factor check against rhs at the
-    given scale and the resultant oracle; then the log residual."""
+    """The driver: N, |prod|^2 and both class polynomials from one call
+    (numeric.pair_norm), the exact checks of N (the factor check against
+    rhs at the given scale, the resultant oracle) and the log residual; a
+    class polynomial that never rounds leaves a note and no N."""
     tried, norm = numeric.pair_norm(value, d1, d2)
     prec = tried[-1]
     report = VerificationReport(
@@ -101,15 +104,18 @@ def _verify(kind, d1, d2, value, scale, rhs):
         notes=[f"retry at {p} bits" for p in tried[1:]])
     if norm is None:
         return report
-    n, square = norm
+    n, square, *polys = norm
+    report.notes += [f"class polynomial for d={d} did not round"
+                     for d, poly in zip((d1, d2), polys) if poly is None]
+    if None in polys:
+        return report
 
     report.product_integer = n
     report.factorization, report.factor_match = _factor_check(
         n, report.rhs_exponents, scale, report.notes)
-    poly1, poly2 = (numeric.class_poly(value, d) for d in (d1, d2))
-    res = _sylvester_resultant(poly1, poly2)
-    h1, h2 = len(poly1) - 1, len(poly2) - 1     # the class numbers
-    report.resultant_match = res == (-1) ** (h1 * h2) * n
+    h1, h2 = (len(poly) - 1 for poly in polys)      # the class numbers
+    report.resultant_match = (_sylvester_resultant(*polys)
+                              == (-1) ** (h1 * h2) * n)
 
     # the analytic product, not N: the gate tests the CM values themselves
     with mpmath.workprec(numeric.gate_prec(prec)):

@@ -17,7 +17,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from cmfactor import numeric, verify
+from cmfactor import cli, numeric, verify
 from cmfactor.numeric import (auto_prec, class_values, gate_prec, j_value,
                               omega2_value, pair_norm, GUARD_BITS,
                               MAX_RETRIES, TOL_BITS)
@@ -33,6 +33,89 @@ DRIVER_CASES = [("gz", gz_verify, "gz_rhs", -3, -67),
                 ("yz", yz_verify, "yz_rhs", -7, -15)]
 # the class values of each formula, whose heights auto_prec sums
 CLASS_VALUE = {"gz": j_value, "yz": omega2_value}
+
+
+def _bareiss_resultant(f, g):
+    """The reference resultant of integer polynomials (leading coefficient
+    first): Bareiss fraction-free elimination of the Sylvester matrix."""
+    m, n = len(f) - 1, len(g) - 1
+    size = m + n
+    rows = ([[0] * i + list(f) + [0] * (n - 1 - i) for i in range(n)]
+            + [[0] * i + list(g) + [0] * (m - 1 - i) for i in range(m)])
+    sign, prev = 1, 1
+    for k in range(size):
+        piv = next((r for r in range(k, size) if rows[r][k] != 0), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            sign = -sign
+        pk = rows[k]
+        for r in range(k + 1, size):
+            row = rows[r]
+            # exact: every entry is a minor of the original matrix
+            row[k + 1:] = [(row[c] * pk[k] - row[k] * pk[c]) // prev
+                           for c in range(k + 1, size)]
+        prev = pk[k]
+    return sign * prev
+
+
+def _poly_mul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] += x * y
+    return out
+
+
+def test_subresultant_prs_equals_bareiss_on_random_polynomials():
+    # integer polynomials with a nonzero leading coefficient, the contract:
+    # of degree 0 on either side or both, with negative leading
+    # coefficients, contents, common and repeated factors
+    rng = random.Random("prs")
+
+    def poly(deg, bound=9):
+        lead = rng.choice([c for c in range(-bound, bound + 1) if c])
+        return [lead] + [rng.randint(-bound, bound) for _ in range(deg)]
+
+    seen = set()
+    for _ in range(2000):
+        f, g = poly(rng.randint(0, 6)), poly(rng.randint(0, 6))
+        kind = rng.choice(["plain", "common", "repeated", "content"])
+        if kind == "common":
+            c = poly(rng.randint(1, 3))
+            f, g = _poly_mul(f, c), _poly_mul(g, c)
+        elif kind == "repeated":
+            c = poly(rng.randint(1, 2))
+            f = _poly_mul(_poly_mul(f, c), c)
+            g = _poly_mul(g, c) if rng.randrange(2) else g
+        elif kind == "content":
+            f = [rng.randint(2, 30) * x for x in f]
+            g = [x * 2 ** rng.randint(1, 70) for x in g]
+        res = _sylvester_resultant(f, g)
+        assert res == _bareiss_resultant(f, g), (f, g)
+        seen |= {kind, ("deg 0", len(f) == 1, len(g) == 1),
+                 ("negative", f[0] < 0, g[0] < 0), ("zero", res == 0)}
+    assert {"common", "repeated", "content", ("deg 0", True, False),
+            ("deg 0", False, True), ("deg 0", True, True),
+            ("negative", True, True), ("zero", True), ("zero", False)} <= seen
+
+
+def test_subresultant_prs_equals_bareiss_on_class_polynomials():
+    # every coprime gz pair of fundamental |d| <= 120 and every yz pair of
+    # |d| < 400, from numeric.class_poly: degrees up to 19 (omega2,
+    # d = -359) and coefficients of up to 183 bits (j, d = -119)
+    discs = [d for d in range(-3, -121, -1) if is_fundamental_discriminant(d)]
+    cases = [(j_value, d1, d2) for d1, d2 in combinations(discs, 2)
+             if gcd(d1, d2) == 1]
+    discs = [d for d in range(-7, -400, -8) if is_fundamental_discriminant(d)]
+    cases += [(omega2_value, d1, d2) for d1, d2 in combinations(discs, 2)
+              if gcd(d1, d2) == 1]
+    assert len(cases) == 578 + 760
+    for value, d1, d2 in cases:
+        f, g = (numeric.class_poly(value, d) for d in (d1, d2))
+        assert _sylvester_resultant(f, g) == _bareiss_resultant(f, g), \
+            (value.__name__, d1, d2)
 
 
 def test_sylvester_resultant_hand_checks():
@@ -106,7 +189,7 @@ def test_pair_product_over_conjugate_orbits(value, d1, d2):
     # (-3, -15, -84) and a = c (-84), conjugate pairs (-71, -119), and
     # omega2 at even a (-71, -119)
     prec = auto_prec(d1, d2, value=value)
-    tried, (n, square) = pair_norm(value, d1, d2)
+    tried, (n, square, _, _) = pair_norm(value, d1, d2)
     assert tried == [prec]
     vals1, vals2 = (class_values(value, d, prec) for d in (d1, d2))
     with mpmath.workprec(prec + GUARD_BITS):
@@ -125,16 +208,15 @@ def test_fixed_point_product_is_the_resultant():
     # every coprime gz pair of fundamental |d| <= 60 and the six yz pairs of
     # criterion 4: N, the pair product on ints at auto_prec(d1, d2) rounded
     # (numeric.pair_norm), is (-1)^(h1 h2) Res(H_d1, H_d2) of the class
-    # polynomials, at their own auto_prec
+    # polynomials the same call returns, at their own auto_prec
     discs = [d for d in range(-3, -61, -1) if is_fundamental_discriminant(d)]
     cases = [(j_value, d1, d2) for i, d1 in enumerate(discs)
              for d2 in discs[i + 1:] if gcd(d1, d2) == 1]
     cases += [(omega2_value, d1, d2) for d1, d2 in combinations(
         (-7, -15, -23, -31), 2)]
     for value, d1, d2 in cases:
-        tried, (n, _) = pair_norm(value, d1, d2)
+        tried, (n, _, *polys) = pair_norm(value, d1, d2)
         assert tried == [auto_prec(d1, d2, value=value)]
-        polys = [numeric.class_poly(value, d) for d in (d1, d2)]
         h1, h2 = (len(poly) - 1 for poly in polys)
         assert n == (-1) ** (h1 * h2) * _sylvester_resultant(*polys), \
             (d1, d2)
@@ -182,20 +264,33 @@ def test_driver_reports_exhausted_precision(monkeypatch, capsys, kind, fn,
         capsys.readouterr().err
 
 
-def test_driver_retries_when_only_the_class_polynomials_fail(monkeypatch):
-    # the pair product rounds at every precision, but an attempt counts only
-    # when both class polynomials round too
-    monkeypatch.setattr(numeric, "integer_polynomial", lambda *a: None)
+def test_a_class_polynomial_that_never_rounds_is_sought_once(monkeypatch):
+    # the pair's loop rounds only N, at its first precision; then each class
+    # polynomial runs its own doubling loop once, and the report, without
+    # N, names both discriminants
+    expansions, products = [], []
+    monkeypatch.setattr(numeric, "integer_polynomial",
+                        lambda *a: expansions.append(a))
+    pair_product = numeric._pair_product
+    monkeypatch.setattr(numeric, "_pair_product", lambda *a:
+                        products.append(a) or pair_product(*a))
     r = gz_verify(-7, -15)
+    assert len(expansions) == 2 * (MAX_RETRIES + 1) == 8
+    assert len(products) == 1
     assert r.status == "precision" and r.product_integer is None
-    assert r.prec == 776 == 97 * 2 ** MAX_RETRIES
-    assert r.notes == ["retry at 194 bits", "retry at 388 bits",
-                       "retry at 776 bits"]
+    assert r.resultant_match is None and r.lhs_log is None
+    assert r.prec == auto_prec(-7, -15) == 97
+    assert r.notes == ["class polynomial for d=-7 did not round",
+                       "class polynomial for d=-15 did not round"]
+    with redirect_stdout(io.StringIO()):
+        assert main(["gz", "--d1", "-7", "--d2", "-15"]) == EXIT_PRECISION
 
 
 def test_verify_leaves_the_analytic_side_to_numeric():
     # the driver names no private name of numeric, no guard bits and no
-    # precision or precision loop of its own: numeric.pair_norm owns them
+    # precision or precision loop of its own: numeric.pair_norm owns them,
+    # and gives the class polynomials too; the driver reads nothing else of
+    # numeric but the gate's bits and the two class-value functions
     names = []
     for node in ast.walk(ast.parse(Path(verify.__file__).read_text())):
         if isinstance(node, ast.Attribute):
@@ -208,7 +303,10 @@ def test_verify_leaves_the_analytic_side_to_numeric():
             names.append(getattr(node, "id", None) or node.name)
     assert [name for name in names if name.startswith("numeric._")
             or name in ("GUARD_BITS", "precisions", "auto_prec")] == []
-    assert len(names) > 100 and "numeric.pair_norm" in names
+    assert len(names) > 100 and "class_poly" not in names
+    assert {name for name in names if name.startswith("numeric.")} == {
+        "numeric.pair_norm", "numeric.gate_prec", "numeric.j_value",
+        "numeric.omega2_value"}
 
 
 @pytest.mark.parametrize("d1,d2", [(-119, -127), (-23, -399)])
@@ -457,4 +555,22 @@ def test_cli_whittaker_large_ord():
     code, out = _run_cli(["whittaker", "--a", "0", "--ord", "30000"])
     assert code == EXIT_OK
     assert "value at s=0 is 29999/2" in out
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("as_json", [True, False])
+def test_cli_prints_a_product_of_more_than_4300_digits(monkeypatch, as_json):
+    # N of gz(-551, -599) has 6429 digits: it is printed exactly, not
+    # reported as a hypothesis violation, and the digit limit is lifted for
+    # the command alone
+    n, digits = -(10 ** 6428 + 1), "-1" + "0" * 6427 + "1"
+    report = verify.VerificationReport(
+        kind="gz", d1=-551, d2=-599, prec=22182, status="ok",
+        product_integer=n, residual=mpmath.mpf(0))
+    monkeypatch.setattr(cli, "gz_verify", lambda d1, d2: report)
+    limit = sys.get_int_max_str_digits()
+    argv = ["gz", "--d1", "-551", "--d2", "-599"] + ["--json"] * as_json
+    code, out = _run_cli(argv)
+    assert code == EXIT_OK
+    assert digits in out
     assert sys.get_int_max_str_digits() == limit
