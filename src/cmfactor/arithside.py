@@ -81,7 +81,7 @@ def _odd_diff_terms(chi, keep=None):
     the term of t_-m."""
     ms = t_range(chi.d1, chi.d2)
     ms = ms if keep is None else filter(keep, ms)
-    for m, fact in factor_norms(ms, chi.d1 * chi.d2).items():
+    for m, fact in factor_norms(ms, chi).items():
         diff = diff_set(fact, chi)
         if len(diff) != 1:
             continue

@@ -2,58 +2,33 @@
 one precision policy behind every computation with them.
 
 One kernel serves both CM-value functions: the eta quotient
-s(tau) = (eta(2 tau)/eta(tau))^24 = 1/t, on fixed-point integers, from which
+s(tau) = (eta(2 tau)/eta(tau))^24 on fixed-point integers, with
 j = (1 + 256 s)^3 / s and omega2 = 4096 s (Enge, "The complexity of class
 polynomial computation via floating point approximations", Math. Comp.
-2009).  Both evaluators take a point in the upper half plane and a working
-precision of prec bits, and are accurate to 2^-(prec+8) relative to s
-where Im >= sqrt(3)/4.  One pentagonal walk squares its way to E(q^2).
+2009), accurate to 2^-(prec+8) relative to s where Im >= sqrt(3)/4.  A
+class value is taken at the CM point of the reduced form of the class, for
+omega2 by way of an odd-norm point (omega2_value), once per conjugate orbit
+of forms (cm_values).
 
-A class value is taken at the CM point tau of the reduced form (a, b, c)
-of the class, Im tau = sqrt|d| / 2a >= sqrt(3)/2.  j is SL2(Z)-invariant,
-so j_value is eval_j(tau).  omega2 is invariant only under Gamma0(2), and
-its value at a class is the one at an odd-norm point (first coefficient
-odd; Yui-Zagier, Math. Comp. 1997): tau itself if a is odd, else -1/tau if
-c is odd, else -1/(tau +- 1).  By omega2(tau + 1) = omega2(tau) and
-omega2(-1/tau) = 2^12 / omega2(tau/2), omega2_value takes eval_omega2 at
-tau, tau/2 or (tau + 1)/2, so every kernel argument has
-Im >= sqrt(3)/4.  CM values come once per conjugate orbit of forms
-(cm_values): both functions have real q-coefficients, the CM point of
-(a, -b, c) is -conj of that of (a, b, c), and so is the argument
-omega2_value gives the kernel there, up to a translation by 1; the value
-there is exactly the conjugate.  So an orbit is named by its form with
-b >= 0 and weighs 2 iff 0 < b < a < c, when (a, -b, c) is reduced too;
-any other form is self-conjugate, with a real value.
+The precision policy: every computation with CM values runs at the bits
+its own result needs, plus GUARD_BITS, and multiplies values on complex
+fixed-point ints, like the kernel, with a stated bound.  A class
+polynomial starts at auto_prec of its discriminant, 64 bits above a bound
+from a height per form (form_height), and is the one loop: it doubles the
+precision at most MAX_RETRIES times while a coefficient fails to round
+within 2^-TOL_BITS (class_poly).  The pair product runs at p_req, the bits
+at which it matches N, known exactly beforehand as the resultant of the
+class polynomials (pair_norm), and the log gate at gate_prec.
 
-The precision policy: a computation with CM values starts at auto_prec, 64
-bits above an a-priori bound on the bits of what it must round to integers
-from a derived height per form (form_height), and doubles the precision at
-most MAX_RETRIES times (_doubling, the one loop) while a value fails to
-round within 2^-TOL_BITS.  Each step runs at the precision its own result
-needs, plus GUARD_BITS: the evaluators and the CM points they are given
-(one square root of d per discriminant) at the computation's precision;
-every product of their values on complex fixed-point ints at scale
-2^(prec + GUARD_BITS), like the kernel, with a bound of its own
-(_pair_product, integer_polynomial); a class polynomial at the auto_prec of
-its own discriminant, whatever computation asked for it; and the log gate
-of the verification driver at the bits it tests (gate_prec).  The analytic
-side of a pair is one call, pair_norm: one loop rounds its product, and
-then each of its two class polynomials runs its own loop once.
-
-One table serves every computation with the class values of a
-discriminant (class_values), keyed by (class-value function, d): the values
-at the highest precision computed so far, read at any lower precision and
-recomputed only for more bits (a higher auto_prec, a retry), and their
-integer polynomial prod (X - v) (class_poly), kept once it rounds.  It holds
-TABLE_SIZE entries and drops the oldest when full.  Values read from it may
-carry more bits than asked for: what rounds does not depend on its state,
-but digits below the working precision (of a log of CM values or a log
-residual, say) can differ between a cold and a warm table within one
-process.
+One table keeps the class values of each (class-value function, d) at the
+highest precision computed so far (class_values) and their polynomial
+(class_poly).  What rounds does not depend on its state, but digits below
+the working precision, of a log of CM values, say, can differ between a
+cold and a warm table within one process.
 """
 
 from itertools import product
-from math import ceil, log, log2, pi, sqrt
+from math import ceil, floor, gcd, isqrt, log, log2, pi, sqrt
 
 import mpmath
 
@@ -210,15 +185,23 @@ def form_height(value, d, a):
     return max(1, 13.2 - h) if a % 2 else h / 2 + 3.6
 
 
+def form_log(value, d, a):
+    """An estimate of log2 |v|, not a bound: log2 of the leading term of |v|
+    in form_height, 2^h for j, 2^(12 - h) or 2^(h/2) for omega2."""
+    h = pi * sqrt(-d) / (a * log(2))
+    if value is not omega2_value:
+        return h
+    return 12 - h if a % 2 else h / 2
+
+
 def auto_prec(*discs, value=j_value):
     """Working precision in bits for the values of value (j_value or
     omega2_value) at the points of one or two discriminants: 64 + ceil(S),
-    where S sums, over every tuple of one reduced form per discriminant,
-    the largest form_height in the tuple.
-
-    So S bounds the bits of prod (v1 - v2), as |v1 - v2| <= 2 max(|v1|,
-    |v2|), and of the coefficients of each prod_Q (X - v_Q), at most
-    prod (1 + |v_Q|).  The 64 bits: from the kernel's relative 2^-(prec+8)
+    S the sum over every tuple of one reduced form per discriminant of the
+    largest form_height in the tuple.  So S bounds the bits of
+    prod (v1 - v2), as |v1 - v2| <= 2 max(|v1|, |v2|), and of the
+    coefficients of each prod_Q (X - v_Q), at most prod (1 + |v_Q|).  The
+    64 bits: from the kernel's relative 2^-(prec+8)
     on s, omega2 is off by 2^-(prec+8) |v| and j = (1 + 256 s)^3 / s by
     2^-(prec+8) (|v| + 768 |1 + 256 s|^2) < 2^-(prec+8) (|v| + 3900), both
     below 2^(H - prec - 6); so v1 - v2 is off by twice that at the larger
@@ -232,27 +215,18 @@ def auto_prec(*discs, value=j_value):
 
 def cm_values(value, d, prec):
     """One (value(form, tau, prec), weight) pair per conjugate orbit of the
-    reduced forms of d: at the CM point tau of each form (a, b, c) with
+    reduced forms of d, at the CM point tau of each form (a, b, c) with
     b >= 0, in the order of reduced_forms(d).  The weight is 2 iff
     0 < b < a < c, when (a, -b, c) is reduced too and its value is the
-    conjugate; else 1, and the form is self-conjugate (b = 0, b = a or
-    a = c), its value real.  The forms share one square root of d."""
+    conjugate: both functions have real q-coefficients, and its CM point,
+    like the argument omega2_value gives the kernel there up to a shift by
+    1, is -conj of that of (a, b, c).  Else it is 1, the form self-conjugate
+    (b = 0, b = a or a = c), its value real; the forms share one sqrt(d)."""
     with mpmath.workprec(prec + GUARD_BITS):
         root = mpmath.sqrt(d)
         return [(value((a, b, c), heegner_point((a, b, c), d, root), prec),
                  2 if 0 < b < a < c else 1)
                 for a, b, c in reduced_forms(d) if b >= 0]
-
-
-def _doubling(prec, attempt):
-    """The one precision loop: attempt(p) at p = prec, then prec doubled at
-    most MAX_RETRIES times, until a result is not None.  Returns the
-    precisions tried and the last result."""
-    for k in range(MAX_RETRIES + 1):
-        result = attempt(prec * 2 ** k)
-        if result is not None:
-            break
-    return [prec * 2 ** i for i in range(k + 1)], result
 
 
 def recognize_integer(z, w):
@@ -271,16 +245,12 @@ def integer_polynomial(values, w):
     |v|^2 at weight 2, and X - v at weight 1, whose value is real.  The
     integer coefficients, leading first, or None when a coefficient does not
     round or a value of weight 1 has an imaginary part of at least
-    2^-TOL_BITS.
-
-    The bound, at w = auto_prec(d) + GUARD_BITS >= S + 128 (S the height
-    sum of auto_prec): a step floors at most two terms per coefficient, and
-    the floor of |v|^2 puts its factor off by under 2^-w.  The later
-    factors multiply the first by at most prod (1 + |v|) <= 2^S in L1
-    norm, and the other factors bound the second by the same 2^S.  So the
-    h steps cost under 3 h 2^(S - w) <= 2^-(126 - log2 h), far below the
-    kernel's share of auto_prec, as is the truncation of v to scale 2^w
-    beside the kernel's 2^(H - prec - 6) on v."""
+    2^-TOL_BITS.  The bound, at w = auto_prec(d) + GUARD_BITS >= S + 128
+    (S the height sum of auto_prec): a step floors at most two terms per
+    coefficient, and |v|^2 by under 2^-w; the other factors multiply each
+    by at most prod (1 + |v|) <= 2^S in L1 norm.  So the h steps cost under
+    3 h 2^(S - w) <= 2^-(126 - log2 h), as does the truncation of each v,
+    far below the kernel's 2^(H - prec - 6) on v."""
     poly = [1 << w]
     for v, weight in values:
         re, im = _fixed(v, w)
@@ -299,41 +269,67 @@ def integer_polynomial(values, w):
     return None if None in ints else ints
 
 
+def resultant(f, g):
+    """Exact resultant of integer polynomials (leading coefficient first and
+    nonzero), the determinant of their Sylvester matrix: the subresultant
+    PRS (Collins, J. ACM 1967) on their primitive parts, as in Cohen, "A
+    Course in Computational Algebraic Number Theory", Alg. 3.3.7."""
+    ca, cb = gcd(*f), gcd(*g)
+    a, b = [x // ca for x in f], [x // cb for x in g]
+    m, n = len(a) - 1, len(b) - 1
+    t, s, lg, h = ca ** n * cb ** m, 1, 1, 1
+    if m < n:                   # Res(b, a) = (-1)^(m n) Res(a, b)
+        a, b, m, n, s = b, a, n, m, (-1) ** (m * n)
+    while n > 0:
+        delta, s = m - n, -s if m & n & 1 else s
+        r, lb, tail = list(a), b[0], b[1:] + [0] * delta
+        for i in range(delta + 1):      # lb^(delta + 1) a = b q + r
+            r[i + 1:] = [lb * x - r[i] * y for x, y in zip(r[i + 1:], tail)]
+        r = r[delta + 1:]
+        while r and not r[0]:
+            del r[0]
+        a, b, m = b, [x // (lg * h ** delta) for x in r], n
+        n, lg = len(b) - 1, a[0]
+        h = lg ** delta * h // h ** delta           # h^(1 - delta) lg^delta
+    # h^(1 - m) lc(b)^m, which is 0 when b = 0 (then m > 0)
+    return s * t * (b[0] if b else 0) ** m * h // h ** m
+
+
 def class_values(value, d, prec):
-    """The class values of d, one (value, weight) pair per conjugate orbit
-    (cm_values), from the table entry of (value, d).  A request at or below
-    the entry's precision reads its values, which meet the kernel's
-    2^-(prec+8) bound at any lower prec too; one above it recomputes and
-    replaces them, and keeps the entry's polynomial (class_poly), which is
-    exact.  TABLE_SIZE entries hold every fundamental |d| <= 600 of both
-    functions (184 of j, 63 of omega2); the oldest is dropped when the
-    table is full."""
+    """The class values of d (cm_values) from the table entry of (value, d):
+    read at or below the entry's precision, as they meet the kernel's bound
+    at any lower prec too, else recomputed, keeping the entry's exact
+    polynomial.  TABLE_SIZE entries hold every fundamental |d| <= 600 of
+    both functions (184 of j, 63 of omega2), the oldest dropped when full."""
     if prec < 1:
         raise ValueError(f"working precision {prec} must be at least 1 bit")
-    key = value, d
-    entry = _table.get(key)
+    entry = _table.get((value, d))
     if entry is None or entry[0] < prec:
         vals = tuple(cm_values(value, d, prec))
         if entry is None and len(_table) >= TABLE_SIZE:
             del _table[next(iter(_table))]
-        entry = _table[key] = [prec, vals, entry and entry[2]]
+        entry = _table[value, d] = [prec, vals, entry and entry[2]]
     return entry[1]
 
 
 def class_poly(value, d):
-    """The integer polynomial prod (X - v) over the class values of d, kept
-    in the table entry of (value, d) once it rounds and read from it first:
-    integer_polynomial at auto_prec(d) + GUARD_BITS, whatever precision the
-    entry's values have, that precision doubled at most MAX_RETRIES times
-    (_doubling) while it does not round; None if it never does."""
+    """The precisions tried and the integer polynomial prod (X - v) over the
+    class values of d, kept in the table entry of (value, d) once it rounds
+    and read from it first: integer_polynomial at auto_prec(d) + GUARD_BITS,
+    whatever precision the entry's values have, that precision doubled at
+    most MAX_RETRIES times while it does not round, else None."""
     entry = _table.get((value, d))
     if entry and entry[2]:
         return entry[2]
-    _, poly = _doubling(auto_prec(d, value=value), lambda prec:
-                        integer_polynomial(class_values(value, d, prec),
-                                           prec + GUARD_BITS))
-    _table[value, d][2] = poly
-    return poly
+    tried, p = [], auto_prec(d, value=value)
+    for k in range(MAX_RETRIES + 1):
+        tried.append(p << k)
+        poly = integer_polynomial(class_values(value, d, tried[-1]),
+                                  tried[-1] + GUARD_BITS)
+        if poly:
+            _table[value, d][2] = tried, poly
+            break
+    return tried, poly
 
 
 def _pair_product(vals1, vals2, w):
@@ -343,15 +339,11 @@ def _pair_product(vals1, vals2, w):
     (v2 - v1)(v2 - conj v1), and a v2 of weight 2 the factor
     |prod_{v1} (v2 - v1)|^2, as the v1 are closed under conjugation.
 
-    The bound, at w = prec + GUARD_BITS >= S + 128 (S the height sum of
-    auto_prec): each of the h1 h2 factors has |v2 - v1| <= 2^H, with
-    H >= 1 the larger height of its pair (form_height), so every subset
-    product of them is at most 2^S.  A product into 1 is exact, so at most
-    h1 h2 products round, each by under sqrt(2) 2^-w, and the rest of the
-    product multiplies that by a subset product, doubled inside a |.|^2.
-    So the roundings cost under 2^(S - w + 2 + log2(h1 h2)) <=
-    2^-(126 - log2(h1 h2)), and the truncation of each value to scale 2^w
-    is far below the kernel's 2^(H - prec - 6) on it."""
+    The bound, at w = p + GUARD_BITS for values at p bits: every subset
+    product of the h1 h2 factors is at most 2^S (auto_prec).  At most
+    h1 h2 products round, each by under sqrt(2) 2^-w, times a subset
+    product, doubled inside a |.|^2: under h1 h2 2^(S - w + 2), as is the
+    truncation of the values, 2^-57 of the kernel's h1 h2 2^(S - p - 5)."""
     product = 1 << w, 0
     vals1 = [(_fixed(v1, w), w1) for v1, w1 in vals1]
     for v2, w2 in vals2:
@@ -369,34 +361,59 @@ def _pair_product(vals1, vals2, w):
 
 def pair_norm(value, d1, d2):
     """The analytic side of the pair d1, d2 for value (j_value or
-    omega2_value): their pair product (_pair_product) at auto_prec(d1, d2)
-    rounded to an integer N, doubling the precision (_doubling) while N does
-    not round; then each class polynomial (class_poly) once, from the values
-    the loop left.  Returns the precisions tried and (N, |prod|^2, H_d1,
-    H_d2), |prod|^2 exact as (mantissa, binary exponent) and a polynomial
-    None if it never rounds; or None if N never rounds."""
-    def attempt(prec):
-        w = prec + GUARD_BITS
-        x, y = _pair_product(*(class_values(value, d, prec)
-                               for d in (d1, d2)), w)
-        n = recognize_integer((x, y), w)
-        return None if n is None else (n, (x * x + y * y, -2 * w))
-    tried, norm = _doubling(auto_prec(d1, d2, value=value), attempt)
-    return tried, norm and (*norm, *(class_poly(value, d) for d in (d1, d2)))
+    omega2_value), at prec = auto_prec(d1, d2), S = prec - 64: values of
+    each d whose class polynomial (class_poly) is not kept yet at
+    max(auto_prec(d), p0), both polynomials, N = (-1)^(h1 h2) Res(H_d1,
+    H_d2), then the product (_pair_product) at p_req, taking values again
+    only for more bits.  Returns prec, {d: (precisions tried, polynomial or
+    None)} and (N, product, w), the product at scale 2^w, or None for the
+    last if a polynomial never rounds.
+
+    p_req: values at p bits, each off by under 2^(H - p - 6) (auto_prec),
+    put the product off by under h1 h2 2^(S - p - 5), and its roundings by
+    2^-57 of that.  With |N| >= 2^(b-1) and h1 h2 < 2^c, the product is
+    within 2^-(prec//4 + TOL_BITS) |N| at p = prec//4 + TOL_BITS + S - b +
+    c - 3: p_req, capped at prec, where it is within 2^-TOL_BITS of N.  So
+    verify's checks at 2^-(prec//4) hold with TOL_BITS to spare.  p0 is
+    p_req before N is known, for b = floor(L) - 2 sqrt(h1 h2), L the sum
+    over the pairs of forms of max(l1, l2) (form_log): each |v2 - v1| is
+    about 2^max(l1, l2), off by a bit or so either way, and h1 h2 such
+    deviations add up like a random walk.  One evaluation at p0 costs less
+    than two, at auto_prec(d) and p_req: below a few thousand bits a kernel
+    call's cost is mostly overhead that does not shrink with its bits."""
+    prec = auto_prec(d1, d2, value=value)
+
+    def bits(b, h12):       # p_req for an N of b bits
+        return min(prec, prec // 4 + TOL_BITS + prec - 64 - b
+                   + h12.bit_length() - 3)
+    cold = [d for d in (d1, d2) if not _table.get((value, d), [None] * 3)[2]]
+    if cold:
+        logs = [[form_log(value, d, a) for a, _, _ in reduced_forms(d)]
+                for d in (d1, d2)]
+        h12 = len(logs[0]) * len(logs[1])
+        p0 = bits(floor(sum(map(max, product(*logs)))) - 2 * isqrt(h12), h12)
+        for d in cold:
+            class_values(value, d, max(auto_prec(d, value=value), p0))
+    polys = {d: class_poly(value, d) for d in (d1, d2)}
+    (_, f), (_, g) = polys.values()
+    if None in (f, g):
+        return prec, polys, None
+    h12 = (len(f) - 1) * (len(g) - 1)
+    n = (-1) ** h12 * resultant(f, g)
+    w = bits(abs(n).bit_length(), h12) + GUARD_BITS
+    vals = (class_values(value, d, w - GUARD_BITS) for d in (d1, d2))
+    return prec, polys, (n, _pair_product(*vals, w), w)
 
 
 def gate_prec(prec):
-    """p_g, the bits of the verification driver's log gate at working
-    precision prec: it tests |lhs_log - rhs_log| < 2^-(prec//4), and
-    p_g = prec // 4 + GUARD_BITS + prec.bit_length() puts each log off by
-    under 2^-(prec//4 + 60).
-
-    With b = prec.bit_length(): log |N| < S log 2 < prec and the scale is
-    at most 2, so lhs_log is below 2 prec <= 2^(b+1), and so is rhs_log
-    wherever the factor check holds (it is then scale log |N|).  A unit in
-    the last place of such a number at p_g bits is 2^(b + 1 - p_g) =
-    2^-(prec//4 + 63), and each log is a few roundings of its argument, of
-    itself and of the scale, each within a unit: under 8 units."""
+    """p_g = prec // 4 + GUARD_BITS + b, b = prec.bit_length(), the bits of
+    the log gate, |lhs_log - rhs_log| < 2^-(prec//4), at working precision
+    prec: each log is then off by under 2^-(prec//4 + 60).  log |N| <
+    S log 2 < prec and the scale is at most 2, so lhs_log is below
+    2 prec <= 2^(b+1), as is rhs_log where the factor check holds (it is
+    then scale log |N|).  Its unit in the last place at p_g bits is
+    2^-(prec//4 + 63), and each log is a few roundings (of its argument,
+    itself and the scale), each within a unit: under 8 units."""
     return prec // 4 + GUARD_BITS + prec.bit_length()
 
 
@@ -404,7 +421,7 @@ def class_polynomial(d):
     """Hilbert class polynomial of the imaginary quadratic order of
     discriminant d, as a list of integer coefficients, leading first: the
     polynomial of the j entry of d (class_poly)."""
-    poly = class_poly(j_value, d)
+    _, poly = class_poly(j_value, d)
     if poly is None:
         raise ArithmeticError(f"class polynomial for d={d} did not stabilize")
     return list(poly)

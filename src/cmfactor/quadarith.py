@@ -139,6 +139,12 @@ class EFCharacter(dict):
                            or legendre(self.d2, p) == 1)
         return split
 
+    def inert_in_F(self, p):
+        """(D/p) = (d1/p)(d2/p) == -1, keeping the character of p too."""
+        s1, s2 = legendre(self.d1, p), legendre(self.d2, p)
+        self[p] = s1 == 1 or s2 == 1
+        return s1 * s2 == -1
+
 
 SIEVE_FROM = 24   # measured: sieving overtakes trial division at 16-32 t
 
@@ -183,7 +189,7 @@ def _sieve_hits(norms, D):
             yield p, range(lo + (c - lo) % step, hi + 1, step)
 
 
-def factor_norms(ms, D):
+def factor_norms(ms, chi):
     """Factor N(t) = (m^2 - D)/4, t = (m + sqrt(D))/2, up to sign for every
     m in ms, as a dict m -> {p: e}: by the module's lemma, the factorization
     of t O_F, e at the prime of F above p that divides t (_prime_above).
@@ -193,7 +199,9 @@ def factor_norms(ms, D):
     root of the shrinking cofactor; longer lists are sieved over m with
     every prime p <= isqrt(max |N(t)|) not inert in F, each residue class
     of m that p can divide, after which what is left of N(t) is 1 or a
-    prime, neither inert in F (the lemma) nor proved composite (legendre)."""
+    prime, neither inert in F (the lemma; chi.inert_in_F, which fills the
+    table of the pair's EFCharacter chi) nor proved composite (legendre)."""
+    D = chi.d1 * chi.d2
     norms = {}
     for m in ms:
         if (m - D) % 2:
@@ -204,7 +212,7 @@ def factor_norms(ms, D):
         norms[m] = n
     if len(norms) < SIEVE_FROM:
         hits = ((p, (m,)) for m, n in norms.items()
-                for p in factorize(n) if legendre(D, p) != -1)
+                for p in factorize(n) if not chi.inert_in_F(p))
     else:
         hits = _sieve_hits(norms, D)
     rest = dict(norms)
@@ -221,7 +229,7 @@ def factor_norms(ms, D):
                 facts[m][p] = v
     for m, n in rest.items():
         if n > 1:
-            if legendre(D, n) == -1:
+            if chi.inert_in_F(n):
                 raise ArithmeticError("odd valuation at an inert prime")
             facts[m][n] = 1
         if prod(p ** e for p, e in facts[m].items()) != norms[m]:
@@ -235,7 +243,7 @@ def factor_principal_ideals(ms, d1, d2):
     of F above it that divides t."""
     D = d1 * d2
     return {m: {_prime_above(p, D, m): e for p, e in fact.items()}
-            for m, fact in factor_norms(ms, D).items()}
+            for m, fact in factor_norms(ms, EFCharacter(d1, d2)).items()}
 
 
 def factor_principal_ideal(m, d1, d2):

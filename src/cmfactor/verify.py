@@ -2,18 +2,18 @@
 CM value formula exactly against its arithmetic side; plus exact checks of
 the underlying Borcherds product identities.
 
-One driver serves both formulas and runs the same checks for both, the
-resultant oracle among them.  A formula only chooses the evaluator of a
-class value (numeric.j_value or numeric.omega2_value) and the scale of the
-arithmetic side.  All of the analytic side is numeric's: one call,
-numeric.pair_norm, gives N, |prod|^2 and both class polynomials, and
-numeric.gate_prec the log gate's bits.  See the numeric module for their
-precision searches, and for what of a report its table's state can change.
+One driver serves both formulas, which choose a class-value function
+(numeric.j_value or numeric.omega2_value) and the scale of the arithmetic
+side.  numeric.pair_norm gives N, the resultant of the two class
+polynomials up to sign, and the pair product of the CM values.  N must
+factor as the arithmetic side predicts, log |prod| agree with it to
+2^-(prec//4) (the log gate), and |prod - N| < 2^-(prec//4) |N|
+(resultant_match) tests the sign and phase the gate does not see.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import prod
 
 import mpmath
 
@@ -44,36 +44,14 @@ class VerificationReport:
         return self.status == "ok"
 
 
-def _sylvester_resultant(f, g):
-    """Exact resultant of integer polynomials (leading coefficient first and
-    nonzero), the determinant of their Sylvester matrix: the subresultant
-    PRS (Collins, J. ACM 1967) on their primitive parts, as in Cohen, "A
-    Course in Computational Algebraic Number Theory", Alg. 3.3.7."""
-    ca, cb = gcd(*f), gcd(*g)
-    a, b = [x // ca for x in f], [x // cb for x in g]
-    m, n = len(a) - 1, len(b) - 1
-    t, s, lg, h = ca ** n * cb ** m, 1, 1, 1
-    if m < n:                   # Res(b, a) = (-1)^(m n) Res(a, b)
-        a, b, m, n, s = b, a, n, m, (-1) ** (m * n)
-    while n > 0:
-        delta, s = m - n, -s if m & n & 1 else s
-        r, lb, tail = list(a), b[0], b[1:] + [0] * delta
-        for i in range(delta + 1):      # lb^(delta + 1) a = b q + r
-            r[i + 1:] = [lb * x - r[i] * y for x, y in zip(r[i + 1:], tail)]
-        r = r[delta + 1:]
-        while r and not r[0]:
-            del r[0]
-        a, b, m = b, [x // (lg * h ** delta) for x in r], n
-        n, lg = len(b) - 1, a[0]
-        h = lg ** delta * h // h ** delta           # h^(1 - delta) lg^delta
-    # h^(1 - m) lc(b)^m, which is 0 when b = 0 (then m > 0)
-    return s * t * (b[0] if b else 0) ** m * h // h ** m
-
-
 def _factor_check(n, predicted, scale, notes):
-    """Exact test of |n| = prod p^(e_p / scale) over the predicted primes.
-    Returns the valuations of n at those primes and whether they match;
-    a mismatch is explained in notes."""
+    """Exact test of |n| = prod p^(e_p / scale) over the predicted primes: one
+    product of ints, then prime by prime where it fails.  Returns the
+    valuations of n at those primes and whether they match, notes why not."""
+    exps = {p: e / scale for p, e in predicted.items() if e}
+    if all(x.denominator == 1 and x > 0 for x in exps.values()) and \
+            prod(p ** int(x) for p, x in exps.items()) == abs(n):
+        return {p: int(x) for p, x in exps.items()}, True
     cofactor = abs(n)
     fact = {}
     for p in predicted:
@@ -92,41 +70,38 @@ def _factor_check(n, predicted, scale, notes):
 
 
 def _verify(kind, d1, d2, value, scale, rhs):
-    """The driver: N, |prod|^2 and both class polynomials from one call
-    (numeric.pair_norm), the exact checks of N (the factor check against
-    rhs at the given scale, the resultant oracle) and the log residual; a
-    class polynomial that never rounds leaves a note and no N."""
-    tried, norm = numeric.pair_norm(value, d1, d2)
-    prec = tried[-1]
+    """The driver: the checks of the module docstring, rhs at the given
+    scale; a class polynomial that never rounds leaves a note and no N."""
+    prec, polys, norm = numeric.pair_norm(value, d1, d2)
     report = VerificationReport(
         kind=kind, d1=d1, d2=d2, prec=prec, status="precision",
         rhs_exponents=rhs.exponents(),
-        notes=[f"retry at {p} bits" for p in tried[1:]])
+        notes=[f"retry at {p} bits for d={d}"
+               for d, (tried, _) in polys.items() for p in tried[1:]])
+    report.notes += [f"class polynomial for d={d} did not round"
+                     for d, (_, poly) in polys.items() if poly is None]
     if norm is None:
         return report
-    n, square, *polys = norm
-    report.notes += [f"class polynomial for d={d} did not round"
-                     for d, poly in zip((d1, d2), polys) if poly is None]
-    if None in polys:
-        return report
+    n, (x, y), w = norm
 
     report.product_integer = n
     report.factorization, report.factor_match = _factor_check(
         n, report.rhs_exponents, scale, report.notes)
-    h1, h2 = (len(poly) - 1 for poly in polys)      # the class numbers
-    report.resultant_match = (_sylvester_resultant(*polys)
-                              == (-1) ** (h1 * h2) * n)
+    # |prod - N|^2 < 2^-2(prec//4) N^2, on ints at scale 2^w
+    report.resultant_match = ((x - (n << w)) ** 2 + y * y
+                              << 2 * (prec // 4)) < n * n << 2 * w
 
     # the analytic product, not N: the gate tests the CM values themselves
     with mpmath.workprec(numeric.gate_prec(prec)):
-        report.lhs_log = (scale.numerator * mpmath.log(mpmath.mpf(square))
+        report.lhs_log = (scale.numerator
+                          * mpmath.log(mpmath.mpf((x * x + y * y, -2 * w)))
                           / (2 * scale.denominator))
         report.rhs_log = rhs.value(numeric.gate_prec(prec))
         report.residual = abs(report.lhs_log - report.rhs_log)
-    # once N rounds within 2^-TOL_BITS and factor_match holds, the residual
-    # is below about scale 2^-TOL_BITS / |N|: the gate can fail only for
-    # |N| below about scale 2^(prec//4 - TOL_BITS), a precision with slack
-    # over |N|; hence the gate's test forces 400 bits on gz(-3, -4)
+    # once N factor-matches, the product at p_req puts the residual
+    # TOL_BITS below 2^-(prec//4); only at p_req capped at prec, for |N|
+    # below about scale 2^(prec//4 - TOL_BITS), can exact values fail the
+    # gate; hence the gate's test forces 400 bits on gz(-3, -4)
     tight = report.residual < mpmath.mpf(2) ** (-(prec // 4))
     if not tight:
         report.notes.append(f"residual {mpmath.nstr(report.residual, 3)} "

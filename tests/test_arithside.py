@@ -275,7 +275,7 @@ def test_t_O_F_factors_as_the_integer_norm():
         twos.add(D % 8 if D % 2 else 0)
         chi = EFCharacter(d1, d2)
         ms = t_range(d1, d2)
-        norms = factor_norms(ms, D)
+        norms = factor_norms(ms, chi)
         assert list(norms) == list(ms)
         for m in ms:
             fact = factor_principal_ideal(m, d1, d2)

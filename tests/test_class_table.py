@@ -71,7 +71,11 @@ def test_exact_fields_do_not_depend_on_the_table(monkeypatch):
 def test_a_shared_discriminant_is_evaluated_once_per_precision(monkeypatch,
                                                                force_prec):
     # one evaluation per conjugate pair of forms: 1 for -7 (h = 1), 2 for
-    # -15 (h = 2, both forms self-conjugate), 2 for -23 (h = 3)
+    # -15 (h = 2, both forms self-conjugate), 2 for -23 (h = 3), at the
+    # forced precision of each pair (numeric.pair_norm): at p0, 300 (capped
+    # at the pair's 300 bits) and 174 of 200, above the auto_prec of each
+    # discriminant (78, 95 and 113) and no lower than the pair product's
+    # p_req; once both class polynomials are kept, at p_req, 367 of 400
     for bits, d1, d2 in [(300, -7, -15), (200, -7, -23), (400, -15, -23)]:
         force_prec(bits, d1, d2)
     seen = kernel_calls(monkeypatch)
@@ -87,11 +91,11 @@ def test_a_shared_discriminant_is_evaluated_once_per_precision(monkeypatch,
     seen.clear()
     # -7 is read at 300 bits
     assert gz_verify(-7, -23).ok()
-    assert seen == [200] * 2 and expansions == [H[-7], H[-15], H[-23]]
+    assert seen == [174] * 2 and expansions == [H[-7], H[-15], H[-23]]
     seen.clear()
     # both need more bits; their polynomials are kept
     assert gz_verify(-15, -23).ok()
-    assert seen == [400] * 4 and expansions == [H[-7], H[-15], H[-23]]
+    assert seen == [367] * 4 and expansions == [H[-7], H[-15], H[-23]]
     seen.clear()
     # class-poly reads the same j entry
     assert class_polynomial(-23) == [1, 3491750, -5151296875, 12771880859375]
@@ -104,10 +108,11 @@ def test_a_shared_discriminant_is_evaluated_once_per_precision(monkeypatch,
 
 def test_a_forced_retry_recomputes_at_the_doubled_precision(monkeypatch,
                                                             force_prec):
-    # j values off by a relative 2^-20 at 200 bits do not round the
-    # product; the retry evaluates both discriminants again at 400 bits and
-    # replaces their entries, and the class polynomials, at their own
-    # auto_prec below 200 bits, read the exact values of 400 bits
+    # j values off by a relative 2^-20 at 200 bits, the forced auto_prec of
+    # -15, do not round its class polynomial; its retry evaluates -15 again
+    # at 400 bits and replaces its entry.  -7 is evaluated once, at its
+    # auto_prec, 78 bits, above p0 and the pair product's p_req (61 and 58
+    # of the pair's 97 bits), which reads the exact values of 400 bits
     seen = []
     exact = numeric.eval_j
 
@@ -117,12 +122,15 @@ def test_a_forced_retry_recomputes_at_the_doubled_precision(monkeypatch,
         return v * (1 + mpmath.mpf(2) ** -20) if prec == 200 else v
 
     monkeypatch.setattr(numeric, "eval_j", noisy)
-    force_prec(200, -7, -15)
+    force_prec(200, -15)
     r = gz_verify(-7, -15)
-    assert r.ok() and r.prec == 400 and r.notes == ["retry at 400 bits"]
+    assert r.ok() and r.prec == 97
+    assert r.notes == ["retry at 400 bits for d=-15"]
     assert r.product_integer == -3 ** 6 * 5 ** 3 * 7 ** 2 * 13 ** 2
-    assert seen == [200] * 3 + [400] * 3
-    assert [numeric._table[j_value, d][0] for d in (-7, -15)] == [400, 400]
+    assert seen == [78] + [200] * 2 + [400] * 2
+    assert [numeric._table[j_value, d][0] for d in (-7, -15)] == [78, 400]
+    assert numeric._table[j_value, -15][2] == ([200, 400],
+                                               (1, 191025, -121287375))
 
 
 def test_the_table_drops_its_oldest_entry_at_the_bound(monkeypatch):

@@ -342,7 +342,7 @@ def test_factor_norms_is_the_factorization_of_the_norm(pair, start, count):
     D = d1 * d2
     first = start + (start - D) % 2
     ms = [first + 2 * i for i in range(count)]
-    got = factor_norms(ms, D)
+    got = factor_norms(ms, EFCharacter(d1, d2))
     assert list(got) == ms
     for m in ms:
         assert got[m] == {p: e for p, e in factorize((m * m - D) // 4).items()
@@ -385,7 +385,36 @@ def test_a_composite_cofactor_is_not_taken_for_a_prime(monkeypatch):
     monkeypatch.setattr(quadarith, "_primes_upto",
                         lambda n: [p for p in sieve(n) if p != 2])
     with pytest.raises(ArithmeticError, match="^2252 is not prime$"):
-        factor_norms(t_range(-71, -127), 9017)
+        factor_norms(t_range(-71, -127), EFCharacter(-71, -127))
+
+
+@pytest.mark.parametrize("d1,d2", [(-71, -127), (-8, -1151), (-3, -4007)])
+def test_the_inert_check_gives_the_character_of_a_cofactor_prime(
+        monkeypatch, d1, d2):
+    # the sieve leaves a cofactor prime q of N(t); factor_norms reads (D/q)
+    # as (d1/q)(d2/q) through the pair's EFCharacter, which keeps the
+    # character of q: two symbols per cofactor, none of D, and none more
+    # when a sum looks q up; the factorizations are those of trial division
+    D = d1 * d2
+    ms = t_range(d1, d2)
+    assert len(ms) >= SIEVE_FROM
+    calls = []
+    leg = quadarith.legendre
+    monkeypatch.setattr(quadarith, "legendre", lambda a, p:
+                        calls.append((a, p)) or leg(a, p))
+    chi = EFCharacter(d1, d2)
+    facts = factor_norms(ms, chi)
+    bound = isqrt(max(abs(m * m - D) // 4 for m in ms))
+    cofactors = [p for fact in facts.values() for p in fact if p > bound]
+    assert len(cofactors) > 10 and set(chi) == set(cofactors)
+    assert sorted(calls) == sorted((a, q) for q in cofactors
+                                   for a in (d1, d2))
+    calls.clear()
+    assert [chi[q] for q in cofactors] == [
+        leg(d1, q) == 1 or leg(d2, q) == 1 for q in cofactors]
+    assert calls == []
+    assert facts == {m: {p: e for p, e in factorize((m * m - D) // 4).items()
+                         if leg(D, p) != -1} for m in ms}
 
 
 @settings(max_examples=200, deadline=None)
