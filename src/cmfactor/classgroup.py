@@ -1,9 +1,6 @@
-"""Reduced binary quadratic forms and CM points for imaginary quadratic
-class groups."""
+"""Reduced binary quadratic forms for imaginary quadratic class groups."""
 
 from math import gcd, isqrt
-
-import mpmath
 
 
 def units_w(d):
@@ -40,14 +37,4 @@ def reduced_forms(d):
                 continue
             forms.append((a, b, c))
     return sorted(forms)
-
-
-def heegner_point(form, d, root=None):
-    """CM point (b + sqrt(d))/(2a) of the form (a, b, c), as an mpc at the
-    current working precision.  root, when given, is sqrt(d) at that
-    precision, so the forms of one discriminant share one square root."""
-    a, b, c = form
-    if b * b - 4 * a * c != d:
-        raise ValueError("form has wrong discriminant")
-    return (b + (mpmath.sqrt(d) if root is None else root)) / (2 * a)
 

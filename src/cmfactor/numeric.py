@@ -8,11 +8,12 @@ polynomial computation via floating point approximations", Math. Comp.
 2009), accurate to 2^-(prec+8) relative to s where Im >= sqrt(3)/4.  A
 class value is taken at the CM point of the reduced form of the class, for
 omega2 by way of an odd-norm point (omega2_value), once per conjugate orbit
-of forms (cm_values).
+of forms (cm_values).  All of it is on ints, CM points and class values as
+complex fixed-point pairs at scale 2^(prec + GUARD_BITS); mpmath numbers
+appear only in the log gate (verify) and in printing.
 
 The precision policy: every computation with CM values runs at the bits
-its own result needs, plus GUARD_BITS, and multiplies values on complex
-fixed-point ints, like the kernel, with a stated bound.  A class
+its own result needs, plus GUARD_BITS, with a stated bound.  A class
 polynomial starts at auto_prec of its discriminant, 64 bits above a bound
 from a height per form (form_height), and is the one loop: it doubles the
 precision at most MAX_RETRIES times while a coefficient fails to round
@@ -30,9 +31,10 @@ cold and a warm table within one process.
 from itertools import product
 from math import ceil, floor, gcd, isqrt, log, log2, pi, sqrt
 
-import mpmath
+from mpmath.libmp import ln2_fixed, pi_fixed
+from mpmath.libmp.libelefun import cos_sin_fixed, exp_basecase
 
-from .classgroup import reduced_forms, heegner_point
+from .classgroup import reduced_forms
 
 GUARD_BITS = 64
 TOL_BITS = 32
@@ -40,25 +42,6 @@ MAX_RETRIES = 3
 TABLE_SIZE = 256
 
 _table = {}     # (value, d) -> [prec, class values, integer polynomial]
-
-
-def _to_mpc(tau):
-    tau = mpmath.mpmathify(tau)
-    if mpmath.im(tau) <= 0:
-        raise ValueError("tau must lie in the upper half plane")
-    return tau
-
-
-def _series_order(tau, prec):
-    """Number of q-powers needed so the tail is below 2^-(prec+16)."""
-    y = float(mpmath.im(tau))
-    return max(8, ceil((prec + 16) * log(2) / (2 * pi * y)) + 8)
-
-
-def _fixed(z, w):
-    """The complex fixed-point pair (re, im) of z at scale 2^w; each part
-    truncates, by less than a unit 2^-w."""
-    return int(mpmath.ldexp(z.real, w)), int(mpmath.ldexp(z.imag, w))
 
 
 def _mul(x, y, w):
@@ -74,6 +57,14 @@ def _sqr(x, w):
     ((a + b)(a - b), 2ab); each part rounds down, by less than a unit."""
     a, b = x
     return (a + b) * (a - b) >> w, a * b >> (w - 1)
+
+
+def _div(x, y, w):
+    """Quotient x / y of complex fixed-point pairs at one scale, as a pair at
+    scale 2^w; each part rounds down, by less than a unit 2^-w."""
+    (a, b), (c, d) = x, y
+    n = c * c + d * d
+    return ((a * c + b * d) << w) // n, ((b * c - a * d) << w) // n
 
 
 def _euler_products(q, order, w):
@@ -103,52 +94,76 @@ def _euler_products(q, order, w):
 
 
 def _eta_quotient(tau, prec):
-    """s = (eta(2 tau)/eta(tau))^24 = q R, R = (E(q^2) / E(q))^24, to a
-    relative 2^-(prec+8) at every prec and Im tau >= sqrt(3)/4.  Only q and
-    q R are mpmath numbers; E(q), E(q^2) (_euler_products), their quotient
-    r and R = (((r^2 r)^2)^2)^2 are pairs of ints at scale 2^w,
-    w = prec + GUARD_BITS + 8, r scaled by a power of two to modulus >= 1.
+    """s = (eta(2 tau)/eta(tau))^24 = q R, R = (E(q^2) / E(q))^24, at the
+    point tau = (x, y), ints at scale 2^W, W = prec + GUARD_BITS, as (t, k):
+    s = t 2^-k, t a pair at scale 2^w, w = W + 8, within a relative
+    2^-(prec+8) of s at every point within a unit 2^-W of tau per part, at
+    every prec and Im tau >= sqrt(3)/4.  q = m 2^-k, 1 <= |m| < 2, from
+    mpmath's exp_basecase, cos_sin_fixed, pi_fixed and ln2_fixed on ints;
+    E(q), E(q^2) (_euler_products at q = m >> k), their quotient r, scaled
+    by 2^e to modulus >= 1, and R = (((r^2 r)^2)^2)^2 are pairs at scale
+    2^w; s is m R, so its relative error does not grow with k.
 
     The bound, with u = 2^-w, |q| < 0.066 and K <= sqrt(2 order / 3) + 1
     steps of the walk: each _mul or _sqr rounds by less than sqrt(2) u, and
     its factors q^n, n >= 1, have modulus below 0.066, so every power is
     off by under sqrt(2) u / (1 - 2 * 0.066) < 1.7 u and E(q), E(q^2) by
-    under 3.4 K u, plus tails below 2^-(prec+19) (_series_order).  As
+    under 3.4 K u, plus tails below 2^-(prec+19) (order).  As
     0.92 < |E(q)|, |E(q^2)| < 1.08, r is off by a relative 7.4 K u + 1.6 u
     + 2^-(prec+17) with the division, and R by 24 times that, plus 33 u
     from the chain (|r| >= 1) and 48 u from rounding q to w bits
-    (|d log R / dq| < 24 * 1.4).  So s is off by under 2^-(prec+12) +
-    300 K u, plus the mpmath roundings of q and q R: below 2^-(prec+8) for
-    every order below 10^32."""
+    (|d log R / dq| < 24 * 1.4).  With pi and log 2 within a unit,
+    k log 2 - 2 pi y in [0, log 2), k < 9.1 y + 1, is within (11.1 y + 2) u
+    and 2 pi x, its quarter turns exact, within 3 u; exp_basecase and
+    cos_sin_fixed scale their argument down by 2^8 or more (a table step,
+    or squarings or doublings with as many guard bits), so each sums at
+    most w/8 + 4 terms, each rounded down twice, and is within w/4 + 16 u.
+    So m is off by a relative c u, c = w + 12 y + 50, q R by (1 + 24 * 1.4
+    * 0.066) c u < 3.3 c u, and m R rounds by 2 u.  A unit 2^-W = 2^8 u
+    off tau per part moves s by a relative |d log s / d tau| sqrt(2) 2^8 u
+    < 2^13 u, as |d log s / d tau| < 2 pi (1 + 2.3).  So s is off by under
+    2^-(prec+12) + 300 K u + 3.3 c u + 2^13 u: below 2^-(prec+8) for every
+    order below 10^32, w below 2^60 and y below 2^55."""
     if prec < 1:
         raise ValueError(f"working precision {prec} must be at least 1 bit")
-    order = _series_order(tau, prec)
-    q = mpmath.expjpi(2 * tau)
-    w = prec + GUARD_BITS + 8
-    (c, d), (a, b) = _euler_products(_fixed(q, w), order, w)
-    n = c * c + d * d
-    r = ((a * c + b * d) << w) // n, ((b * c - a * d) << w) // n
+    (x, y), W = tau, prec + GUARD_BITS
+    if y <= 0:
+        raise ValueError("tau must lie in the upper half plane")
+    w = W + 8
+    pi_w, ln2 = pi_fixed(w), ln2_fixed(w)
+    z = y * pi_w >> (W - 1)                 # 2 pi y at scale 2^w
+    k = -(-z // ln2)                        # k log 2 - 2 pi y in [0, log 2)
+    ey = exp_basecase(k * ln2 - z, w)       # e^(-2 pi y) 2^k
+    n, f = divmod(x % (1 << W) << 2, 1 << W)   # x mod 1 = (n + f 2^-W) / 4
+    cos, sin = cos_sin_fixed(n * pi_fixed(w - 1) + (f * pi_w >> (W + 1)), w)
+    m = ey * cos >> w, ey * sin >> w
+    # q-powers for a tail below 2^-(prec+16)
+    order = max(8, ceil((prec + 16) * log(2) / (2 * pi * (y / 2 ** W))) + 8)
+    (c, d), (a, b) = _euler_products((m[0] >> k, m[1] >> k), order, w)
+    r = _div((a, b), (c, d), w)
     e = max(0, w + 1 - max(map(abs, r)).bit_length())
     r = r[0] << e, r[1] << e
     r3 = _mul(_sqr(r, w), r, w)
     r24 = _sqr(_sqr(_sqr(r3, w), w), w)
-    return q * mpmath.mpc(*(mpmath.mpf((x, -w - 24 * e)) for x in r24))
+    return _mul(m, r24, w), k + 24 * e
 
 
 def eval_j(tau, prec):
-    """Klein j-invariant, (1 + 256 s)^3 / s."""
-    tau = _to_mpc(tau)
-    with mpmath.workprec(prec + GUARD_BITS):
-        s = _eta_quotient(tau, prec)
-        u = 1 + 256 * s
-        return u * u * u / s
+    """Klein j-invariant (1 + 256 s)^3 / s = u^3 / (t 2^(2k)) for s = t 2^-k
+    (_eta_quotient), u = 2^k (1 + 256 s); tau and j are pairs at scale
+    2^(prec + GUARD_BITS), and the int roundings add under 2 units."""
+    (x, y), k = _eta_quotient(tau, prec)
+    w = prec + GUARD_BITS + 8
+    u = (1 << (w + k)) + (x << 8), y << 8
+    return _div(_mul(_sqr(u, w), u, w), (x << 2 * k, y << 2 * k),
+                prec + GUARD_BITS)
 
 
 def eval_omega2(tau, prec):
-    """Level-2 Hauptmodul 2^12 Delta(2 tau)/Delta(tau) = 4096 s."""
-    tau = _to_mpc(tau)
-    with mpmath.workprec(prec + GUARD_BITS):
-        return 4096 * _eta_quotient(tau, prec)
+    """Level-2 Hauptmodul 2^12 Delta(2 tau)/Delta(tau) = 4096 s, a shift of
+    s = t 2^-k (_eta_quotient) off by under a unit, on pairs as eval_j."""
+    (x, y), k = _eta_quotient(tau, prec)
+    return x << 4 >> k, y << 4 >> k
 
 
 def j_value(form, tau, prec):
@@ -158,12 +173,21 @@ def j_value(form, tau, prec):
 
 def omega2_value(form, tau, prec):
     """omega2 at the odd-norm point of the class of the reduced form
-    (a, b, c), whose CM point is tau: omega2(tau) if a is odd, else
-    2^12 / omega2(tau/2) if c is odd, else 2^12 / omega2((tau + 1)/2)."""
-    a, _, c = form
+    (a, b, c), whose CM point is tau, a pair at scale 2^W, W = prec +
+    GUARD_BITS, as a pair at that scale: omega2(tau) if a is odd, else
+    2^12 / omega2(tau/2) if c is odd, else 2^12 / omega2((tau + 1)/2), at
+    e = max(0, ceil(H) - GUARD_BITS) more bits, H = form_height.  As
+    |omega2| >= 2^(13 - H) there, its truncation moves 2^12 / omega2 by
+    under 2^(2H - 13.5 - W - e) <= 2^(H - prec - 13.5), within auto_prec's
+    bound; the halved point, off by a unit 2^-W, moves s as little."""
+    a, b, c = form
     if a % 2:
         return eval_omega2(tau, prec)
-    return 4096 / eval_omega2(tau / 2 if c % 2 else (tau + 1) / 2, prec)
+    e = max(0, ceil(form_height(omega2_value, b * b - 4 * a * c, a))
+            - GUARD_BITS)
+    (x, y), W = tau, prec + GUARD_BITS
+    half = (x if c % 2 else x + (1 << W)) << e >> 1, y << e >> 1
+    return _div((4096 << W + e, 0), eval_omega2(half, prec + e), W)
 
 
 def form_height(value, d, a):
@@ -201,13 +225,14 @@ def auto_prec(*discs, value=j_value):
     largest form_height in the tuple.  So S bounds the bits of
     prod (v1 - v2), as |v1 - v2| <= 2 max(|v1|, |v2|), and of the
     coefficients of each prod_Q (X - v_Q), at most prod (1 + |v_Q|).  The
-    64 bits: from the kernel's relative 2^-(prec+8)
-    on s, omega2 is off by 2^-(prec+8) |v| and j = (1 + 256 s)^3 / s by
-    2^-(prec+8) (|v| + 768 |1 + 256 s|^2) < 2^-(prec+8) (|v| + 3900), both
-    below 2^(H - prec - 6); so v1 - v2 is off by twice that at the larger
-    H, and as the other factors have S - H bits, the product of h1 h2
-    factors by 2 h1 h2 2^(S - prec - 6) < 2^-TOL_BITS for any h1 h2 < 2^37,
-    with TOL_BITS to spare above its S bits."""
+    64 bits: from the kernel's relative 2^-(prec+8) on s, omega2 is off by
+    2^-(prec+8) |v| and j = (1 + 256 s)^3 / s by 2^-(prec+8) (|v| + 768
+    |1 + 256 s|^2) < 2^-(prec+8) (|v| + 3900), plus 2 units 2^-(prec +
+    GUARD_BITS) of int roundings, all below 2^(H - prec - 6); so v1 - v2 is
+    off by twice that at the larger H, and as the other factors have S - H
+    bits, the product of h1 h2 factors by 2 h1 h2 2^(S - prec - 6) <
+    2^-TOL_BITS for any h1 h2 < 2^37, with TOL_BITS to spare above its S
+    bits."""
     heights = [[form_height(value, d, a) for a, _, _ in reduced_forms(d)]
                for d in discs]
     return 64 + ceil(sum(map(max, product(*heights))))
@@ -221,12 +246,14 @@ def cm_values(value, d, prec):
     conjugate: both functions have real q-coefficients, and its CM point,
     like the argument omega2_value gives the kernel there up to a shift by
     1, is -conj of that of (a, b, c).  Else it is 1, the form self-conjugate
-    (b = 0, b = a or a = c), its value real; the forms share one sqrt(d)."""
-    with mpmath.workprec(prec + GUARD_BITS):
-        root = mpmath.sqrt(d)
-        return [(value((a, b, c), heegner_point((a, b, c), d, root), prec),
-                 2 if 0 < b < a < c else 1)
-                for a, b, c in reduced_forms(d) if b >= 0]
+    (b = 0, b = a or a = c), its value real.  Values and CM points
+    (b + sqrt d)/(2a) are pairs at scale 2^(prec + GUARD_BITS), each point
+    rounded down by under a unit, by one isqrt of |d| for all forms of d."""
+    W = prec + GUARD_BITS
+    root = isqrt(-d << 2 * W)
+    return [(value((a, b, c), ((b << W) // (2 * a), root // (2 * a)), prec),
+             2 if 0 < b < a < c else 1)
+            for a, b, c in reduced_forms(d) if b >= 0]
 
 
 def recognize_integer(z, w):
@@ -240,20 +267,20 @@ def recognize_integer(z, w):
 
 def integer_polynomial(values, w):
     """prod (X - v) over the class values of one discriminant, given as the
-    (value, weight) pairs of cm_values, expanded on fixed-point ints at
-    scale 2^w and rounded (recognize_integer): one factor X^2 - 2 Re(v) X +
-    |v|^2 at weight 2, and X - v at weight 1, whose value is real.  The
-    integer coefficients, leading first, or None when a coefficient does not
-    round or a value of weight 1 has an imaginary part of at least
-    2^-TOL_BITS.  The bound, at w = auto_prec(d) + GUARD_BITS >= S + 128
-    (S the height sum of auto_prec): a step floors at most two terms per
-    coefficient, and |v|^2 by under 2^-w; the other factors multiply each
-    by at most prod (1 + |v|) <= 2^S in L1 norm.  So the h steps cost under
-    3 h 2^(S - w) <= 2^-(126 - log2 h), as does the truncation of each v,
-    far below the kernel's 2^(H - prec - 6) on v."""
+    (value, weight) pairs of cm_values, each value a pair at scale 2^w,
+    expanded on fixed-point ints at that scale and rounded
+    (recognize_integer): one factor X^2 - 2 Re(v) X + |v|^2 at weight 2,
+    and X - v at weight 1, whose value is real.  The integer coefficients,
+    leading first, or None when a coefficient does not round or a value of
+    weight 1 has an imaginary part of at least 2^-TOL_BITS.  The bound, at
+    w = auto_prec(d) + GUARD_BITS >= S + 128 (S the height sum of
+    auto_prec): a step floors at most two terms per coefficient, and |v|^2
+    by under 2^-w; the other factors multiply each by at most
+    prod (1 + |v|) <= 2^S in L1 norm.  So the h steps cost under
+    3 h 2^(S - w) <= 2^-(126 - log2 h), as does the rounding of each v to
+    2^-w, far below the kernel's 2^(H - prec - 6) on v."""
     poly = [1 << w]
-    for v, weight in values:
-        re, im = _fixed(v, w)
+    for (re, im), weight in values:
         if weight == 2:
             factor = -2 * re, (re * re + im * im) >> w
         elif abs(im) >= 1 << (w - TOL_BITS):
@@ -296,11 +323,12 @@ def resultant(f, g):
 
 
 def class_values(value, d, prec):
-    """The class values of d (cm_values) from the table entry of (value, d):
-    read at or below the entry's precision, as they meet the kernel's bound
-    at any lower prec too, else recomputed, keeping the entry's exact
-    polynomial.  TABLE_SIZE entries hold every fundamental |d| <= 600 of
-    both functions (184 of j, 63 of omega2), the oldest dropped when full."""
+    """The class values of d (cm_values) at prec from the table entry of
+    (value, d): at or below the entry's precision by a right shift, as they
+    meet the kernel's bound at any lower prec too, else recomputed, keeping
+    the entry's exact polynomial.  TABLE_SIZE entries hold every fundamental
+    |d| <= 600 of both functions (184 of j, 63 of omega2), the oldest
+    dropped when full."""
     if prec < 1:
         raise ValueError(f"working precision {prec} must be at least 1 bit")
     entry = _table.get((value, d))
@@ -309,7 +337,8 @@ def class_values(value, d, prec):
         if entry is None and len(_table) >= TABLE_SIZE:
             del _table[next(iter(_table))]
         entry = _table[value, d] = [prec, vals, entry and entry[2]]
-    return entry[1]
+    e = entry[0] - prec
+    return tuple(((x >> e, y >> e), weight) for (x, y), weight in entry[1])
 
 
 def class_poly(value, d):
@@ -334,20 +363,19 @@ def class_poly(value, d):
 
 def _pair_product(vals1, vals2, w):
     """prod (v2 - v1) over the class values v1 of d1 and v2 of d2, from the
-    (value, weight) pairs of their conjugate orbits (cm_values), as a
-    complex fixed-point pair at scale 2^w (_mul): a v1 of weight 2 gives
-    (v2 - v1)(v2 - conj v1), and a v2 of weight 2 the factor
-    |prod_{v1} (v2 - v1)|^2, as the v1 are closed under conjugation.
+    (value, weight) pairs of their conjugate orbits (cm_values), on pairs at
+    scale 2^w (_mul): a v1 of weight 2 gives (v2 - v1)(v2 - conj v1), and a
+    v2 of weight 2 the factor |prod_{v1} (v2 - v1)|^2, as the v1 are closed
+    under conjugation.
 
     The bound, at w = p + GUARD_BITS for values at p bits: every subset
     product of the h1 h2 factors is at most 2^S (auto_prec).  At most
     h1 h2 products round, each by under sqrt(2) 2^-w, times a subset
     product, doubled inside a |.|^2: under h1 h2 2^(S - w + 2), as is the
-    truncation of the values, 2^-57 of the kernel's h1 h2 2^(S - p - 5)."""
+    rounding of the values to 2^-w, 2^-57 of the kernel's h1 h2
+    2^(S - p - 5)."""
     product = 1 << w, 0
-    vals1 = [(_fixed(v1, w), w1) for v1, w1 in vals1]
-    for v2, w2 in vals2:
-        x2, y2 = _fixed(v2, w)
+    for (x2, y2), w2 in vals2:
         pv = 1 << w, 0
         for (x1, y1), w1 in vals1:
             f = x2 - x1, y2 - y1
@@ -379,8 +407,7 @@ def pair_norm(value, d1, d2):
     over the pairs of forms of max(l1, l2) (form_log): each |v2 - v1| is
     about 2^max(l1, l2), off by a bit or so either way, and h1 h2 such
     deviations add up like a random walk.  One evaluation at p0 costs less
-    than two, at auto_prec(d) and p_req: below a few thousand bits a kernel
-    call's cost is mostly overhead that does not shrink with its bits."""
+    than two, at auto_prec(d) and p_req, which cost cm-large 25 to 33 %."""
     prec = auto_prec(d1, d2, value=value)
 
     def bits(b, h12):       # p_req for an N of b bits

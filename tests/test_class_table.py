@@ -6,15 +6,15 @@ import random
 from itertools import combinations
 from math import gcd
 
-import mpmath
 import pytest
 
 from cmfactor import numeric
-from cmfactor.numeric import (TOL_BITS, class_polynomial, class_values,
-                              cm_values, integer_polynomial, j_value,
-                              omega2_value)
+from cmfactor.numeric import (GUARD_BITS, TOL_BITS, class_polynomial,
+                              class_values, cm_values, integer_polynomial,
+                              j_value, omega2_value)
 from cmfactor.quadarith import is_fundamental_discriminant
 from cmfactor.verify import gz_verify, yz_verify
+from test_numeric import scaled
 
 VERIFY = {"gz": gz_verify, "yz": yz_verify}
 EXACT_FIELDS = ("status", "prec", "product_integer", "factorization",
@@ -44,8 +44,8 @@ def test_exact_fields_do_not_depend_on_the_table(monkeypatch):
           if a % 8 == b % 8 == 1 and gcd(a, b) == 1]
     ops = rng.sample(gz, 24) + rng.sample(yz, 8)
     rng.shuffle(ops)
-    seen = kernel_calls(monkeypatch, lambda name, tau, prec:
-                        (name, complex(tau), prec))
+    seen = kernel_calls(monkeypatch, lambda name, tau, prec: (
+        name, complex(*(x / (1 << prec + GUARD_BITS) for x in tau)), prec))
 
     def exact(kind, d1, d2):
         r = VERIFY[kind](d1, d2)
@@ -119,7 +119,7 @@ def test_a_forced_retry_recomputes_at_the_doubled_precision(monkeypatch,
     def noisy(tau, prec):
         seen.append(prec)
         v = exact(tau, prec)
-        return v * (1 + mpmath.mpf(2) ** -20) if prec == 200 else v
+        return scaled(v, 20) if prec == 200 else v
 
     monkeypatch.setattr(numeric, "eval_j", noisy)
     force_prec(200, -15)
@@ -171,8 +171,7 @@ def test_a_complex_self_conjugate_value_does_not_round():
     vals = cm_values(j_value, -15, 136)
     assert [weight for _, weight in vals] == [1, 1]
     assert integer_polynomial(vals, 200) == (1, 191025, -121287375)
-    with mpmath.workprec(200):
-        for bits, want in ((TOL_BITS, None),
-                           (TOL_BITS + 8, (1, 191025, -121287375))):
-            tilted = mpmath.mpc(vals[1][0].real, mpmath.ldexp(1, -bits))
-            assert integer_polynomial([vals[0], (tilted, 1)], 200) == want
+    for bits, want in ((TOL_BITS, None),
+                       (TOL_BITS + 8, (1, 191025, -121287375))):
+        tilted = vals[1][0][0], 1 << (200 - bits)
+        assert integer_polynomial([vals[0], (tilted, 1)], 200) == want

@@ -5,7 +5,17 @@ import random
 import mpmath
 import pytest
 
-from cmfactor.classgroup import units_w, reduced_forms, heegner_point
+from cmfactor.classgroup import units_w, reduced_forms
+
+
+def heegner_point(form, d):
+    """CM point (b + sqrt(d))/(2a) of the form (a, b, c), as an mpc at the
+    current working precision: the reference for the fixed-point CM points
+    of numeric.cm_values."""
+    a, b, c = form
+    if b * b - 4 * a * c != d:
+        raise ValueError("form has wrong discriminant")
+    return (b + mpmath.sqrt(d)) / (2 * a)
 
 
 @pytest.mark.parametrize("d,h", [(-3, 1), (-4, 1), (-7, 1), (-8, 1),

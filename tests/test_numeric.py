@@ -1,28 +1,67 @@
 """Arbitrary-precision evaluators against classical CM values."""
 
 import random
+from math import isqrt
 
 import mpmath
 import pytest
 
 from cmfactor import numeric
-from cmfactor.classgroup import heegner_point, reduced_forms
+from cmfactor.classgroup import reduced_forms
 from cmfactor.numeric import (eval_j, eval_omega2, recognize_integer,
                               class_polynomial, auto_prec, cm_values,
                               form_height, integer_polynomial, j_value,
-                              omega2_value, GUARD_BITS, TOL_BITS)
+                              omega2_value, pair_norm, GUARD_BITS, TOL_BITS)
 from cmfactor.quadarith import is_fundamental_discriminant
 from cmfactor.series import j_series
+from test_classgroup import heegner_point
+
+
+def pair(z, prec):
+    """The complex fixed-point pair of the number z at the kernel's scale
+    2^(prec + GUARD_BITS), each part truncated."""
+    z, w = mpmath.mpmathify(z), prec + GUARD_BITS
+    return int(mpmath.ldexp(z.real, w)), int(mpmath.ldexp(z.imag, w))
+
+
+def number(z, w):
+    """The complex fixed-point pair z at scale 2^w as an exact mpc."""
+    with mpmath.workprec(max(53, *(abs(x).bit_length() for x in z))):
+        return mpmath.mpc(mpmath.mpf((z[0], -w)), mpmath.mpf((z[1], -w)))
+
+
+def scaled(z, n):
+    """The complex fixed-point pair z times 1 + 2^-n, each part rounded
+    down: a CM value off by a relative 2^-n."""
+    return tuple(x + (x >> n) for x in z)
+
+
+def j(tau, prec):
+    """eval_j at the mpc tau, as an mpc."""
+    return number(eval_j(pair(tau, prec), prec), prec + GUARD_BITS)
+
+
+def omega2(tau, prec):
+    """eval_omega2 at the mpc tau, as an mpc."""
+    return number(eval_omega2(pair(tau, prec), prec), prec + GUARD_BITS)
+
+
+def eta_quotient(tau, prec):
+    """The kernel's s = t 2^-k at the mpc tau, as an mpc: unlike the pair of
+    eval_omega2, at scale 2^(prec + GUARD_BITS), it keeps its relative
+    precision however small s is."""
+    t, k = numeric._eta_quotient(pair(tau, prec), prec)
+    return number(t, prec + GUARD_BITS + 8 + k)
 
 
 def test_j_at_i_is_1728():
-    v = eval_j(mpmath.mpc(0, 1), 192)
+    v = j(mpmath.mpc(0, 1), 192)
     assert abs(v - 1728) < mpmath.mpf(2) ** -150
 
 
 def test_j_at_omega_is_zero():
     tau = mpmath.mpc(-0.5, mpmath.sqrt(3) / 2)
-    assert abs(eval_j(tau, 192)) < mpmath.mpf(2) ** -140
+    assert abs(j(tau, 192)) < mpmath.mpf(2) ** -140
 
 
 @pytest.mark.parametrize("d,value", [
@@ -33,25 +72,24 @@ def test_j_at_omega_is_zero():
 def test_j_at_class_number_one_points(d, value):
     with mpmath.workprec(320):
         tau = (1 + mpmath.mpc(0, mpmath.sqrt(-d))) / 2
-        assert recognize_integer(numeric._fixed(eval_j(tau, 256), 320),
-                                 320) == value
+        assert recognize_integer(eval_j(pair(tau, 256), 256), 320) == value
 
 
 def test_modular_invariance_of_j():
     with mpmath.workprec(192):
         tau = mpmath.mpc(mpmath.mpf("0.37"), mpmath.mpf("1.21"))
-        a = eval_j(tau, 128)
-        assert abs(a - eval_j(tau + 1, 128)) < mpmath.mpf(2) ** -100
-        assert abs(a - eval_j(-1 / tau, 128)) < mpmath.mpf(2) ** -100
+        a = j(tau, 128)
+        assert abs(a - j(tau + 1, 128)) < mpmath.mpf(2) ** -100
+        assert abs(a - j(-1 / tau, 128)) < mpmath.mpf(2) ** -100
 
 
 def test_omega2_level2_invariance():
     with mpmath.workprec(192):
         tau = mpmath.mpc(mpmath.mpf("0.21"), mpmath.mpf("1.4"))
-        a = eval_omega2(tau, 128)
-        assert abs(a - eval_omega2(tau + 1, 128)) < mpmath.mpf(2) ** -95
+        a = omega2(tau, 128)
+        assert abs(a - omega2(tau + 1, 128)) < mpmath.mpf(2) ** -95
         # gamma = (1 0; 2 1) in Gamma_0(2)
-        assert abs(a - eval_omega2(tau / (2 * tau + 1), 128)) < mpmath.mpf(2) ** -90
+        assert abs(a - omega2(tau / (2 * tau + 1), 128)) < mpmath.mpf(2) ** -90
 
 
 def test_level2_modular_equation():
@@ -59,9 +97,9 @@ def test_level2_modular_equation():
     # eta values at (tau, 2 tau) and at (2 tau, 4 tau)
     with mpmath.workprec(264):
         tau = mpmath.mpc(mpmath.mpf("0.11"), mpmath.mpf("0.93"))
-        w = eval_omega2(tau, 200)
+        w = omega2(tau, 200)
         want = (w + 256) ** 3 / w ** 2
-        got = eval_j(2 * tau, 200)
+        got = j(2 * tau, 200)
         assert abs(got - want) < mpmath.mpf(2) ** -190 * abs(want)
 
 
@@ -70,7 +108,7 @@ def test_omega2_far_in_the_cusp():
     with mpmath.workprec(256):
         q = mpmath.exp(-20 * mpmath.pi)
         want = 4096 * q * (1 + 24 * q + 276 * q ** 2)
-        got = eval_omega2(tau, 200)
+        got = omega2(tau, 200)
         assert abs(got - want) < abs(want) * mpmath.mpf(2) ** -150
 
 
@@ -84,7 +122,7 @@ def test_j_against_mpmath_kleinj(x, y):
     with mpmath.workprec(264):
         tau = mpmath.mpc(mpmath.mpf(x), mpmath.mpf(y))
         want = 1728 * mpmath.kleinj(tau)
-        assert abs(eval_j(tau, 200) - want) < mpmath.mpf(2) ** -232 * abs(want)
+        assert abs(j(tau, 200) - want) < mpmath.mpf(2) ** -232 * abs(want)
 
 
 @pytest.mark.parametrize("x,y", KLEINJ_POINTS)
@@ -93,7 +131,7 @@ def test_omega2_against_mpmath_kleinj(x, y):
     with mpmath.workprec(264):
         tau = mpmath.mpc(mpmath.mpf(x), mpmath.mpf(y))
         want = 1728 * mpmath.kleinj(tau)
-        w = eval_omega2(tau, 200)
+        w = omega2(tau, 200)
         assert abs((w + 16) ** 3 / w - want) < mpmath.mpf(2) ** -232 * abs(want)
 
 
@@ -105,7 +143,9 @@ def test_kernel_accuracy_at_random_points(prec):
     # j(2 tau) = (omega2 + 256)^3 / omega2^2, each to a relative
     # 2^-(prec + 8) of a reference at prec + 200 bits; two points at 10000
     # bits and one at 25000 reach the Im (12.2) and the bits of the
-    # |d| <= 600 pairs
+    # |d| <= 600 pairs.  omega2 is 4096 s from the kernel, whose relative
+    # precision holds where omega2 is as small as 2^-84, below what the
+    # pair of eval_omega2 at scale 2^-(prec + GUARD_BITS) resolves relatively
     if prec < 10000:
         points, low, high = 12, 0.3, 4
     else:
@@ -113,19 +153,20 @@ def test_kernel_accuracy_at_random_points(prec):
     rng = random.Random(f"kernel:{prec}")
     for _ in range(points):
         tau = mpmath.mpc(rng.uniform(-0.5, 0.5), rng.uniform(low, high))
-        j, w = eval_j(tau, prec), eval_omega2(tau, prec)
+        v, s = j(tau, prec), eta_quotient(tau, prec)
         with mpmath.workprec(prec + 200):
+            w = 4096 * s
             tol = mpmath.mpf(2) ** -(prec + 8)
             want = 1728 * mpmath.kleinj(tau)
-            assert abs(j - want) < tol * abs(want), tau
+            assert abs(v - want) < tol * abs(want), tau
             want = 1728 * mpmath.kleinj(2 * tau)
             assert abs((w + 256) ** 3 / w ** 2 - want) < tol * abs(want), tau
 
 
 def test_precision_monotonicity():
     tau = mpmath.mpc(0.3, 0.8)
-    lo = eval_j(tau, 128)
-    hi = eval_j(tau, 320)
+    lo = j(tau, 128)
+    hi = j(tau, 320)
     assert abs(lo - hi) < abs(hi) * mpmath.mpf(2) ** -120
 
 
@@ -198,9 +239,9 @@ def test_form_heights_bound_every_class_value():
         values = (j_value, omega2_value) if d % 8 == 1 else (j_value,)
         with mpmath.workprec(64 + GUARD_BITS):
             for form in reduced_forms(d):
-                tau = heegner_point(form, d)
+                tau = pair(heegner_point(form, d), 64)
                 for value in values:
-                    v = abs(value(form, tau, 64))
+                    v = abs(number(value(form, tau, 64), 64 + GUARD_BITS))
                     height = form_height(value, d, form[0]) * (1 + 2 ** -40)
                     assert mpmath.log(2 * v, 2) <= height, (d, form, value)
                     assert mpmath.log(1 + v, 2) <= height, (d, form, value)
@@ -263,7 +304,7 @@ def class_values_per_form(value, d, prec):
     per_form = {}
     with mpmath.workprec(prec + GUARD_BITS):
         for (a, b, c), (v, weight) in zip(reps, cm_values(value, d, prec)):
-            per_form[a, b, c] = v
+            v = per_form[a, b, c] = number(v, prec + GUARD_BITS)
             if weight == 2:
                 per_form[a, -b, c] = mpmath.conj(v)
     return [per_form[form] for form in reduced_forms(d)]
@@ -281,7 +322,8 @@ def test_cm_values_conjugates_agree_with_direct_evaluation(evaluate, points,
     got = class_values_per_form(CLASS_VALUE[evaluate], d, prec)
     with mpmath.workprec(prec + GUARD_BITS):
         for form, value in zip(points(d), got):
-            want = evaluate(heegner_point(form, d), prec)
+            want = number(evaluate(pair(heegner_point(form, d), prec), prec),
+                          prec + GUARD_BITS)
             assert abs(value - want) <= mpmath.mpf(2) ** -(prec - 8) * abs(want)
 
 
@@ -296,7 +338,7 @@ def test_omega2_value_is_omega2_at_the_odd_norm_point():
         got = class_values_per_form(omega2_value, d, prec)
         with mpmath.workprec(prec + GUARD_BITS):
             for form, value in zip(odd_norm_points(d), got):
-                want = eval_omega2(heegner_point(form, d), prec)
+                want = omega2(heegner_point(form, d), prec)
                 assert abs(value - want) <= \
                     mpmath.mpf(2) ** -(prec - 8) * abs(want), (d, form)
                 forms += 1
@@ -328,23 +370,25 @@ def test_cm_values_evaluates_once_per_conjugate_pair(monkeypatch, d, calls):
 
 @pytest.mark.parametrize("d", [-3, -4, -84, -199, -2399])
 def test_cm_values_takes_one_square_root_per_discriminant(monkeypatch, d):
-    # one mpmath.sqrt(d) serves every form of d, for j and for omega2 alike,
-    # and each CM point equals heegner_point's own
+    # one isqrt(|d| 2^(2W)) serves every form of d, for j and for omega2
+    # alike, and each CM point is heegner_point's own, rounded down to a
+    # pair at scale 2^W, W = prec + GUARD_BITS
     seen = []
-    sqrt = mpmath.sqrt
-    monkeypatch.setattr(mpmath, "sqrt", lambda x: seen.append(x) or sqrt(x))
+    monkeypatch.setattr(numeric, "isqrt", lambda n: seen.append(n) or isqrt(n))
+    W = 200 + GUARD_BITS
     for value in [j_value] + [omega2_value] * (d % 8 == 1):
         seen.clear()
-        cm_values(value, d, 64)
-        assert seen == [d]
+        cm_values(value, d, 200)
+        assert seen == [-d << 2 * W]
     seen.clear()
     points = cm_values(lambda form, tau, prec: tau, d, 200)
-    assert seen == [d]
+    assert seen == [-d << 2 * W]
     forms = [form for form in reduced_forms(d) if form[1] >= 0]
-    with mpmath.workprec(200 + GUARD_BITS):
-        assert [tau for tau, _ in points] == \
-            [heegner_point(form, d) for form in forms]
-    assert len(seen) == 1 + len(forms)
+    with mpmath.workprec(2 * W):
+        assert [tau for tau, _ in points] == [
+            tuple(int(mpmath.floor(mpmath.ldexp(x, W)))
+                  for x in (t.real, t.imag))
+            for t in (heegner_point(form, d) for form in forms)]
 
 
 def reference_polynomial(value, d, prec):
@@ -354,6 +398,7 @@ def reference_polynomial(value, d, prec):
     with mpmath.workprec(prec + GUARD_BITS):
         poly = [mpmath.mpc(1)]
         for v, weight in cm_values(value, d, prec):
+            v = number(v, prec + GUARD_BITS)
             for u in (v, mpmath.conj(v))[:weight]:
                 poly = [a - u * b for a, b in zip(poly + [0], [0] + poly)]
         ints = tuple(int(mpmath.nint(c.real)) for c in poly)
@@ -383,3 +428,78 @@ def test_class_polynomials_round_at_their_own_precision():
                 assert list(got) == class_polynomial(d), d
             checked += 1
     assert (len(discs), checked) == (94, 94 + 32)
+
+
+def test_kernel_at_every_cm_point_of_small_discriminants():
+    # every reduced form of every fundamental |d| <= 200, at auto_prec(d)
+    # and at 4 times it: j within 2^(H - prec - 6) (H = form_height) of
+    # 1728 kleinj at prec + 200 bits, the bound auto_prec takes per value;
+    # and for d = 1 mod 8, omega2 at the odd-norm point of each class (odd a,
+    # even a with odd c, both even), which has the same j, within the same
+    # bound through j = (w + 16)^3 / w
+    discs = [d for d in range(-3, -201, -1) if is_fundamental_discriminant(d)]
+    cases = set()
+    for d in discs:
+        values = (j_value, omega2_value) if d % 8 == 1 else (j_value,)
+        for value in values:
+            base = auto_prec(d, value=value)
+            for prec in (base, 4 * base):
+                W = prec + GUARD_BITS
+                for form in reduced_forms(d):
+                    a, b, c = form
+                    with mpmath.workprec(prec + 200):
+                        tau = (b + mpmath.sqrt(d)) / (2 * a)
+                        want = 1728 * mpmath.kleinj(tau)
+                        v = number(value(form, pair(tau, prec), prec), W)
+                        got = v if value is j_value else (v + 16) ** 3 / v
+                        bound = mpmath.ldexp(1, -(prec + 6)) * \
+                            mpmath.mpf(2) ** form_height(j_value, d, a)
+                        assert abs(got - want) < bound, (d, form, prec)
+                    cases.add((value, a % 2, c % 2))
+    assert len(discs) == 62
+    # at d = 1 mod 8, b is odd and 8 | 4ac, so a or c is even
+    assert cases == {(j_value, 1, 1), (j_value, 1, 0), (j_value, 0, 1),
+                     (j_value, 0, 0), (omega2_value, 1, 0),
+                     (omega2_value, 0, 1), (omega2_value, 0, 0)}
+
+
+def test_omega2_value_keeps_its_bound_at_large_heights():
+    # every form of even a of d = -9007, where H reaches 111 at a = 2:
+    # 2^12 / omega2 at tau/2 or (tau + 1)/2 takes omega2 at ceil(H) - 64
+    # more bits than the value's own scale (omega2_value), and stays within
+    # 2^(H - prec - 6) of 2^12 / (4096 q prod (1 + q^n)^24) in mpmath
+    d, prec = -9007, 100
+    checked = 0
+    for a, b, c in reduced_forms(d):
+        if a % 2:
+            continue
+        with mpmath.workprec(prec + 400):
+            tau = heegner_point((a, b, c), d)
+            got = omega2_value((a, b, c), pair(tau, prec), prec)
+            half = tau / 2 if c % 2 else (tau + 1) / 2
+            q = mpmath.expjpi(2 * half)
+            terms = int((prec + 400) / (9 * half.imag)) + 2
+            want = 1 / (q * mpmath.fprod((1 + q ** n) ** 24
+                                         for n in range(1, terms)))
+            bound = mpmath.ldexp(1, -(prec + 6)) * \
+                mpmath.mpf(2) ** form_height(omega2_value, d, a)
+            assert abs(number(got, prec + GUARD_BITS) - want) < bound, a
+        checked += 1
+    assert checked == 22
+
+
+@pytest.mark.parametrize("value,d1,d2", [(j_value, -47, -79),
+                                         (omega2_value, -71, -119)])
+def test_pair_norm_needs_no_mpmath_number(monkeypatch, value, d1, d2):
+    # the analytic side of a pair on a cold table, CM points, values, class
+    # polynomials, N and the pair product, runs on ints: no mpmath sqrt,
+    # expjpi or working precision
+    want = pair_norm(value, d1, d2)
+    numeric._table.clear()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an mpmath number in the analytic side")
+
+    for name in ("expjpi", "sqrt", "workprec"):
+        monkeypatch.setattr(mpmath, name, forbidden)
+    assert pair_norm(value, d1, d2) == want

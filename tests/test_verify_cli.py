@@ -27,6 +27,7 @@ from cmfactor.cli import (main, EXIT_OK, EXIT_MISMATCH, EXIT_HYPOTHESIS,
 from cmfactor.quadarith import (PrimeLog, is_fundamental_discriminant,
                                 valuation)
 from cmfactor.classgroup import reduced_forms
+from test_numeric import scaled
 
 # one small admissible pair per formula
 DRIVER_CASES = [("gz", gz_verify, "gz_rhs", -3, -67),
@@ -198,7 +199,9 @@ def test_pair_product_over_conjugate_orbits(value, d1, d2):
     vals1, vals2 = (class_values(value, d, w - GUARD_BITS) for d in (d1, d2))
     h12 = len(reduced_forms(d1)) * len(reduced_forms(d2))
     with mpmath.workprec(prec + GUARD_BITS):
-        all1, all2 = ([u for v, weight in vals
+        all1, all2 = ([u for (re, im), weight in vals
+                       for v in [mpmath.mpc(mpmath.mpf((re, -w)),
+                                            mpmath.mpf((im, -w)))]
                        for u in (v, mpmath.conj(v))[:weight]]
                       for vals in (vals1, vals2))
         assert (len(all1), len(all2)) == (len(reduced_forms(d1)),
@@ -277,11 +280,11 @@ def test_a_kernel_off_by_a_quarter_of_the_bits_is_a_mismatch(
     assert fn(d1, d2).ok()
     numeric._table.clear()
     prec = auto_prec(d1, d2, value=CLASS_VALUE[kind])
-    eps = mpmath.ldexp(1, -(prec // 4 - 8))
+    n = prec // 4 - 8
     for name in ("eval_j", "eval_omega2"):
         exact = getattr(numeric, name)
         monkeypatch.setattr(numeric, name, lambda tau, prec, f=exact:
-                            f(tau, prec) * (1 + eps))
+                            scaled(f(tau, prec), n))
     r = fn(d1, d2)
     assert r.prec == prec and r.factor_match and r.resultant_match is False
     assert r.status == "mismatch" and len(r.notes) == 1
@@ -465,10 +468,11 @@ def test_yz_kernel_arguments_stay_high_in_the_upper_half_plane(monkeypatch,
     seen = []
     exact = numeric.eval_omega2
     monkeypatch.setattr(numeric, "eval_omega2", lambda tau, prec:
-                        seen.append(tau) or exact(tau, prec))
+                        seen.append(mpmath.ldexp(tau[1], -prec - GUARD_BITS))
+                        or exact(tau, prec))
     assert yz_verify(d1, d2).ok()
     assert len(seen) > 0
-    assert min(tau.imag for tau in seen) >= mpmath.sqrt(3) / 4
+    assert min(seen) >= mpmath.sqrt(3) / 4
 
 
 def test_gz_verify_rejects_bad_inputs():
@@ -488,7 +492,7 @@ def test_residual_gate_catches_perturbed_cm_values(monkeypatch, force_prec,
     for name in ("eval_j", "eval_omega2"):
         exact = getattr(numeric, name)
         monkeypatch.setattr(numeric, name, lambda tau, prec, f=exact:
-                            f(tau, prec) * (1 + mpmath.mpf(2) ** -60))
+                            scaled(f(tau, prec), 60))
     r = fn(d1, d2)
     assert r.product_integer == n
     assert r.factor_match and r.resultant_match is False
@@ -515,11 +519,10 @@ def test_log_gate_sees_perturbations_just_above_its_threshold(
     force_prec(bits, d1, d2)
     assert fn(d1, d2).ok()
     numeric._table.clear()
-    eps = mpmath.ldexp(1, -(bits // 4 - 8))
     for name in ("eval_j", "eval_omega2"):
         exact = getattr(numeric, name)
         monkeypatch.setattr(numeric, name, lambda tau, prec, f=exact:
-                            f(tau, prec) * (1 + eps))
+                            scaled(f(tau, prec), bits // 4 - 8))
     r = fn(d1, d2)
     assert r.factor_match and r.resultant_match is False
     assert r.status == "mismatch"
