@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
-from .series import FracQSeries, e2_series, euler_product, prod_one_plus
+from .series import (FracQSeries, e2_series, euler_product, prod_one_plus,
+                     product_sum)
 from .discform import restrict_to_M
 
 
@@ -61,8 +62,9 @@ class BiQSeries:
         c1 = min(self.cut1, other.cut1)
         c2 = min(self.cut2, other.cut2)
         a, b = self.coeffs, other.coeffs
-        bad = sorted((k, a.get(k, 0), b.get(k, 0)) for k in a.keys() | b.keys()
-                     if k[0] <= c1 and k[1] <= c2 and a.get(k, 0) != b.get(k, 0))
+        bad = [(k, v, b.get(k, 0)) for k, v in a.items() if v != b.get(k, 0)]
+        bad += [(k, 0, v) for k, v in b.items() if v and k not in a]
+        bad = sorted(x for x in bad if x[0][0] <= c1 and x[0][1] <= c2)
         return (not bad, bad)
 
 
@@ -92,8 +94,9 @@ def _expand_product(minus, plus, rho, C, N1, N2):
     q1 logarithmic derivative sum_N D_N q1^N has at q1^N q2^M the
     coefficient sum over k | (N, M) with M/k >= -1 of (N/k) (-a +
     (-1)^(k+1) b) at NM/k^2, and Miller's recurrence N F_N = sum_{k=1..N}
-    D_k F_{N-k} gives the other rows, the division by N being exact
-    (Borcherds, Invent. Math. 1998, Thm. 13.3).  The exponents are integers,
+    D_k F_{N-k}, one product_sum per row, gives the other rows, the
+    division by N being exact (Borcherds, Invent. Math. 1998, Thm. 13.3;
+    a remainder raises ArithmeticError).  The exponents are integers,
     as every series coefficient is, and must vanish at mn < -1 (checked).
     The rows are integer series whose cutoffs the series layer tracks, so
     every stored coefficient is exact.  Rows q1^0..q1^K1 with terms through
@@ -117,12 +120,16 @@ def _expand_product(minus, plus, rho, C, N1, N2):
             for m in range(-1, (T - 1) // k + 1):
                 d[N + m * k] += n * (sign * b[K1 + n * m] - a[K1 + n * m])
         D.append(FracQSeries.dense(-N, d))
-        s = sum((D[k] * F[N - k] for k in range(2, N + 1)), D[1] * F[N - 1])
+        s = product_sum((D[k], F[N - k]) for k in range(1, N + 1))
+        if any(c % N for c in s.a):
+            raise ArithmeticError(f"row q1^{N} of the product: a remainder "
+                                  f"mod {N}")
         F.append(FracQSeries.dense(s.off, [c // N for c in s.a]))
     s1, s2 = rho.rlp, -rho.rl
     for N, row in enumerate(F):
+        e1 = N + s1
         for e2, c in row.truncate(K2 + 1).terms():
-            box.coeffs[N + s1, e2 + s2] = C * c
+            box.coeffs[e1, e2 + s2] = C * c
     return box
 
 
@@ -163,12 +170,7 @@ def bi_product(s1, s2, N1, N2):
     """S1(q1) * S2(q2) for scalar exact series."""
     if s1.cutoff <= N1 or s2.cutoff <= N2:
         raise ValueError("series too short for requested box")
-    coeffs = {}
-    for e1, c1 in s1.terms():
-        if e1 > N1:
-            continue
-        for e2, c2 in s2.terms():
-            if e2 > N2:
-                continue
-            coeffs[(e1, e2)] = c1 * c2
+    t2 = [(e2, c2) for e2, c2 in s2.terms() if e2 <= N2]
+    coeffs = {(e1, e2): c1 * c2 for e1, c1 in s1.terms() if e1 <= N1
+              for e2, c2 in t2}
     return BiQSeries(coeffs=coeffs, cut1=Fraction(N1), cut2=Fraction(N2))

@@ -47,11 +47,13 @@ class VerificationReport:
 def _factor_check(n, predicted, scale, notes):
     """Exact test of |n| = prod p^(e_p / scale) over the predicted primes: one
     product of ints, then prime by prime where it fails.  Returns the
-    valuations of n at those primes and whether they match, notes why not."""
-    exps = {p: e / scale for p, e in predicted.items() if e}
-    if all(x.denominator == 1 and x > 0 for x in exps.values()) and \
-            prod(p ** int(x) for p, x in exps.items()) == abs(n):
-        return {p: int(x) for p, x in exps.items()}, True
+    valuations of n at those primes and whether they match, notes why not.
+    The quotients e_p / scale are read on ints, as divmod(e_p den, num)."""
+    num, den = scale.numerator, scale.denominator
+    exps = {p: divmod(e * den, num) for p, e in predicted.items() if e}
+    if all(x > 0 and not r for x, r in exps.values()) and \
+            prod(p ** x for p, (x, _) in exps.items()) == abs(n):
+        return {p: x for p, (x, _) in exps.items()}, True
     cofactor = abs(n)
     fact = {}
     for p in predicted:
@@ -62,7 +64,7 @@ def _factor_check(n, predicted, scale, notes):
     if not match:
         notes.append(f"cofactor {cofactor} after the predicted primes")
     for p, e in predicted.items():
-        if fact.get(p, 0) * scale != e:
+        if fact.get(p, 0) * num != e * den:
             match = False
             notes.append(f"exponent of {p}: {fact.get(p, 0)} * {scale} "
                          f"!= {e}")

@@ -177,9 +177,10 @@ def test_integer_expansion_matches_fraction_reference():
 
 
 def test_identities_on_asymmetric_and_zero_boxes():
+    # every box through order 12, each side from 0
     for case in CASES:
-        for n1 in range(7):
-            for n2 in range(7):
+        for n1 in range(13):
+            for n2 in range(13):
                 ok, bad = borcherds_verify(case, n1, n2)
                 assert ok and not bad, (case, n1, n2, bad[:3])
 
@@ -220,6 +221,20 @@ def test_input_form_order_is_the_smallest(monkeypatch, case, module, name,
     monkeypatch.setattr(module, name, _one_order_less(getattr(module, name)))
     with pytest.raises(ValueError, match="beyond cutoff"):
         borcherds_verify(case, n1, n2)
+
+
+def test_row_division_is_checked(monkeypatch):
+    # N F_N = sum_k D_k F_(N-k) is exact; an odd term in the sum of row
+    # q1^2 leaves a remainder mod 2, which must raise
+    product_sum = borcherds.product_sum
+
+    def off_by_one(pairs):
+        s = product_sum(pairs)
+        return FracQSeries.dense(s.off, [s.a[0] + 1] + s.a[1:])
+
+    monkeypatch.setattr(borcherds, "product_sum", off_by_one)
+    with pytest.raises(ArithmeticError, match="remainder mod 2"):
+        product_expansion_j(j_series(45) - 744, 4, 4)
 
 
 def test_product_exponents_are_checked():

@@ -4,11 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cmfactor.series import (FracQSeries, euler_product, prod_one_plus,
                              e2_series, e4_series, eta_series, j_series,
-                             omega2_series, eta_quotient_2_series)
+                             omega2_series, eta_quotient_2_series,
+                             product_sum, _miller)
 
 
 def naive_euler_product(order):
@@ -259,3 +260,101 @@ def test_one_class_and_unit_steps():
     # offsets that are integers are stored as ints
     assert type((e ** 24).off) is int and (e ** 24).off == 1
     assert type(FracQSeries({Fraction(2): 1}, 3).off) is int
+
+
+def _schoolbook(x, y):
+    """The reference product, term by term: exact below
+    min(x.cutoff + y.lo, y.cutoff + x.lo)."""
+    n = min(len(x.a), len(y.a))
+    out = [0] * n
+    for i, c in enumerate(x.a[:n]):
+        for j, d in enumerate(y.a[:n - i]):
+            out[i + j] += c * d
+    return FracQSeries.dense(x.off + y.off, out)
+
+
+def _schoolbook_sum(pairs):
+    total = _schoolbook(*pairs[0])
+    for x, y in pairs[1:]:
+        total = total + _schoolbook(x, y)
+    return total
+
+
+def _same(got, want):
+    return (got.off, got.a, got.cutoff) == (want.off, want.a, want.cutoff)
+
+
+# signed coefficients with zeros, small and past 64 bits; lists of length 0
+# (the zero series) and 1 among them
+coefficients = st.one_of(st.just(0), st.integers(-9, 9),
+                         st.integers(-2 ** 70, 2 ** 70))
+coefficient_lists = st.lists(coefficients, max_size=24)
+fractional_parts = st.builds(Fraction, st.integers(0, 5), st.integers(1, 6))
+shifts = st.integers(-3, 3)
+
+
+@st.composite
+def product_pairs(draw):
+    # x_k at class fx + Z and y_k at fy + Z, so every product lies in
+    # fx + fy + Z
+    fx, fy = draw(fractional_parts), draw(fractional_parts)
+    if draw(st.booleans()):
+        return [(FracQSeries.dense(fx + draw(shifts), draw(coefficient_lists)),
+                 FracQSeries.dense(fy + draw(shifts), draw(coefficient_lists)))
+                for _ in range(draw(st.integers(1, 4)))]
+    # at the bound: r copies of [u] * L times [w] * L have the q^(L-1)
+    # digit r L u w, which is M = sum_k min(len) max|x_k| max|y_k|
+    L, r = draw(st.integers(2, 6)), draw(st.integers(1, 4))
+    u, w = (draw(st.integers(1, 2 ** 40)) * draw(st.sampled_from([1, -1]))
+            for _ in "uw")
+    return [(FracQSeries.dense(fx, [u] * L),
+             FracQSeries.dense(fy, [w] * L))] * r
+
+
+def _at_the_bound(bits, u=1):
+    # [u, u] [w, w]: the q^1 digit 2 u w has exactly `bits` bits
+    w = 2 ** (bits - 1) - 1
+    return [(FracQSeries.dense(0, [u, u]), FracQSeries.dense(0, [w, w]))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_pairs())
+@example(_at_the_bound(8))
+@example(_at_the_bound(16, -1))
+@example(_at_the_bound(72) * 2)
+@example([(FracQSeries.dense(-2, [2 ** 30 - 1] * 9),
+           FracQSeries.dense(Fraction(1, 2), [-(2 ** 30)] * 5))] * 3)
+def test_product_sum_is_the_schoolbook_sum(pairs):
+    # a digit at the bound needs B = bits(M) + 1 rounded to bytes; one bit
+    # less fails the examples at 8, 16 and 72 bits
+    assert _same(product_sum(pairs), _schoolbook_sum(pairs))
+    x, y = pairs[0]
+    assert _same(x * y, _schoolbook(x, y))
+
+
+def test_product_sum_needs_one_class():
+    x = FracQSeries.dense(0, [1, 2, 3])
+    y = FracQSeries.dense(Fraction(1, 2), [1, 2, 3])
+    with pytest.raises(ValueError, match="classes"):
+        product_sum([(x, x), (x, y)])
+    # a zero product may lie in any class
+    zero = FracQSeries.dense(Fraction(1, 3), [])
+    assert _same(product_sum([(x, x), (zero, x)]),
+                 x * x + _schoolbook(zero, x))
+
+
+def test_miller_division_is_checked():
+    # sqrt(1 + q) = 1 + q/2 - ...: the recurrence leaves a remainder
+    assert _miller([1, 1, 0], -1) == [1, -1, 1]
+    with pytest.raises(ArithmeticError, match="remainder"):
+        _miller([1, 1, 0], Fraction(1, 2))
+
+
+def test_j_series_equals_the_miller_route():
+    # E4^3 by Miller's recurrence on the dense E4, times E^-24, term by term
+    order = 300
+    e4_cube = e4_series(order + 1) ** 3
+    want = _schoolbook(e4_cube, euler_product(order + 1) ** -24)
+    got = j_series(order)
+    assert got.off == -1 and got.cutoff == order + 1
+    assert got.a == want.a
