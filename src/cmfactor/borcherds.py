@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
-from .series import (FracQSeries, e2_series, euler_product, prod_one_plus,
+from .series import (FracQSeries, e2_series, euler_product, exponent,
                      product_sum)
 from .discform import restrict_to_M
 
@@ -33,7 +33,7 @@ def weyl_vector(f_M):
     is checked.
     """
     rl = Fraction(-f_M.coeff(0), 24)
-    depth = max(0, -int(f_M.lo()))
+    depth = max(0, -int(f_M.off))
     e2 = e2_series(depth + 1)
     e2_term = sum(f_M.coeff(-k) * e2.coeff(k) for k in range(depth + 1))
     rlp = Fraction(e2_term, 24)
@@ -44,14 +44,13 @@ def weyl_vector(f_M):
 
 @dataclass
 class BiQSeries:
-    """Truncated bivariate series: coeffs maps (e1, e2) Fraction pairs to
-    int coefficients, exact on the region e1 <= cut1, e2 <= cut2."""
+    """Truncated bivariate series: nonzero int coeffs at (e1, e2), exponents
+    as in `series.exponent`, exact on the region e1 <= cut1, e2 <= cut2."""
     coeffs: dict
-    cut1: Fraction
-    cut2: Fraction
+    cut1: int
+    cut2: int
 
     def coeff(self, e1, e2):
-        e1, e2 = Fraction(e1), Fraction(e2)
         if e1 > self.cut1 or e2 > self.cut2:
             raise ValueError("coefficient outside the exact region")
         return self.coeffs.get((e1, e2), 0)
@@ -89,7 +88,8 @@ def _expand_product(minus, plus, rho, C, N1, N2):
     coefficients of q^mn in the series minus and plus (plus None: b = 0).
 
     Without the prefactor the product is sum_N F_N(q2) q1^N, and F_0 =
-    prod (1 - q2^m)^a(0) (1 + q2^m)^b(0) is a one-variable power.  The
+    prod (1 - q2^m)^a(0) (1 + q2^m)^b(0), with E = prod (1 - q^m), is the
+    product of two one-variable powers E(q2)^(a(0) - b(0)) E(q2^2)^b(0).  The
     product is the exponential of sum a log(1 - x) + b log(1 + x), so its
     q1 logarithmic derivative sum_N D_N q1^N has at q1^N q2^M the
     coefficient sum over k | (N, M) with M/k >= -1 of (N/k) (-a +
@@ -105,13 +105,14 @@ def _expand_product(minus, plus, rho, C, N1, N2):
     """
     K1 = floor(N1 - rho.rlp)        # rows q1^N with N + rlp <= N1
     K2 = floor(N2 + rho.rl)         # terms q2^M with M - rl <= N2
-    box = BiQSeries(coeffs={}, cut1=Fraction(N1), cut2=Fraction(N2))
+    box = BiQSeries(coeffs={}, cut1=N1, cut2=N2)
     if K1 < 0:
         return box
     T = max(1, K1 + K2 + 1)         # F_0 and every D_N are exact below q2^T
     a = _exponents(minus, -K1, K1 * (T - 1))     # a[K1 + mn], b likewise
     b = [0] * len(a) if plus is None else _exponents(plus, -K1, K1 * (T - 1))
-    F = [euler_product(T - 1) ** a[K1] * prod_one_plus(T - 1, b[K1])]
+    F = [euler_product(T - 1) ** (a[K1] - b[K1])
+         * (euler_product((T - 1) // 2) ** b[K1]).subst_power(2)]
     D = [None]
     for N in range(1, K1 + 1):
         d = [0] * (N + T)           # q2^-N .. q2^(T-1)
@@ -125,7 +126,7 @@ def _expand_product(minus, plus, rho, C, N1, N2):
             raise ArithmeticError(f"row q1^{N} of the product: a remainder "
                                   f"mod {N}")
         F.append(FracQSeries.dense(s.off, [c // N for c in s.a]))
-    s1, s2 = rho.rlp, -rho.rl
+    s1, s2 = exponent(rho.rlp), exponent(-rho.rl)
     for N, row in enumerate(F):
         e1 = N + s1
         for e2, c in row.truncate(K2 + 1).terms():
@@ -153,17 +154,16 @@ def product_expansion_j(f_M, N1, N2):
 
 def bi_difference(s, N1, N2):
     """S(q1) - S(q2) for a scalar exact series S."""
-    zero = Fraction(0)
     coeffs = {}
     for e, c in s.terms():
         if e <= N1:
-            coeffs[e, zero] = coeffs.get((e, zero), 0) + c
+            coeffs[e, 0] = coeffs.get((e, 0), 0) + c
         if e <= N2:
-            coeffs[zero, e] = coeffs.get((zero, e), 0) - c
+            coeffs[0, e] = coeffs.get((0, e), 0) - c
     coeffs = {k: v for k, v in coeffs.items() if v}
     if s.cutoff <= max(N1, N2):
         raise ValueError("series too short for requested box")
-    return BiQSeries(coeffs=coeffs, cut1=Fraction(N1), cut2=Fraction(N2))
+    return BiQSeries(coeffs=coeffs, cut1=N1, cut2=N2)
 
 
 def bi_product(s1, s2, N1, N2):
@@ -173,4 +173,4 @@ def bi_product(s1, s2, N1, N2):
     t2 = [(e2, c2) for e2, c2 in s2.terms() if e2 <= N2]
     coeffs = {(e1, e2): c1 * c2 for e1, c1 in s1.terms() if e1 <= N1
               for e2, c2 in t2}
-    return BiQSeries(coeffs=coeffs, cut1=Fraction(N1), cut2=Fraction(N2))
+    return BiQSeries(coeffs=coeffs, cut1=N1, cut2=N2)

@@ -159,6 +159,6 @@ def restrict_to_M(f):
     """Restriction to the sublattice index-2 dual pair: the scalar form
     f_mu0 + f_mu2, whose exponents must be integers."""
     s = f.components["mu0"] + f.components["mu2"]
-    if s.lo().denominator != 1:
+    if s.off.denominator != 1:
         raise ArithmeticError("restriction has fractional exponents")
     return s

@@ -7,8 +7,8 @@ series adds to a series of any class.  Every term below the cutoff
 off + len(a) is stored, and a[0] != 0 unless the series is zero.  Exponents
 may be negative (principal parts).  Powers, the inverse among them, are
 taken of monic series (a[0] == 1) only, so every coefficient stays an
-integer.  The accessors `coeff` and `terms` give coefficients as ints; only
-exponents and cutoffs are Fractions.
+integer.  Coefficients are ints; every exponent and cutoff, the accessors'
+among them, is an int when integral, else a Fraction, as `off` (`exponent`).
 
 Powers go by Miller's recurrence, for sparse bases; products, and sums of
 products, by `product_sum`: Kronecker substitution for dense factors, term
@@ -17,6 +17,11 @@ by term for a factor at least half zero.
 
 from fractions import Fraction
 from math import ceil
+
+
+def exponent(e):
+    """The exponent e, an int or a Fraction, as an int when integral."""
+    return int(e) if e.denominator == 1 else e
 
 
 def _miller(a, k):
@@ -77,8 +82,8 @@ DENSE_FROM = 0.5
 
 def product_sum(pairs):
     """sum_k x_k y_k over pairs of series, exact below the smallest of the
-    products' cutoffs: x y is exact below min(x.cutoff + y.lo,
-    y.cutoff + x.lo), and a sum below the smaller cutoff, as for __add__.
+    products' cutoffs: x y is exact below min(x.cutoff + y.off,
+    y.cutoff + x.off), and a sum below the smaller cutoff, as for __add__.
     Nonzero products must lie in one exponent class mod 1.
 
     A pair whose sparser factor has at most DENSE_FROM of its terms nonzero
@@ -131,10 +136,10 @@ class FracQSeries:
     def __init__(self, coeffs, cutoff):
         """The series sum_e coeffs[e] q^e, exact below cutoff: integer
         coefficients at exponents e of one class mod 1."""
-        coeffs = {Fraction(e): c for e, c in coeffs.items() if e < cutoff}
+        coeffs = {e: c for e, c in coeffs.items() if e < cutoff}
         if any(int(c) != c for c in coeffs.values()):
             raise ValueError("coefficients must be integers")
-        off = min(coeffs, default=Fraction(cutoff))
+        off = min(coeffs, default=cutoff)
         if any((e - off).denominator != 1 for e in coeffs):
             raise ValueError("exponents must lie in one class mod 1")
         a = [0] * ceil(cutoff - off)
@@ -144,8 +149,7 @@ class FracQSeries:
 
     def _set(self, off, a):
         lead = next((i for i, c in enumerate(a) if c), len(a))
-        off += lead
-        self.off = int(off) if off.denominator == 1 else off
+        self.off = exponent(off + lead)
         self.a = a[lead:]
 
     @classmethod
@@ -161,18 +165,9 @@ class FracQSeries:
 
     @property
     def cutoff(self):
-        return Fraction(self.off + len(self.a))
-
-    def lo(self):
-        """Smallest exponent with a nonzero stored coefficient.
-
-        For an identically-zero truncation this returns the cutoff, which is
-        a valid lower bound for any terms the series may have.
-        """
-        return Fraction(self.off)
+        return self.off + len(self.a)
 
     def coeff(self, e):
-        e = Fraction(e)
         if e >= self.cutoff:
             raise ValueError(f"coefficient of q^{e} beyond cutoff {self.cutoff}")
         i = e - self.off
@@ -181,9 +176,9 @@ class FracQSeries:
         return self.a[int(i)]
 
     def terms(self):
-        """Sorted list of (exponent, coefficient) pairs: Fraction
-        exponents, int coefficients."""
-        return [(Fraction(self.off + i), c) for i, c in enumerate(self.a) if c]
+        """Sorted list of (exponent, coefficient) pairs of the nonzero
+        terms: int coefficients, exponents in the form of `off`."""
+        return [(self.off + i, c) for i, c in enumerate(self.a) if c]
 
     def truncate(self, cutoff):
         if cutoff > self.cutoff:
@@ -224,8 +219,8 @@ class FracQSeries:
         return product_sum([(self, other)])
 
     def __pow__(self, k):
-        """self ** k for any integer k, exact below k lo + (cutoff - lo).
-        A nonzero self must be monic."""
+        """self ** k for any integer k, exact below k off + (cutoff - off).
+        A nonzero self must be monic; its 0th power is the constant 1."""
         if not self.a:
             if k <= 0:
                 raise ZeroDivisionError("power of the zero series")
@@ -233,6 +228,8 @@ class FracQSeries:
         if self.a[0] != 1:
             raise ValueError("power of a series whose leading coefficient "
                              "is not 1")
+        if k == 0:
+            return self.constant(1, len(self.a))
         return self.dense(k * self.off, _miller(self.a, k))
 
     def inverse(self):

@@ -13,7 +13,8 @@ from cmfactor.borcherds import (WeylVector, weyl_vector, BiQSeries,
 from cmfactor.discform import (VVForm, build_weber_f, restrict_to_M,
                                constant_vvform)
 from cmfactor.series import (FracQSeries, j_series, omega2_series,
-                             eta_series, eta_quotient_2_series)
+                             eta_series, eta_quotient_2_series,
+                             euler_product, prod_one_plus)
 from cmfactor import borcherds, discform, series
 from cmfactor.verify import borcherds_verify
 
@@ -176,6 +177,31 @@ def test_integer_expansion_matches_fraction_reference():
         assert (got.cut1, got.cut2) == (N1, N2)
 
 
+def test_row_zero_matches_the_product_of_powers(monkeypatch):
+    # the q1^0 row F_0 = prod (1 - q^m)^a0 (1 + q^m)^b0 of _expand_product
+    # against the reference E(q)^a0 prod (1 + q^m)^b0, E = prod (1 - q^m);
+    # neither side, nor any borcherds_verify case, takes a 0th Miller power
+    ks = []
+    miller = series._miller
+
+    def counting(a, k):
+        ks.append(k)
+        return miller(a, k)
+
+    monkeypatch.setattr(series, "_miller", counting)
+    rho = WeylVector(rl=Fraction(0), rlp=Fraction(0))
+    for order in (0, 1, 4, 11):
+        for a0 in range(-30, 31):
+            for b0 in range(-30, 31):
+                minus, plus = (FracQSeries.dense(0, [c]) for c in (a0, b0))
+                got = _expand_product(minus, plus, rho, 1, 0, order)
+                want = euler_product(order) ** a0 * prod_one_plus(order, b0)
+                assert got.coeffs == {(0, e): c for e, c in want.terms()}
+    for case in CASES:
+        assert borcherds_verify(case, 3, 2)[0]
+    assert ks and 0 not in ks
+
+
 def test_identities_on_asymmetric_and_zero_boxes():
     # every box through order 12, each side from 0
     for case in CASES:
@@ -254,8 +280,14 @@ CONSTANT_FORMS = ({"mu0": 1, "mu1": 1}, {"mu0": 1, "mu2": 1},
                   {"mu1": -1, "mu2": 1})
 
 
+def _int_unless_fractional(e):
+    return type(e) is (int if e.denominator == 1 else Fraction)
+
+
 def test_coefficients_are_ints_and_weyl_vectors_fractions(monkeypatch):
-    # every value of both boxes that borcherds_verify compares is an int
+    # every value of both boxes that borcherds_verify compares is an int,
+    # and every key an int pair for j and weber, whose exponents are
+    # integers, and a pair of fractional Fractions for the eta cases
     compared = []
     compare = BiQSeries.compare
 
@@ -268,14 +300,27 @@ def test_coefficients_are_ints_and_weyl_vectors_fractions(monkeypatch):
         compared.clear()
         assert borcherds_verify(case, 4, 4) == (True, [])
         assert len(compared) == 2 and all(b.coeffs for b in compared)
+        kind = int if case in ("j", "weber") else Fraction
         for box in compared:
             assert all(type(c) is int for c in box.coeffs.values()), case
-    # the one-variable accessors give int coefficients, Fraction exponents
-    for s in [*build_weber_f(4).components.values(), j_series(6)]:
+            for key in box.coeffs:
+                assert all(type(e) is kind and _int_unless_fractional(e)
+                           for e in key), (case, key)
+            assert type(box.cut1) is type(box.cut2) is int
+    # the one-variable accessors give int coefficients, and exponents and
+    # cutoffs that are ints when integral, else Fractions: ints for j and
+    # the weber components but mu3, Fractions for mu3 and the eta series
+    weber = build_weber_f(4).components
+    for s, kind in [*((weber[m], int) for m in ("mu0", "mu1", "mu2")),
+                    (j_series(6), int), (weber["mu3"], Fraction),
+                    (eta_series(6), Fraction),
+                    (eta_series(3).subst_power(2), Fraction),
+                    (eta_quotient_2_series(6), Fraction)]:
         assert s.terms()
+        assert type(s.off) is type(s.cutoff) is kind
         for e, c in s.terms():
-            assert type(e) is Fraction and type(c) is int
-            assert type(s.coeff(e)) is int
+            assert type(e) is kind and _int_unless_fractional(e)
+            assert type(c) is int and type(s.coeff(e)) is int
         assert type(s.coeff(Fraction(-7, 3))) is int
     # a restriction with fractional exponents is refused
     half = FracQSeries({Fraction(1, 2): 1}, 4)

@@ -113,7 +113,7 @@ def test_negative_power_and_shift():
     inv = s ** -2
     assert (inv * s * s).coeff(0) == 1
     m = FracQSeries({-1: 1}, 10)
-    assert (m * s).lo() == -1
+    assert (m * s).off == -1
 
 
 def test_subst_power_and_eta_quotient():
@@ -174,7 +174,7 @@ PROPERTY = settings(max_examples=60, deadline=None)
 
 def _power_cutoff(s, k):
     # k lo + (cutoff - lo): the relative precision of s is kept
-    return k * s.lo() + s.cutoff - s.lo()
+    return k * s.off + s.cutoff - s.off
 
 
 def _repeated_product(s, k):
@@ -194,7 +194,7 @@ def test_power_is_repeated_product(s, k):
     else:
         # s^k times |k| factors s is 1 + O(q^(cutoff - lo))
         one = p * _repeated_product(s, -k) if k else p
-        assert one.cutoff == s.cutoff - s.lo()
+        assert one.cutoff == s.cutoff - s.off
         assert one == FracQSeries.constant(1, one.cutoff)
 
 
@@ -202,7 +202,7 @@ def test_power_is_repeated_product(s, k):
 @given(int_series)
 def test_inverse_is_a_unit(s):
     p = s * s.inverse()
-    assert p.cutoff == s.cutoff - s.lo()
+    assert p.cutoff == s.cutoff - s.off
     assert p == FracQSeries.constant(1, p.cutoff)
     assert s.inverse() == s ** -1
 
@@ -225,7 +225,7 @@ def test_subst_power_distributes(off, shift, rest1, rest2, r):
         got = f(s, t).subst_power(r)
         assert got.cutoff == want.cutoff
         assert got == want
-    assert s.subst_power(r).lo() == r * s.lo()
+    assert s.subst_power(r).off == r * s.off
 
 
 @PROPERTY
@@ -246,10 +246,10 @@ def test_sum_needs_one_class_or_a_zero_series(s, den, cut):
 @PROPERTY
 @given(int_series, st.integers(2, 5), st.integers(-3, 12))
 def test_coeff_off_the_class_is_zero(s, den, k):
-    e = s.lo() + k + Fraction(1, den)
+    e = s.off + k + Fraction(1, den)
     if e < s.cutoff:
         assert s.coeff(e) == 0 and type(s.coeff(e)) is int
-    assert all((x - s.lo()).denominator == 1 for x, _ in s.terms())
+    assert all((x - s.off).denominator == 1 for x, _ in s.terms())
 
 
 def test_one_class_and_unit_steps():

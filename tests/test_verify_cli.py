@@ -17,7 +17,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from cmfactor import cli, numeric, verify
+from cmfactor import cli, numeric, series, verify
 from cmfactor.numeric import (auto_prec, class_values, gate_prec, j_value,
                               omega2_value, pair_norm, resultant, GUARD_BITS,
                               MAX_RETRIES, TOL_BITS)
@@ -27,6 +27,7 @@ from cmfactor.cli import (main, EXIT_OK, EXIT_MISMATCH, EXIT_HYPOTHESIS,
 from cmfactor.quadarith import (PrimeLog, is_fundamental_discriminant,
                                 valuation)
 from cmfactor.classgroup import reduced_forms
+from cmfactor.series import FracQSeries
 from test_numeric import scaled
 
 # one small admissible pair per formula
@@ -606,6 +607,25 @@ def test_borcherds_check_rejects_negative_boxes(capsys):
     argv = ["borcherds-check", "--case", "weber", "--order", "-3"]
     assert main(argv) == EXIT_HYPOTHESIS
     assert "exact match" not in capsys.readouterr().out
+
+
+def test_borcherds_check_reports_a_mismatch(monkeypatch):
+    # one coefficient of the expansion side off by one, q^2 of omega2,
+    # shows at both of its keys in omega2(q1) - omega2(q2)
+    omega2_series = series.omega2_series
+
+    def perturbed(order):
+        s = omega2_series(order)
+        return s + FracQSeries({2: 1}, s.cutoff)
+
+    monkeypatch.setattr(series, "omega2_series", perturbed)
+    code, out = _run_cli(["borcherds-check", "--case", "weber",
+                          "--order", "3"])
+    assert code == EXIT_MISMATCH
+    assert out.splitlines() == [
+        "weber through (3,3): MISMATCH",
+        "  q1^0 q2^2: product -98304 vs expansion -98305",
+        "  q1^2 q2^0: product 98304 vs expansion 98305"]
 
 
 def test_readme_example_matches_cli():
