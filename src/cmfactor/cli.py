@@ -140,9 +140,8 @@ def main(argv=None):
             print("Diff:", [(P.p, P.kind) for P in diff])
             print("rho(t O_F) =", rho(fact, chi))
             for P in diff:
-                red = dict(fact)
-                red[P] -= 1
-                print(f"rho(t O_F / prime above {P.p}) =", rho(red, chi))
+                print(f"rho(t O_F / prime above {P.p}) =",
+                      rho({**fact, P: fact[P] - 1}, chi))
             return EXIT_OK
 
         if args.cmd == "class-poly":

@@ -40,7 +40,6 @@ def valuation(n, p):
     if n == 0:
         raise ValueError("valuation of zero")
     v = 0
-    n = abs(n)
     while n % p == 0:
         n //= p
         v += 1
@@ -91,17 +90,16 @@ def tonelli(a, p):
     c = pow(z, q, p)
     r = pow(a, (q + 1) // 2, p)
     t = pow(a, q, p)
-    m = s
     while t != 1:
         i, tmp = 0, t
         while tmp != 1:
             tmp = tmp * tmp % p
             i += 1
-        b = pow(c, 1 << (m - i - 1), p)
+        b = pow(c, 1 << (s - i - 1), p)
         r = r * b % p
         c = b * b % p
         t = t * c % p
-        m = i
+        s = i
     return r
 
 
@@ -146,7 +144,9 @@ class EFCharacter(dict):
         return s1 * s2 == -1
 
 
-SIEVE_FROM = 24   # measured: sieving overtakes trial division at 16-32 t
+# measured: the sieve overtakes trial division at 4-8 t for D < 3e4, where
+# the sums' short t-ranges lie, and at 32-40 t for D in [1e6, 1e7]
+SIEVE_FROM = 8
 
 
 def _primes_upto(n):
@@ -217,22 +217,27 @@ def factor_norms(ms, chi):
         hits = _sieve_hits(norms, D)
     rest = dict(norms)
     facts = {m: {} for m in norms}
+    get = rest.get
     for p, ms in hits:
         for m in ms:
-            n = rest.get(m)
-            if n is not None and n % p == 0:
-                v = 0
-                while n % p == 0:
+            n = get(m)
+            if n is not None and not n % p:
+                n //= p
+                v = 1
+                while not n % p:
                     n //= p
                     v += 1
                 rest[m] = n
                 facts[m][p] = v
-    for m, n in rest.items():
+    for (m, n), fact in zip(rest.items(), facts.values()):
         if n > 1:
             if chi.inert_in_F(n):
                 raise ArithmeticError("odd valuation at an inert prime")
-            facts[m][n] = 1
-        if prod(p ** e for p, e in facts[m].items()) != norms[m]:
+            fact[n] = 1
+        x = 1
+        for p, e in fact.items():
+            x *= p ** e
+        if x != norms[m]:
             raise ArithmeticError("factorization does not multiply to N(t)")
     return facts
 
@@ -257,15 +262,12 @@ def rho(fact, chi):
     """Number of integral ideals of E of relative norm to F the ideal with
     factorization `fact` (a dict PrimeOfF -> exponent, or p -> exponent for
     t O_F and its quotients, as factor_norms gives it; a negative entry
-    means the ideal is not integral, hence count 0).  chi is the pair's
-    EFCharacter; a sum passes one table to all its calls, so that each
-    prime's character is computed once per sum."""
+    means the ideal is not integral, hence count 0), chi the pair's
+    EFCharacter.  The sums read rho(t P^-1) off arithside._odd_diff_terms."""
     count = 1
     for P, e in fact.items():
         if e < 0:
             return 0
-        if e == 0:
-            continue
         if chi[P]:
             count *= e + 1
         elif e % 2 != 0:

@@ -1,12 +1,17 @@
 """Arithmetic sides of both factorization formulas, local Whittaker tables,
 and the divisor-sum identity behind them."""
 
+import hashlib
+import inspect
+import json
 import random
+import textwrap
 from fractions import Fraction
 from math import gcd, isqrt, prod
 
 import pytest
 
+from cmfactor import arithside
 from cmfactor.arithside import (check_gz_hypotheses, check_yz_hypotheses,
                                 whittaker2_Ma,
                                 whittaker2_shifted, t_range, gz_rhs, yz_rhs,
@@ -303,3 +308,171 @@ def test_sums_equal_per_t_reference():
                                 for m in t_range(d1, d2)) >= SIEVE_FROM))
     # every behaviour of 2 in F, and the yz sums, trial-divided and sieved
     assert len(seen) == 8
+
+
+# The one-pass walk of the sums against a two-pass reference: diff_set,
+# then rho of a copy of {p: e} with P at e - 1 (and P_t at e2 - 2 at level
+# 2).  The ranges are those of an elementary oracle over the same {p: e}.
+def fund_upto(dmax, yz):
+    return [d for d in range(-3, -dmax - 1, -1)
+            if is_fundamental_discriminant(d) and (not yz or d % 8 == 1)]
+
+
+def coprime_pairs(ds):
+    return [(d1, d2) for i, d1 in enumerate(ds) for d2 in ds[i + 1:]
+            if gcd(d1, d2) == 1]
+
+
+GZ_WALK_PAIRS = coprime_pairs(fund_upto(120, False))
+YZ_WALK_PAIRS = coprime_pairs(fund_upto(399, True))
+
+
+def level2_keep(d1, d2):
+    return lambda m: (m * m - d1 * d2) % 16 == 0
+
+
+def reference_walk(chi, keep=None):
+    """(fact, p, w, r) for each t whose Diff is one prime, from diff_set
+    and rho of the reduced dict, in m order."""
+    ms = [m for m in t_range(chi.d1, chi.d2) if keep is None or keep(m)]
+    out = []
+    for m, fact in factor_norms(ms, chi).items():
+        diff = diff_set(fact, chi)
+        if len(diff) == 1:
+            (p,) = diff
+            w = Fraction(1 + fact[p], 2) * (2 if m else 1)
+            out.append((fact, p, w, rho({**fact, p: fact[p] - 1}, chi)))
+    return out
+
+
+def reference_terms(d1, d2, kind):
+    """The (p, term) each t adds to the sum of kind, by the reference walk:
+    gz w rho(t P^-1); yz w rho(t P^-1 P_t^-2); whittaker w rho(t P^-1 away
+    from 2) 4 W(o) W(0), o = v_2(N(t)); zero terms are not added."""
+    chi = EFCharacter(d1, d2)
+    keep = level2_keep(d1, d2) if kind == "yz_rhs" else None
+    w2 = {}          # o -> 4 W(o) W(0)
+    out = []
+    for fact, p, w, _ in reference_walk(chi, keep):
+        red = {**fact, p: fact[p] - 1}
+        if kind == "gz_rhs":
+            term = w * rho(red, chi)
+        elif kind == "yz_rhs":
+            term = w * rho({**red, 2: red[2] - 2}, chi)
+        else:
+            o = red.pop(2, 0)
+            if o not in w2:
+                w2[o] = 4 * whittaker2_Ma(0, o, 0) * whittaker2_Ma(0, 0, 0)
+            term = w * rho(red, chi) * w2[o]
+        if term:
+            out.append((p, term))
+    return out
+
+
+def recorded_terms(monkeypatch, kind, d1, d2):
+    """The (p, term) of every add the sum of kind makes, in order."""
+    terms = []
+
+    class Recorder(PrimeLog):
+        def add(self, p, e):
+            terms.append((p, e))
+            super().add(p, e)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(arithside, "PrimeLog", Recorder)
+        getattr(arithside, kind)(d1, d2)
+    return terms
+
+
+def mutate(monkeypatch, name, old, new):
+    """Replace arithside.<name> by its own source with old put as new,
+    compiled against the live module, until the test ends."""
+    src = textwrap.dedent(inspect.getsource(getattr(arithside, name)))
+    assert src.count(old) == 1, (name, old)
+    ns = {}
+    exec(compile(src.replace(old, new), arithside.__file__, "exec"),
+         vars(arithside), ns)
+    monkeypatch.setattr(arithside, name, ns[name])
+
+
+def test_the_walk_matches_diff_set_and_rho_at_every_t():
+    twos, level2_t = set(), 0
+    for d1, d2 in GZ_WALK_PAIRS + YZ_WALK_PAIRS:
+        chi = EFCharacter(d1, d2)
+        D = d1 * d2
+        twos.add(D % 8 if D % 2 else 0)
+        assert list(arithside._odd_diff_terms(chi)) == reference_walk(
+            EFCharacter(d1, d2)), (d1, d2)
+        if d1 % 8 == d2 % 8 == 1:
+            keep = level2_keep(d1, d2)
+            got = list(arithside._odd_diff_terms(chi, keep))
+            assert got == reference_walk(chi, keep), (d1, d2)
+            level2_t += len(got)
+    assert twos == {0, 1, 5} and level2_t > 10000
+
+
+@pytest.mark.parametrize("kind,pairs", [("gz_rhs", GZ_WALK_PAIRS),
+                                        ("yz_rhs", YZ_WALK_PAIRS),
+                                        ("yz_rhs_whittaker", YZ_WALK_PAIRS)])
+def test_each_t_adds_the_reference_term(monkeypatch, kind, pairs):
+    for d1, d2 in pairs:
+        assert recorded_terms(monkeypatch, kind, d1, d2) == \
+            reference_terms(d1, d2, kind), (kind, d1, d2)
+
+
+# a mutant of each level-2 rescale: P_t^-2 dropped, or P_t kept in rho
+@pytest.mark.parametrize("kind,name,old,new", [
+    ("yz_rhs", "_cm_sum", "r = r // (fact[2] + 1) * (fact[2] - 1)", "pass"),
+    ("yz_rhs_whittaker", "yz_rhs_whittaker", "(r // (o + 1))", "r")])
+def test_a_walk_without_the_level2_rescale_is_caught(monkeypatch, kind, name,
+                                                     old, new):
+    pairs = YZ_WALK_PAIRS[:40]
+    mutate(monkeypatch, name, old, new)
+    caught = [q for q in pairs if recorded_terms(monkeypatch, kind, *q)
+              != reference_terms(*q, kind)]
+    assert len(caught) > 30
+
+
+def test_a_walk_that_lets_three_diff_primes_through_is_caught(monkeypatch):
+    three = [(d1, d2) for d1, d2 in GZ_WALK_PAIRS
+             if any(len(diff_set(f, EFCharacter(d1, d2))) == 3 for f in
+                    factor_norms(t_range(d1, d2), EFCharacter(d1, d2))
+                    .values())]
+    assert len(three) > 50
+    mutate(monkeypatch, "_odd_diff_terms",
+           "                if p:\n"
+           "                    break       # a second Diff prime\n", "")
+    for d1, d2 in three:
+        assert list(arithside._odd_diff_terms(EFCharacter(d1, d2))) != \
+            reference_walk(EFCharacter(d1, d2)), (d1, d2)
+        assert recorded_terms(monkeypatch, "gz_rhs", d1, d2) != \
+            reference_terms(d1, d2, "gz_rhs"), (d1, d2)
+
+
+def test_level2_sums_need_2_split_in_E_over_F(monkeypatch):
+    # 2 is inert in Q(sqrt -3) and ramified in Q(sqrt -4), so its primes
+    # in F = Q(sqrt 12) do not split in E/F
+    assert not EFCharacter(-3, -4)[2]
+    with pytest.raises(ArithmeticError, match="split in E/F"):
+        arithside._cm_sum(-3, -4, level2=True)
+    monkeypatch.setattr(arithside, "check_yz_hypotheses", lambda d1, d2: None)
+    with pytest.raises(ArithmeticError, match="split in E/F"):
+        yz_rhs_whittaker(-3, -4)
+
+
+# Sums at rhs-large scale (D in [1e6, 1e7]) pinned by the number of primes
+# and the SHA-256 of json.dumps of the sorted [p, str(e)] exponents, as the
+# two-pass walk through diff_set and rho gave them.
+@pytest.mark.parametrize("kind,d1,d2,n,digest", [
+    ("gz_rhs", -724, -8819, 462,
+     "4ce87f879cdce50cd1222f697a67e33bc57de406479ec8e50e9332429ee21074"),
+    ("yz_rhs", -679, -5639, 251,
+     "c9694683f2a25db56dbfea8c3ed87ec1abba706c58ca363304c29e27ac690d0d"),
+    ("yz_rhs_whittaker", -1335, -2863, 183,
+     "247f70d5e0ce1eeb1c38e87bae8633d0d67c9d7ab1e038b30bbe0d67115de032")])
+def test_rhs_large_scale_sums_are_pinned(kind, d1, d2, n, digest):
+    assert 10 ** 6 <= d1 * d2 <= 10 ** 7
+    ex = sorted(getattr(arithside, kind)(d1, d2).exponents().items())
+    text = json.dumps([[p, str(e)] for p, e in ex])
+    assert len(ex) == n
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
