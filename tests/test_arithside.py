@@ -311,8 +311,9 @@ def test_sums_equal_per_t_reference():
 
 
 # The one-pass walk of the sums against a two-pass reference: diff_set,
-# then rho of a copy of {p: e} with P at e - 1 (and P_t at e2 - 2 at level
-# 2).  The ranges are those of an elementary oracle over the same {p: e}.
+# then a copy of {p: e} with P at e - 1, whose rho (with P_t at e2 - 2 at
+# level 2) each sum takes.  The ranges are those of an elementary oracle
+# over the same {p: e}.
 def fund_upto(dmax, yz):
     return [d for d in range(-3, -dmax - 1, -1)
             if is_fundamental_discriminant(d) and (not yz or d % 8 == 1)]
@@ -332,8 +333,8 @@ def level2_keep(d1, d2):
 
 
 def reference_walk(chi, keep=None):
-    """(fact, p, w, r) for each t whose Diff is one prime, from diff_set
-    and rho of the reduced dict, in m order."""
+    """(red, p, w) for each t whose Diff is one prime, from diff_set and a
+    copy of its {p: e} with p at e - 1, in m order."""
     ms = [m for m in t_range(chi.d1, chi.d2) if keep is None or keep(m)]
     out = []
     for m, fact in factor_norms(ms, chi).items():
@@ -341,7 +342,7 @@ def reference_walk(chi, keep=None):
         if len(diff) == 1:
             (p,) = diff
             w = Fraction(1 + fact[p], 2) * (2 if m else 1)
-            out.append((fact, p, w, rho({**fact, p: fact[p] - 1}, chi)))
+            out.append(({**fact, p: fact[p] - 1}, p, w))
     return out
 
 
@@ -353,8 +354,7 @@ def reference_terms(d1, d2, kind):
     keep = level2_keep(d1, d2) if kind == "yz_rhs" else None
     w2 = {}          # o -> 4 W(o) W(0)
     out = []
-    for fact, p, w, _ in reference_walk(chi, keep):
-        red = {**fact, p: fact[p] - 1}
+    for red, p, w in reference_walk(chi, keep):
         if kind == "gz_rhs":
             term = w * rho(red, chi)
         elif kind == "yz_rhs":
@@ -395,7 +395,7 @@ def mutate(monkeypatch, name, old, new):
     monkeypatch.setattr(arithside, name, ns[name])
 
 
-def test_the_walk_matches_diff_set_and_rho_at_every_t():
+def test_the_walk_matches_diff_set_at_every_t():
     twos, level2_t = set(), 0
     for d1, d2 in GZ_WALK_PAIRS + YZ_WALK_PAIRS:
         chi = EFCharacter(d1, d2)
@@ -420,12 +420,13 @@ def test_each_t_adds_the_reference_term(monkeypatch, kind, pairs):
             reference_terms(d1, d2, kind), (kind, d1, d2)
 
 
-# a mutant of each level-2 rescale: P_t^-2 dropped, or P_t kept in rho
+# a mutant of each level-2 sum: P_t^-2 dropped, or P_t kept in rho
 @pytest.mark.parametrize("kind,name,old,new", [
-    ("yz_rhs", "_cm_sum", "r = r // (fact[2] + 1) * (fact[2] - 1)", "pass"),
-    ("yz_rhs_whittaker", "yz_rhs_whittaker", "(r // (o + 1))", "r")])
-def test_a_walk_without_the_level2_rescale_is_caught(monkeypatch, kind, name,
-                                                     old, new):
+    ("yz_rhs", "_cm_sum", "red[2] -= 2", "pass"),
+    ("yz_rhs_whittaker", "yz_rhs_whittaker", "red.pop(2, 0)",
+     "red.get(2, 0)")])
+def test_a_sum_that_keeps_P_t_in_rho_is_caught(monkeypatch, kind, name, old,
+                                               new):
     pairs = YZ_WALK_PAIRS[:40]
     mutate(monkeypatch, name, old, new)
     caught = [q for q in pairs if recorded_terms(monkeypatch, kind, *q)
@@ -439,9 +440,7 @@ def test_a_walk_that_lets_three_diff_primes_through_is_caught(monkeypatch):
                     factor_norms(t_range(d1, d2), EFCharacter(d1, d2))
                     .values())]
     assert len(three) > 50
-    mutate(monkeypatch, "_odd_diff_terms",
-           "                if p:\n"
-           "                    break       # a second Diff prime\n", "")
+    mutate(monkeypatch, "_odd_diff_terms", "if n == 1:", "if n % 2:")
     for d1, d2 in three:
         assert list(arithside._odd_diff_terms(EFCharacter(d1, d2))) != \
             reference_walk(EFCharacter(d1, d2)), (d1, d2)
@@ -449,12 +448,10 @@ def test_a_walk_that_lets_three_diff_primes_through_is_caught(monkeypatch):
             reference_terms(d1, d2, "gz_rhs"), (d1, d2)
 
 
-def test_level2_sums_need_2_split_in_E_over_F(monkeypatch):
+def test_the_whittaker_route_needs_2_split_in_E_over_F(monkeypatch):
     # 2 is inert in Q(sqrt -3) and ramified in Q(sqrt -4), so its primes
     # in F = Q(sqrt 12) do not split in E/F
     assert not EFCharacter(-3, -4)[2]
-    with pytest.raises(ArithmeticError, match="split in E/F"):
-        arithside._cm_sum(-3, -4, level2=True)
     monkeypatch.setattr(arithside, "check_yz_hypotheses", lambda d1, d2: None)
     with pytest.raises(ArithmeticError, match="split in E/F"):
         yz_rhs_whittaker(-3, -4)
