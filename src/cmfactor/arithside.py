@@ -14,6 +14,7 @@ term: t_range gives the m >= 0, and each m > 0 counts twice.
 """
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt
 
 from .quadarith import (PrimeLog, EFCharacter, rho, factor_norms,
@@ -127,26 +128,26 @@ def yz_rhs(d1, d2):
 
 def yz_rhs_whittaker(d1, d2):
     """Independent route to yz_rhs through the 2-adic Whittaker values:
-    each term is (1 + ord)/2 * rho-away-from-2 * 4 W(phi_0) W(phi_0).  The
-    orders of t at the two primes above 2 are o = v_2(N(t)) and 0
-    (quadarith's lemma): 4 W(o) W(0) is symmetric, so it folds as _cm_sum,
-    and the parity-1 channel vanishes, as W1 at order 0 is 0 at s = 0.
-    As (d1/2) = (d2/2) = 1, d1 = d2 = 1 mod 8, 2 splits completely in E:
+    each term is (1 + ord)/2 * rho-away-from-2 * 4 W(phi_0) W(phi_0), the 4
+    as L(1, chi) = 2 at each place above 2 turns W into W*.  The orders of
+    t at the two primes above 2 are o = v_2(N(t)) >= 1 (D = 1 mod 8) and 0
+    (quadarith's lemma): 4 W(o) W(0), an int at s = 0, is symmetric, so it
+    folds as _cm_sum; W1 at order 0 is 0 at s = 0, so the parity-1 channel
+    vanishes; o = 1 iff m^2 != D mod 16, and the walk skips those t when
+    4 W(1) W(0) = 0.  As (d1/2) = (d2/2) = 1, 2 splits completely in E:
     P_t splits in E/F, so it is not P, and rho away from 2 drops P_t."""
     check_yz_hypotheses(d1, d2)
     total = PrimeLog()
-    w2_of = {}       # ord at P_t: 4 W(phi_0) W(phi_0)
     chi = EFCharacter(d1, d2)
     if not chi[2]:
         raise ArithmeticError("the primes above 2 must split in E/F")
-    for red, p, w in _odd_diff_terms(chi):
+    w2 = cache(lambda o: int(4 * whittaker2_Ma(0, o, 0)
+                             * whittaker2_Ma(0, 0, 0)))   # ord -> weight
+    D = d1 * d2
+    keep = None if w2(1) else lambda m: (m * m - D) % 16 == 0
+    for red, p, w in _odd_diff_terms(chi, keep):
         o = red.pop(2, 0)
-        if o not in w2_of:
-            # L(1, chi) = 2 at each place above 2 turns W into W*, hence the
-            # 4; at s = 0, 2 W(phi_0) is 1 or o - 1, so the product is an int
-            w2_of[o] = int(4 * whittaker2_Ma(0, o, 0) * whittaker2_Ma(0, 0, 0))
-        if w2_of[o]:
-            total.add(p, w * rho(red, chi) * w2_of[o])
+        total.add(p, w * rho(red, chi) * w2(o))
     return total
 
 

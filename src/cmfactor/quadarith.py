@@ -174,8 +174,8 @@ def _prime_above(p, D, m):
 def _sieve_hits(norms, D):
     """(p, the m with p | N(t)) for the primes p <= isqrt(max N(t)) not
     inert in F: for odd p the m = c = +-sqrt(D) (mod p), one square root of
-    D per prime; for p = 2 every m if D = 1 mod 8, and if D is even, when
-    N(t) = (m/2)^2 - D/4, the m = D/2 mod 4."""
+    D per prime, checked; for p = 2 every m if D = 1 mod 8, and if D is
+    even, when N(t) = (m/2)^2 - D/4, the m = D/2 mod 4."""
     lo, hi = min(norms), max(norms)
     for p in _primes_upto(isqrt(max(norms.values()))):
         if p == 2:   # (class of m, its step), m = D mod 2 built in
@@ -183,6 +183,8 @@ def _sieve_hits(norms, D):
                        ((D // 2 % 4, 4),))
         else:
             r = tonelli(D, p)
+            if r is not None and (r * r - D) % p:
+                raise ArithmeticError(f"{r} is not a square root of D mod {p}")
             classes = () if r is None else [(c + p * ((c - D) % 2), 2 * p)
                                             for c in {r, -r % p}]
         for c, step in classes:
@@ -195,26 +197,22 @@ def factor_norms(ms, chi):
     of t O_F, e at the prime of F above p that divides t (_prime_above).
 
     Each m must have m = D mod 2 (t integral) and t nonzero norm.  Fewer
-    than SIEVE_FROM elements are trial-divided one by one, up to the square
-    root of the shrinking cofactor; longer lists are sieved over m with
-    every prime p <= isqrt(max |N(t)|) not inert in F, each residue class
-    of m that p can divide, after which what is left of N(t) is 1 or a
-    prime, neither inert in F (the lemma; chi.inert_in_F, which fills the
-    table of the pair's EFCharacter chi) nor proved composite (legendre)."""
+    than SIEVE_FROM are trial-divided one by one, up to the square root of
+    the shrinking cofactor, each prime tested by chi.inert_in_F (which fills
+    the pair's EFCharacter table chi).  Longer lists are sieved over m with
+    every p <= B = isqrt(max |N(t)|) not inert in F (an inert p divides no
+    N(t)): a q > 1 left of |N(t)| < (B + 1)^2 is prime, and m^2 = D (mod q),
+    so off D, (D/q) = 1, (d1/q) = (d2/q) and one symbol, which proves a
+    composite q composite too (legendre), is chi[q]; q | D gets inert_in_F."""
     D = chi.d1 * chi.d2
-    norms = {}
-    for m in ms:
-        if (m - D) % 2:
-            raise ValueError("need m = D mod 2 for (m + sqrt(D))/2 integral")
-        n = abs(m * m - D) // 4
-        if n == 0:
-            raise ValueError("t must have nonzero norm")
-        norms[m] = n
-    if len(norms) < SIEVE_FROM:
-        hits = ((p, (m,)) for m, n in norms.items()
-                for p in factorize(n) if not chi.inert_in_F(p))
-    else:
-        hits = _sieve_hits(norms, D)
+    norms = {m: abs(m * m - D) // 4 for m in ms}
+    if any((m - D) % 2 for m in norms):
+        raise ValueError("need m = D mod 2 for (m + sqrt(D))/2 integral")
+    if 0 in norms.values():
+        raise ValueError("t must have nonzero norm")
+    hits = (_sieve_hits(norms, D) if len(norms) >= SIEVE_FROM else
+            ((p, (m,)) for m, n in norms.items()
+             for p in factorize(n) if not chi.inert_in_F(p)))
     rest = dict(norms)
     facts = {m: {} for m in norms}
     for p, ms in hits:
@@ -223,13 +221,14 @@ def factor_norms(ms, chi):
             if n is not None and n % p == 0:
                 v = 0
                 while n % p == 0:
-                    n //= p
-                    v += 1
+                    n, v = n // p, v + 1
                 rest[m] = n
                 facts[m][p] = v
     for (m, n), fact in zip(rest.items(), facts.values()):
         if n > 1:
-            if chi.inert_in_F(n):
+            if D % n:
+                chi[n] = legendre(chi.d1, n) == 1
+            elif chi.inert_in_F(n):
                 raise ArithmeticError("odd valuation at an inert prime")
             fact[n] = 1
         x = 1

@@ -18,8 +18,8 @@ from cmfactor.arithside import (check_gz_hypotheses, check_yz_hypotheses,
                                 yz_rhs_whittaker, chi_log_identity)
 from cmfactor.quadarith import (PrimeLog, SIEVE_FROM, EFCharacter,
                                 diff_set, factor_norms,
-                                factor_principal_ideal, rho, valuation,
-                                is_fundamental_discriminant)
+                                factor_principal_ideal, legendre, rho,
+                                valuation, is_fundamental_discriminant)
 from test_quadarith import (COPRIME_PAIRS, frobenius_splitting_oracle,
                             ramified_splitting_oracle)
 
@@ -455,6 +455,62 @@ def test_the_whittaker_route_needs_2_split_in_E_over_F(monkeypatch):
     monkeypatch.setattr(arithside, "check_yz_hypotheses", lambda d1, d2: None)
     with pytest.raises(ArithmeticError, match="split in E/F"):
         yz_rhs_whittaker(-3, -4)
+
+
+def recorded_calls(monkeypatch, kind, d1, d2):
+    """The EFCharacter of the sum of kind, and the list of m of each of its
+    factor_norms calls."""
+    tables, lists = [], []
+
+    class Recorder(EFCharacter):
+        def __init__(self, d1, d2):
+            super().__init__(d1, d2)
+            tables.append(self)
+
+    def factor(ms, chi):
+        lists.append(list(ms))
+        return factor_norms(lists[-1], chi)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(arithside, "EFCharacter", Recorder)
+        mp.setattr(arithside, "factor_norms", factor)
+        getattr(arithside, kind)(d1, d2)
+    (chi,) = tables
+    return chi, lists
+
+
+def test_every_character_a_sum_reads_is_that_of_its_prime(monkeypatch):
+    # the one symbol of a cofactor prime q off D, (d1/q), is the character
+    # only because (d1/q) = (d2/q) there; at a q | d1 it is 0 and the
+    # character is (d2/q) = 1 or not
+    ramified = 0
+    for kind, pairs in (("gz_rhs", GZ_WALK_PAIRS), ("yz_rhs", YZ_WALK_PAIRS),
+                        ("yz_rhs_whittaker", YZ_WALK_PAIRS)):
+        for d1, d2 in pairs:
+            chi, _ = recorded_calls(monkeypatch, kind, d1, d2)
+            for p, split in chi.items():
+                assert split == (legendre(d1, p) == 1
+                                 or legendre(d2, p) == 1), (kind, d1, d2, p)
+                ramified += d1 % p == 0 and legendre(d2, p) == 1
+    assert ramified > 20
+
+
+def test_the_whittaker_route_factors_the_m_of_yz_rhs(monkeypatch):
+    # o = v_2(N(t)) = 1 iff m^2 != D mod 16, where 4 W(1) W(0) = 0
+    for d1, d2 in YZ_WALK_PAIRS:
+        (ms,) = recorded_calls(monkeypatch, "yz_rhs_whittaker", d1, d2)[1]
+        assert ms == recorded_calls(monkeypatch, "yz_rhs", d1, d2)[1][0]
+        assert ms == [m for m in t_range(d1, d2)
+                      if (m * m - d1 * d2) % 16 == 0]
+
+
+def test_a_nonzero_weight_at_order_1_factors_the_whole_t_range(monkeypatch):
+    W = arithside.whittaker2_Ma
+    monkeypatch.setattr(arithside, "whittaker2_Ma", lambda a, o, s: (
+        Fraction(1, 2) if (a, o, s) == (0, 1, 0) else W(a, o, s)))
+    for d1, d2 in YZ_WALK_PAIRS[:20]:
+        (ms,) = recorded_calls(monkeypatch, "yz_rhs_whittaker", d1, d2)[1]
+        assert ms == list(t_range(d1, d2))
 
 
 # Sums at rhs-large scale (D in [1e6, 1e7]) pinned by the number of primes

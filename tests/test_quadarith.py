@@ -391,10 +391,11 @@ def test_a_composite_cofactor_is_not_taken_for_a_prime(monkeypatch):
 @pytest.mark.parametrize("d1,d2", [(-71, -127), (-8, -1151), (-3, -4007)])
 def test_the_inert_check_gives_the_character_of_a_cofactor_prime(
         monkeypatch, d1, d2):
-    # the sieve leaves a cofactor prime q of N(t); factor_norms reads (D/q)
-    # as (d1/q)(d2/q) through the pair's EFCharacter, which keeps the
-    # character of q: two symbols per cofactor, none of D, and none more
-    # when a sum looks q up; the factorizations are those of trial division
+    # the sieve leaves a cofactor prime q of N(t) with m^2 = D (mod q); off
+    # D, (D/q) = 1 and (d1/q) = (d2/q), so one symbol gives the character
+    # of q; at a ramified q, the inert check reads (D/q) as (d1/q)(d2/q):
+    # two symbols, none of D, and none more when a sum looks q up; the
+    # factorizations are those of trial division
     D = d1 * d2
     ms = t_range(d1, d2)
     assert len(ms) >= SIEVE_FROM
@@ -407,14 +408,32 @@ def test_the_inert_check_gives_the_character_of_a_cofactor_prime(
     bound = isqrt(max(abs(m * m - D) // 4 for m in ms))
     cofactors = [p for fact in facts.values() for p in fact if p > bound]
     assert len(cofactors) > 10 and set(chi) == set(cofactors)
-    assert sorted(calls) == sorted((a, q) for q in cofactors
-                                   for a in (d1, d2))
+    assert [q for q in cofactors if D % q == 0] == {
+        -71: [71], -8: [1151], -3: []}[d1]
+    assert sorted(calls) == sorted(
+        (a, q) for q in cofactors for a in ((d1,) if D % q else (d1, d2)))
     calls.clear()
     assert [chi[q] for q in cofactors] == [
         leg(d1, q) == 1 or leg(d2, q) == 1 for q in cofactors]
     assert calls == []
     assert facts == {m: {p: e for p, e in factorize((m * m - D) // 4).items()
                          if leg(D, p) != -1} for m in ms}
+
+
+def test_a_sieve_root_that_is_not_a_square_root_is_caught(monkeypatch):
+    # the one-symbol cofactor test rests on a complete sieve: a root of D
+    # mod p that does not square to D, at one prime, is an ArithmeticError
+    root = quadarith.tonelli
+    monkeypatch.setattr(quadarith, "tonelli", lambda a, p: (
+        root(a, p) + 1) % p if p == 7 else root(a, p))
+    d1, d2 = -71, -127
+    ms = t_range(d1, d2)
+    assert root(d1 * d2, 7) is not None
+    with pytest.raises(ArithmeticError, match="not a square root of D mod 7$"):
+        factor_norms(ms, EFCharacter(d1, d2))
+    monkeypatch.setattr(quadarith, "tonelli", root)
+    assert factor_norms(ms, EFCharacter(d1, d2)) == {
+        m: factorize((m * m - d1 * d2) // 4) for m in ms}
 
 
 @settings(max_examples=200, deadline=None)
