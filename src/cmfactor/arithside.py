@@ -73,15 +73,17 @@ def t_range(d1, d2):
     return range(D % 2, isqrt(D - 1) + 1, 2)
 
 
-def _odd_diff_terms(chi, keep=None):
+def _odd_diff_terms(chi, level2=False):
     """The walk of both sums over the pair of the EFCharacter chi.  Factor
-    N(t) for the m in t_range (with keep(m), even in m, if given) at once;
-    for each t whose Diff, read in one loop over its {p: e}, is one prime P
-    of F, inert in E/F at odd order e, yield (red, p, w): red is that dict
-    turned in place into the {p: e} of t P^-1, p = N(P), and w = (1 + e)/2,
-    doubled at m > 0 for t_-m."""
+    N(t) for the m in t_range (at level 2 those with 4 | N(t), i.e. m^2 = D
+    mod 16, even in m) at once; for each t whose Diff, read in one loop over
+    its {p: e}, is one prime P of F, inert in E/F at odd order e, yield
+    (red, p, w): red is that dict turned in place into the {p: e} of
+    t P^-1, p = N(P), and w = (1 + e)/2, doubled at m > 0 for t_-m."""
     ms = t_range(chi.d1, chi.d2)
-    ms = ms if keep is None else filter(keep, ms)
+    if level2:
+        D = chi.d1 * chi.d2
+        ms = [m for m in ms if (m * m - D) % 16 == 0]
     for m, fact in factor_norms(ms, chi).items():
         n = 0           # the number of Diff primes
         for q, e in fact.items():
@@ -96,14 +98,11 @@ def _cm_sum(d1, d2, level2):
     """The double sum shared by both formulas: over t with exactly one
     prime P of F inert in E/F at odd order e, the term (1 + e)/2 *
     rho(t P^-1) * log N(P), each conjugate pair walked once.  The level-2
-    sum keeps the t with 4 | N(t), i.e. m^2 = D mod 16, and divides by
-    P_t^2 inside rho, P_t the prime above 2 that divides t: both even in
-    m, as P_t of t_-m is sigma P_t."""
-    D = d1 * d2
+    sum walks the t with 4 | N(t) and divides by P_t^2 inside rho, P_t the
+    prime above 2 that divides t: even in m, as P_t of t_-m is sigma P_t."""
     total = PrimeLog()
     chi = EFCharacter(d1, d2)
-    keep = (lambda m: (m * m - D) % 16 == 0) if level2 else None
-    for red, p, w in _odd_diff_terms(chi, keep):
+    for red, p, w in _odd_diff_terms(chi, level2):
         if level2:
             red[2] -= 2
         total.add(p, w * rho(red, chi))
@@ -133,9 +132,9 @@ def yz_rhs_whittaker(d1, d2):
     t at the two primes above 2 are o = v_2(N(t)) >= 1 (D = 1 mod 8) and 0
     (quadarith's lemma): 4 W(o) W(0), an int at s = 0, is symmetric, so it
     folds as _cm_sum; W1 at order 0 is 0 at s = 0, so the parity-1 channel
-    vanishes; o = 1 iff m^2 != D mod 16, and the walk skips those t when
-    4 W(1) W(0) = 0.  As (d1/2) = (d2/2) = 1, 2 splits completely in E:
-    P_t splits in E/F, so it is not P, and rho away from 2 drops P_t."""
+    vanishes; o = 1 iff m^2 != D mod 16, where 4 W(1) W(0) = 0 (checked):
+    the walk is that of level 2.  As (d1/2) = (d2/2) = 1, 2 splits fully in
+    E: P_t splits in E/F, so it is not P, and rho away from 2 drops P_t."""
     check_yz_hypotheses(d1, d2)
     total = PrimeLog()
     chi = EFCharacter(d1, d2)
@@ -143,9 +142,9 @@ def yz_rhs_whittaker(d1, d2):
         raise ArithmeticError("the primes above 2 must split in E/F")
     w2 = cache(lambda o: int(4 * whittaker2_Ma(0, o, 0)
                              * whittaker2_Ma(0, 0, 0)))   # ord -> weight
-    D = d1 * d2
-    keep = None if w2(1) else lambda m: (m * m - D) % 16 == 0
-    for red, p, w in _odd_diff_terms(chi, keep):
+    if w2(1):
+        raise ArithmeticError("4 W(1) W(0) must vanish at s = 0")
+    for red, p, w in _odd_diff_terms(chi, level2=True):
         o = red.pop(2, 0)
         total.add(p, w * rho(red, chi) * w2(o))
     return total

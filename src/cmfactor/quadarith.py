@@ -197,22 +197,26 @@ def factor_norms(ms, chi):
     of t O_F, e at the prime of F above p that divides t (_prime_above).
 
     Each m must have m = D mod 2 (t integral) and t nonzero norm.  Fewer
-    than SIEVE_FROM are trial-divided one by one, up to the square root of
-    the shrinking cofactor, each prime tested by chi.inert_in_F (which fills
-    the pair's EFCharacter table chi).  Longer lists are sieved over m with
-    every p <= B = isqrt(max |N(t)|) not inert in F (an inert p divides no
-    N(t)): a q > 1 left of |N(t)| < (B + 1)^2 is prime, and m^2 = D (mod q),
-    so off D, (D/q) = 1, (d1/q) = (d2/q) and one symbol, which proves a
-    composite q composite too (legendre), is chi[q]; q | D gets inert_in_F."""
+    than SIEVE_FROM are trial-divided, each prime tested by chi.inert_in_F
+    (which fills the pair's EFCharacter table chi).  Longer lists are sieved
+    by every p <= B = isqrt(max |N(t)|) not inert in F, so a q > 1 left of
+    |N(t)| < (B + 1)^2 is prime, and m^2 = D (mod q): off D, (D/q) = 1 and
+    one symbol, (d1/q) = (d2/q), is chi[q] (legendre, which proves a
+    composite q composite too); a q | D gets chi.inert_in_F."""
     D = chi.d1 * chi.d2
-    norms = {m: abs(m * m - D) // 4 for m in ms}
-    if any((m - D) % 2 for m in norms):
-        raise ValueError("need m = D mod 2 for (m + sqrt(D))/2 integral")
-    if 0 in norms.values():
-        raise ValueError("t must have nonzero norm")
-    hits = (_sieve_hits(norms, D) if len(norms) >= SIEVE_FROM else
-            ((p, (m,)) for m, n in norms.items()
-             for p in factorize(n) if not chi.inert_in_F(p)))
+    norms = {}
+    for m in ms:
+        if (m - D) % 2:
+            raise ValueError("need m = D mod 2 for (m + sqrt(D))/2 integral")
+        n = abs(m * m - D) // 4
+        if n == 0:
+            raise ValueError("t must have nonzero norm")
+        norms[m] = n
+    if len(norms) < SIEVE_FROM:
+        hits = ((p, (m,)) for m, n in norms.items()
+                for p in factorize(n) if not chi.inert_in_F(p))
+    else:
+        hits = _sieve_hits(norms, D)
     rest = dict(norms)
     facts = {m: {} for m in norms}
     for p, ms in hits:
@@ -221,7 +225,8 @@ def factor_norms(ms, chi):
             if n is not None and n % p == 0:
                 v = 0
                 while n % p == 0:
-                    n, v = n // p, v + 1
+                    n //= p
+                    v += 1
                 rest[m] = n
                 facts[m][p] = v
     for (m, n), fact in zip(rest.items(), facts.values()):
@@ -301,10 +306,6 @@ class PrimeLog:
         for p, e in other.terms.items():
             out.add(p, e)
         return out
-
-    def scale(self, c):
-        c = Fraction(c)
-        return PrimeLog({p: e * c for p, e in self.terms.items()})
 
     def __eq__(self, other):
         return isinstance(other, PrimeLog) and self.terms == other.terms

@@ -404,9 +404,8 @@ def test_the_walk_matches_diff_set_at_every_t():
         assert list(arithside._odd_diff_terms(chi)) == reference_walk(
             EFCharacter(d1, d2)), (d1, d2)
         if d1 % 8 == d2 % 8 == 1:
-            keep = level2_keep(d1, d2)
-            got = list(arithside._odd_diff_terms(chi, keep))
-            assert got == reference_walk(chi, keep), (d1, d2)
+            got = list(arithside._odd_diff_terms(chi, level2=True))
+            assert got == reference_walk(chi, level2_keep(d1, d2)), (d1, d2)
             level2_t += len(got)
     assert twos == {0, 1, 5} and level2_t > 10000
 
@@ -500,17 +499,16 @@ def test_the_whittaker_route_factors_the_m_of_yz_rhs(monkeypatch):
     for d1, d2 in YZ_WALK_PAIRS:
         (ms,) = recorded_calls(monkeypatch, "yz_rhs_whittaker", d1, d2)[1]
         assert ms == recorded_calls(monkeypatch, "yz_rhs", d1, d2)[1][0]
-        assert ms == [m for m in t_range(d1, d2)
-                      if (m * m - d1 * d2) % 16 == 0]
+        assert ms == list(filter(level2_keep(d1, d2), t_range(d1, d2)))
 
 
-def test_a_nonzero_weight_at_order_1_factors_the_whole_t_range(monkeypatch):
+def test_a_nonzero_weight_at_order_1_is_caught(monkeypatch):
+    # the route walks the t of level 2 only because 4 W(1) W(0) = 0
     W = arithside.whittaker2_Ma
     monkeypatch.setattr(arithside, "whittaker2_Ma", lambda a, o, s: (
         Fraction(1, 2) if (a, o, s) == (0, 1, 0) else W(a, o, s)))
-    for d1, d2 in YZ_WALK_PAIRS[:20]:
-        (ms,) = recorded_calls(monkeypatch, "yz_rhs_whittaker", d1, d2)[1]
-        assert ms == list(t_range(d1, d2))
+    with pytest.raises(ArithmeticError, match="must vanish at s = 0"):
+        yz_rhs_whittaker(-7, -15)
 
 
 # Sums at rhs-large scale (D in [1e6, 1e7]) pinned by the number of primes

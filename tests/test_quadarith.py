@@ -508,7 +508,6 @@ def test_primelog_algebra():
     b = PrimeLog({3: Fraction(-1, 2), 5: 1})
     s = a + b
     assert s.exponents() == {2: 3, 5: 1}
-    assert s.scale(2).exponents() == {2: 6, 5: 2}
     assert s.max_prime() == 5
     assert PrimeLog().value(80) == 0
     # one log of a rational power: L = lcm(2, 3, 1) = 6 and a denominator
