@@ -139,15 +139,6 @@ class EFCharacter(dict):
                            or legendre(self.d2, p) == 1)
         return split
 
-    def inert_in_F(self, p):
-        """(D/p) = (d1/p)(d2/p) == -1, keeping the character of p too."""
-        s1, s2 = legendre(self.d1, p), legendre(self.d2, p)
-        self[p] = s1 == 1 or s2 == 1
-        return s1 * s2 == -1
-
-
-SIEVE_FROM = 8   # measured: sieving overtakes trial division at 4-8 t
-
 
 def _primes_upto(n):
     """The primes p <= n, by the sieve of Eratosthenes."""
@@ -196,13 +187,12 @@ def factor_norms(ms, chi):
     m in ms, as a dict m -> {p: e}: by the module's lemma, the factorization
     of t O_F, e at the prime of F above p that divides t (_prime_above).
 
-    Each m must have m = D mod 2 (t integral) and t nonzero norm.  Fewer
-    than SIEVE_FROM are trial-divided, each prime tested by chi.inert_in_F
-    (which fills the pair's EFCharacter table chi).  Longer lists are sieved
-    by every p <= B = isqrt(max |N(t)|) not inert in F, so a q > 1 left of
-    |N(t)| < (B + 1)^2 is prime, and m^2 = D (mod q): off D, (D/q) = 1 and
-    one symbol, (d1/q) = (d2/q), is chi[q] (legendre, which proves a
-    composite q composite too); a q | D gets chi.inert_in_F."""
+    Each m must have m = D mod 2 (t integral) and t nonzero norm.  One sieve
+    runs over ms by every p <= B = isqrt(max |N(t)|) not inert in F, so a
+    q > 1 left of |N(t)| < (B + 1)^2 is prime, and m^2 = D (mod q): off D,
+    (D/q) = 1 and one symbol, (d1/q) = (d2/q), is chi[q] (legendre, which
+    proves a composite q composite too); the pair's EFCharacter chi fills
+    the entry of a q | D when it is read."""
     D = chi.d1 * chi.d2
     norms = {}
     for m in ms:
@@ -212,14 +202,9 @@ def factor_norms(ms, chi):
         if n == 0:
             raise ValueError("t must have nonzero norm")
         norms[m] = n
-    if len(norms) < SIEVE_FROM:
-        hits = ((p, (m,)) for m, n in norms.items()
-                for p in factorize(n) if not chi.inert_in_F(p))
-    else:
-        hits = _sieve_hits(norms, D)
     rest = dict(norms)
     facts = {m: {} for m in norms}
-    for p, ms in hits:
+    for p, ms in _sieve_hits(norms, D):
         for m in ms:
             n = rest.get(m)
             if n is not None and n % p == 0:
@@ -233,8 +218,6 @@ def factor_norms(ms, chi):
         if n > 1:
             if D % n:
                 chi[n] = legendre(chi.d1, n) == 1
-            elif chi.inert_in_F(n):
-                raise ArithmeticError("odd valuation at an inert prime")
             fact[n] = 1
         x = 1
         for p, e in fact.items():
@@ -244,20 +227,19 @@ def factor_norms(ms, chi):
     return facts
 
 
-def factor_principal_ideals(ms, d1, d2):
-    """Factor t O_F, t = (m + sqrt(D))/2, for every m in ms, as a dict
-    m -> {PrimeOfF: exponent}: factor_norms with each p named by the prime
-    of F above it that divides t."""
-    D = d1 * d2
-    return {m: {_prime_above(p, D, m): e for p, e in fact.items()}
-            for m, fact in factor_norms(ms, EFCharacter(d1, d2)).items()}
-
-
 def factor_principal_ideal(m, d1, d2):
     """Factor the principal ideal t O_F, t = (m + sqrt(D))/2, as a dict
-    PrimeOfF -> exponent: the one-element case of factor_principal_ideals.
-    Exponents at primes not dividing t O_F are omitted."""
-    return factor_principal_ideals([m], d1, d2)[m]
+    PrimeOfF -> exponent, for a single t: trial division of N(t) (factorize),
+    each p named by the prime of F above it that divides t (_prime_above),
+    with the checks of factor_norms on m.  Exponents at primes not dividing
+    t O_F are omitted."""
+    D = d1 * d2
+    if (m - D) % 2:
+        raise ValueError("need m = D mod 2 for (m + sqrt(D))/2 integral")
+    n = abs(m * m - D) // 4
+    if n == 0:
+        raise ValueError("t must have nonzero norm")
+    return {_prime_above(p, D, m): e for p, e in factorize(n).items()}
 
 
 def rho(fact, chi):

@@ -16,7 +16,7 @@ from cmfactor.arithside import (check_gz_hypotheses, check_yz_hypotheses,
                                 whittaker2_Ma,
                                 whittaker2_shifted, t_range, gz_rhs, yz_rhs,
                                 yz_rhs_whittaker, chi_log_identity)
-from cmfactor.quadarith import (PrimeLog, SIEVE_FROM, EFCharacter,
+from cmfactor.quadarith import (PrimeLog, EFCharacter,
                                 diff_set, factor_norms,
                                 factor_principal_ideal, legendre, rho,
                                 valuation, is_fundamental_discriminant)
@@ -271,9 +271,9 @@ def test_t_minus_m_is_the_conjugate_of_t_m():
 
 def test_t_O_F_factors_as_the_integer_norm():
     # the lemma of quadarith behind the sums' walk on {p: e}: t O_F has at
-    # most one prime above each p, at order v_p(N(t)), so factor_norms of
-    # the whole t-range (sieved or trial-divided) gives the same {p: e},
-    # and rho and the Diff read the same from it
+    # most one prime above each p, at order v_p(N(t)), so the sieve of
+    # factor_norms over the whole t-range gives the {p: e} of each t's own
+    # trial division, and rho and the Diff read the same from it
     twos = set()
     for d1, d2 in WALK_PAIRS:
         D = d1 * d2
@@ -300,13 +300,14 @@ def test_sums_equal_per_t_reference():
         D = d1 * d2
         assert gz_rhs(d1, d2) == per_t_reference_sum(d1, d2, False), (d1, d2)
         two = "ramified" if D % 2 == 0 else "split" if D % 8 == 1 else "inert"
-        seen.add((two, len(t_range(d1, d2)) >= SIEVE_FROM))
+        seen.add((two, len(t_range(d1, d2)) >= 8))
         if d1 % 8 == d2 % 8 == 1:
             want = per_t_reference_sum(d1, d2, True)
             assert yz_rhs(d1, d2) == want == yz_rhs_whittaker(d1, d2), (d1, d2)
             seen.add(("yz", sum((m * m - D) % 16 == 0
-                                for m in t_range(d1, d2)) >= SIEVE_FROM))
-    # every behaviour of 2 in F, and the yz sums, trial-divided and sieved
+                                for m in t_range(d1, d2)) >= 8))
+    # every behaviour of 2 in F, and the yz sums, on t-ranges of fewer
+    # than 8 m and of 8 or more
     assert len(seen) == 8
 
 

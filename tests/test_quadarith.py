@@ -9,14 +9,13 @@ from math import gcd, isqrt, prod
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cmfactor import quadarith
-from cmfactor.arithside import t_range
+from cmfactor import arithside, quadarith
+from cmfactor.arithside import gz_rhs, t_range, yz_rhs, yz_rhs_whittaker
 from cmfactor.quadarith import (legendre, valuation, factorize,
                                 is_fundamental_discriminant, tonelli, PrimeOfF,
                                 EFCharacter, factor_norms,
-                                factor_principal_ideal,
-                                factor_principal_ideals, SIEVE_FROM, rho,
-                                diff_set, PrimeLog)
+                                factor_principal_ideal, rho, diff_set,
+                                PrimeLog)
 
 PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
 
@@ -249,7 +248,7 @@ def test_padic_sqrt_domain_errors():
 
 
 def reference_factor(m, d1, d2):
-    """Per-element reference for factor_principal_ideals: trial division of
+    """Per-element reference for factor_principal_ideal: trial division of
     N(t), t = (m + sqrt(D))/2, and the canonical p-adic root of D to
     separate the two primes above a split p."""
     D = d1 * d2
@@ -304,10 +303,10 @@ pairs_any_two = st.sampled_from(sorted(PAIRS_BY_TWO)).flatmap(
     lambda kind: st.sampled_from(PAIRS_BY_TWO[kind]))
 
 
-# counts below SIEVE_FROM are trial-divided, counts from it on are sieved
+# each t of a window of m on its own, against the p-adic reference
 @settings(max_examples=150, deadline=None)
 @given(pair=pairs_any_two, start=st.integers(-3000, 3000),
-       count=st.integers(1, 2 * SIEVE_FROM))
+       count=st.integers(1, 16))
 @example(pair=(-7, -15), start=-9, count=1)      # 2 split, one element
 @example(pair=(-4, -43), start=-12, count=1)     # 2 ramified, one element
 @example(pair=(-3, -7), start=2, count=1)        # 2 inert, one element
@@ -321,22 +320,23 @@ def test_range_sieve_equals_per_element_reference(pair, start, count):
     D = d1 * d2
     first = start + (start - D) % 2
     ms = [first + 2 * i for i in range(count)]
-    got = factor_principal_ideals(ms, d1, d2)
+    got = {m: factor_principal_ideal(m, d1, d2) for m in ms}
     assert got == {m: reference_factor(m, d1, d2) for m in ms}
     assert all(prod(norm(P) ** e for P, e in got[m].items())
                == abs(m * m - D) // 4 for m in ms)
 
 
-# windows of m on both sides of SIEVE_FROM: trial division and the sieve
+# windows of m, one m on up, all sieved: no prime of N(t) is inert in F,
+# as p | N(t) off D has m^2 = D (mod 4p), so (D/p) = 1
 @settings(max_examples=150, deadline=None)
 @given(pair=pairs_any_two, start=st.integers(-3000, 3000),
-       count=st.integers(1, 2 * SIEVE_FROM))
-@example(pair=(-7, -15), start=-9, count=SIEVE_FROM - 1)    # 2 split
-@example(pair=(-7, -15), start=-9, count=SIEVE_FROM)
-@example(pair=(-8, -95), start=-27, count=SIEVE_FROM - 1)   # 2 ramified
-@example(pair=(-8, -95), start=-27, count=SIEVE_FROM)
-@example(pair=(-3, -199), start=-24, count=SIEVE_FROM - 1)  # 2 inert
-@example(pair=(-3, -199), start=-24, count=SIEVE_FROM)
+       count=st.integers(1, 16))
+@example(pair=(-7, -15), start=-9, count=1)      # 2 split
+@example(pair=(-7, -15), start=-9, count=7)
+@example(pair=(-8, -95), start=-27, count=1)     # 2 ramified
+@example(pair=(-8, -95), start=-27, count=7)
+@example(pair=(-3, -199), start=-24, count=1)    # 2 inert
+@example(pair=(-3, -199), start=-24, count=7)
 def test_factor_norms_is_the_factorization_of_the_norm(pair, start, count):
     d1, d2 = pair
     D = d1 * d2
@@ -345,8 +345,7 @@ def test_factor_norms_is_the_factorization_of_the_norm(pair, start, count):
     got = factor_norms(ms, EFCharacter(d1, d2))
     assert list(got) == ms
     for m in ms:
-        assert got[m] == {p: e for p, e in factorize((m * m - D) // 4).items()
-                          if legendre(D, p) != -1}, (D, m)
+        assert got[m] == factorize((m * m - D) // 4), (D, m)
 
 
 def test_factor_principal_ideal_large_m():
@@ -362,16 +361,40 @@ def test_factor_principal_ideal_large_m():
     assert fact[PrimeOfF(88729, "split", -1)] == 1
 
 
-def test_factor_principal_ideals_rejects_bad_elements():
-    with pytest.raises(ValueError):   # wrong parity: D = 105 is odd
+def test_the_sums_sieve_and_a_single_t_is_trial_divided(monkeypatch):
+    # the sums factor only by the sieve, even the two m of these t-ranges
+    # (at level 2, m = 3, 5 for (-7, -15)); a single t, only by trial
+    # division
+    sums = [(gz_rhs, -3, -4), (gz_rhs, -3, -7), (yz_rhs, -7, -15),
+            (yz_rhs_whittaker, -7, -15)]
+    want = [f(d1, d2) for f, d1, d2 in sums]
+    trial = factor_principal_ideal(20000085, -7, -15)
+
+    def forbidden(name):
+        def call(*args):
+            raise AssertionError(f"{name} called")
+        return call
+
+    # the hypothesis checks trial-divide d1 and d2; the sums ran them above
+    monkeypatch.setattr(arithside, "check_gz_hypotheses", lambda d1, d2: None)
+    monkeypatch.setattr(arithside, "check_yz_hypotheses", lambda d1, d2: None)
+    with monkeypatch.context() as mp:
+        mp.setattr(quadarith, "factorize", forbidden("factorize"))
+        assert [f(d1, d2) for f, d1, d2 in sums] == want
+    monkeypatch.setattr(quadarith, "_primes_upto", forbidden("_primes_upto"))
+    assert factor_principal_ideal(20000085, -7, -15) == trial
+
+
+def test_factor_norms_and_factor_principal_ideal_reject_bad_elements():
+    parity, zero = "^need m = D mod 2 ", "^t must have nonzero norm$"
+    with pytest.raises(ValueError, match=parity):   # D = 105 is odd
         factor_principal_ideal(2, -7, -15)
-    with pytest.raises(ValueError):
-        factor_principal_ideals([1, 2], -7, -15)
-    with pytest.raises(ValueError):   # zero norm: D = 16 is a square
+    with pytest.raises(ValueError, match=parity):
+        factor_norms([1, 2], EFCharacter(-7, -15))
+    with pytest.raises(ValueError, match=zero):     # D = 16 is a square
         factor_principal_ideal(4, -4, -4)
-    with pytest.raises(ValueError):
-        factor_principal_ideals([2, 4, 6], -4, -4)
-    assert factor_principal_ideals([], -7, -15) == {}
+    with pytest.raises(ValueError, match=zero):
+        factor_norms([2, 4, 6], EFCharacter(-4, -4))
 
 
 def test_a_composite_cofactor_is_not_taken_for_a_prime(monkeypatch):
@@ -389,16 +412,15 @@ def test_a_composite_cofactor_is_not_taken_for_a_prime(monkeypatch):
 
 
 @pytest.mark.parametrize("d1,d2", [(-71, -127), (-8, -1151), (-3, -4007)])
-def test_the_inert_check_gives_the_character_of_a_cofactor_prime(
+def test_factor_norms_writes_one_symbol_per_unramified_cofactor(
         monkeypatch, d1, d2):
     # the sieve leaves a cofactor prime q of N(t) with m^2 = D (mod q); off
-    # D, (D/q) = 1 and (d1/q) = (d2/q), so one symbol gives the character
-    # of q; at a ramified q, the inert check reads (D/q) as (d1/q)(d2/q):
-    # two symbols, none of D, and none more when a sum looks q up; the
-    # factorizations are those of trial division
+    # D, (D/q) = 1 and (d1/q) = (d2/q), so factor_norms writes one symbol,
+    # (d1/q), as the character of q; a ramified q it leaves to the table,
+    # which reads its character on the first lookup; the factorizations
+    # are those of trial division
     D = d1 * d2
     ms = t_range(d1, d2)
-    assert len(ms) >= SIEVE_FROM
     calls = []
     leg = quadarith.legendre
     monkeypatch.setattr(quadarith, "legendre", lambda a, p:
@@ -407,17 +429,16 @@ def test_the_inert_check_gives_the_character_of_a_cofactor_prime(
     facts = factor_norms(ms, chi)
     bound = isqrt(max(abs(m * m - D) // 4 for m in ms))
     cofactors = [p for fact in facts.values() for p in fact if p > bound]
-    assert len(cofactors) > 10 and set(chi) == set(cofactors)
-    assert [q for q in cofactors if D % q == 0] == {
-        -71: [71], -8: [1151], -3: []}[d1]
-    assert sorted(calls) == sorted(
-        (a, q) for q in cofactors for a in ((d1,) if D % q else (d1, d2)))
+    ramified = [q for q in cofactors if D % q == 0]
+    assert ramified == {-71: [71], -8: [1151], -3: []}[d1]
+    assert len(cofactors) > 10
+    assert set(chi) == set(cofactors) - set(ramified)
+    assert sorted(calls) == sorted((d1, q) for q in cofactors if D % q)
     calls.clear()
     assert [chi[q] for q in cofactors] == [
         leg(d1, q) == 1 or leg(d2, q) == 1 for q in cofactors]
-    assert calls == []
-    assert facts == {m: {p: e for p, e in factorize((m * m - D) // 4).items()
-                         if leg(D, p) != -1} for m in ms}
+    assert {q for _, q in calls} == set(ramified)
+    assert facts == {m: factorize((m * m - D) // 4) for m in ms}
 
 
 def test_a_sieve_root_that_is_not_a_square_root_is_caught(monkeypatch):
