@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
-from .series import (FracQSeries, e2_series, euler_product, exponent,
+from .series import (FracQSeries, e2_series, eta_quotient, exponent,
                      product_sum)
 from .discform import restrict_to_M
 
@@ -88,8 +88,8 @@ def _expand_product(minus, plus, rho, C, N1, N2):
     coefficients of q^mn in the series minus and plus (plus None: b = 0).
 
     Without the prefactor the product is sum_N F_N(q2) q1^N, and F_0 =
-    prod (1 - q2^m)^a(0) (1 + q2^m)^b(0), with E = prod (1 - q^m), is the
-    product of two one-variable powers E(q2)^(a(0) - b(0)) E(q2^2)^b(0).  The
+    prod (1 - q2^m)^a(0) (1 + q2^m)^b(0) is eta(z2)^(a(0) - b(0)) eta(2z2)^b(0)
+    at offset 0; the Weyl shift gives its q2^((a(0) + b(0))/24) = q2^-rl.  The
     product is the exponential of sum a log(1 - x) + b log(1 + x), so its
     q1 logarithmic derivative sum_N D_N q1^N has at q1^N q2^M the
     coefficient sum over k | (N, M) with M/k >= -1 of (N/k) (-a +
@@ -111,8 +111,7 @@ def _expand_product(minus, plus, rho, C, N1, N2):
     T = max(1, K1 + K2 + 1)         # F_0 and every D_N are exact below q2^T
     a = _exponents(minus, -K1, K1 * (T - 1))     # a[K1 + mn], b likewise
     b = [0] * len(a) if plus is None else _exponents(plus, -K1, K1 * (T - 1))
-    F = [euler_product(T - 1) ** (a[K1] - b[K1])
-         * (euler_product((T - 1) // 2) ** b[K1]).subst_power(2)]
+    F = [FracQSeries.dense(0, eta_quotient(T - 1, a[K1] - b[K1], b[K1]).a)]
     D = [None]
     for N in range(1, K1 + 1):
         d = [0] * (N + T)           # q2^-N .. q2^(T-1)

@@ -12,7 +12,7 @@ representation is defined over the rationals.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .series import FracQSeries, prod_one_plus
+from .series import FracQSeries, eta_quotient, omega2_series
 
 COSETS = ("mu0", "mu1", "mu2", "mu3")
 
@@ -133,8 +133,8 @@ def build_weber_f(order):
     the difference omega2(z1) - omega2(z2) of level-2 Hauptmoduls.
 
     Built from scalar ingredients, with x = q^(1/2):
-      g    = q^-1 prod(1 + q^n)^-24 + 12          (= 2^12/omega2 + 12)
-      g|S  = 2^12 x prod(1 + x^n)^24 + 12
+      g    = eta(z)^24/eta(2z)^24 + 12            (= 2^12/omega2 + 12)
+      g|S  = omega2(x) + 12
       g|ST = g|S with x -> -x
     and symmetrized over the cosets:
       f_mu0 = g + even(g|S), f_mu1 = -12 + even(g|S),
@@ -142,9 +142,9 @@ def build_weber_f(order):
     Components are exact through q^order: the cutoff of mu0..mu2 is
     q^(order+1), and that of mu3 its next exponent q^(order+3/2).
     """
-    g = FracQSeries.dense(-1, prod_one_plus(order + 1, -24).a) + 12
-    # a[i] is the coefficient of x^(i+1) in g|S, i <= 2 order
-    a = [4096 * c for c in prod_one_plus(2 * order, 24).a]
+    g = eta_quotient(order + 1, 24, -24) + 12
+    # a[i] is the coefficient of x^(i+1) in g|S - 12 = omega2(x), i <= 2 order
+    a = omega2_series(2 * order + 1).a
     even = FracQSeries.dense(0, [12] + a[1::2])
     comps = {
         "mu0": g + even,

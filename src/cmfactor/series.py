@@ -12,7 +12,8 @@ among them, is an int when integral, else a Fraction, as `off` (`exponent`).
 
 Powers go by Miller's recurrence, for sparse bases; products, and sums of
 products, by `product_sum`: Kronecker substitution for dense factors, term
-by term for a factor at least half zero.
+by term for a factor at least half zero.  One builder, `eta_quotient`, makes
+every eta(z)^a eta(2z)^b, omega2 among them, at its derived q-offset.
 """
 
 from fractions import Fraction
@@ -220,7 +221,7 @@ class FracQSeries:
 
     def __pow__(self, k):
         """self ** k for any integer k, exact below k off + (cutoff - off).
-        A nonzero self must be monic; its 0th power is the constant 1."""
+        A nonzero self must be monic; its 0th power is 1, its first self."""
         if not self.a:
             if k <= 0:
                 raise ZeroDivisionError("power of the zero series")
@@ -230,6 +231,8 @@ class FracQSeries:
                              "is not 1")
         if k == 0:
             return self.constant(1, len(self.a))
+        if k == 1:
+            return self
         return self.dense(k * self.off, _miller(self.a, k))
 
     def inverse(self):
@@ -265,12 +268,13 @@ def euler_product(order):
     return FracQSeries.dense(0, a)
 
 
-def prod_one_plus(order, k):
-    """prod_{n>=1} (1 + q^n)^k = E(q^2)^k E(q)^-k through q^order, with
-    E = prod (1 - q^n): two Miller powers of sparse pentagonal series, the
-    half-zero E(q^2)^k multiplied term by term."""
-    return ((euler_product(order // 2) ** k).subst_power(2)
-            * euler_product(order) ** -k)
+def eta_quotient(order, a, b):
+    """eta(z)^a eta(2z)^b = q^((a + 2b)/24) E(q)^a E(q^2)^b, E the pentagonal
+    series, exact below q^(order + 1 + (a + 2b)/24): two sparse Miller
+    powers, the half-zero E(q^2)^b multiplied term by term."""
+    e2 = (euler_product(order // 2) ** b).subst_power(2)
+    return FracQSeries.dense(Fraction(a + 2 * b, 24),
+                             (euler_product(order) ** a * e2).a)
 
 
 def _divisor_power_sums(k, order):
@@ -294,11 +298,6 @@ def e4_series(order):
     return FracQSeries.dense(0, [1] + [240 * c for c in s[1:]])
 
 
-def eta_series(order):
-    """q^(1/24) prod (1 - q^n), exact below q^(order + 1 + 1/24)."""
-    return FracQSeries.dense(Fraction(1, 24), euler_product(order).a)
-
-
 def j_series(order):
     """The j-function q-expansion q^-1 + 744 + 196884 q + ... through q^order:
     E4^3 / (q prod (1 - q^n)^24), three Kronecker products and one Miller
@@ -309,12 +308,6 @@ def j_series(order):
 
 
 def omega2_series(order):
-    """The Hauptmodul 2^12 Delta(2z)/Delta(z) = 2^12 q prod (1 + q^n)^24."""
-    p = prod_one_plus(order, 24)
+    """The Hauptmodul 2^12 (eta(2z)/eta(z))^24 = 2^12 q prod (1 + q^n)^24."""
+    p = eta_quotient(order, -24, 24)
     return FracQSeries.dense(1, [4096 * c for c in p.a[:order]])
-
-
-def eta_quotient_2_series(order):
-    """eta(2z)/eta(z) = q^(1/24) prod (1 + q^n), exact below
-    q^(order + 1 + 1/24)."""
-    return FracQSeries.dense(Fraction(1, 24), prod_one_plus(order, 1).a)

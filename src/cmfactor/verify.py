@@ -135,8 +135,7 @@ def borcherds_verify(case, n1=8, n2=8):
     """
     if n1 < 0 or n2 < 0:
         raise ValueError(f"box ({n1},{n2}) must have nonnegative sides")
-    from .series import (j_series, omega2_series, eta_series,
-                         eta_quotient_2_series)
+    from .series import j_series, omega2_series, eta_quotient
     from .discform import build_weber_f, constant_vvform
     from .borcherds import (product_expansion_level2, product_expansion_j,
                             bi_difference, bi_product)
@@ -152,23 +151,18 @@ def borcherds_verify(case, n1=8, n2=8):
         j = j_series((n1 + 1) * (n1 + n2 + 1))
         prod = product_expansion_j(j - 744, n1, n2)
         return prod.compare(bi_difference(j.truncate(max(n1, n2) + 2), n1, n2))
-    # the constant forms: case -> (coset values, S through q^n), the
-    # product being S(z1) S(z2)
-    constant_cases = {
-        "eta1": ({"mu0": 1, "mu1": 1}, lambda n: eta_series(n + 1)),
-        # the Borcherds constant is sqrt(2); both sides are compared with it
-        # divided out, which leaves exact rational series
-        "eta2": ({"mu0": 1, "mu2": 1},
-                 lambda n: eta_series(2 * n + 2).subst_power(2)),
-        # identity: sqrt(2) * product = (1/sqrt(2)) f2(z1) f2(z2), i.e.
-        # product = (eta(2 z1)/eta(z1)) (eta(2 z2)/eta(z2))
-        "f2": ({"mu1": -1, "mu2": 1}, lambda n: eta_quotient_2_series(n + 1)),
-    }
+    # the constant forms, read from their vectors v: the product is S(z1)
+    # S(z2), S = eta(z)^(v_mu0 - v_mu2) eta(2z)^v_mu2, once the Borcherds
+    # constant sqrt(2) of eta2 (and of f2) is divided out of both sides
+    constant_cases = {"eta1": {"mu0": 1, "mu1": 1},
+                      "eta2": {"mu0": 1, "mu2": 1},
+                      "f2": {"mu1": -1, "mu2": 1}}
     if case not in constant_cases:
         raise ValueError(f"unknown case {case!r}")
-    values, target = constant_cases[case]
+    v = constant_cases[case]
+    v0, v2 = v.get("mu0", 0), v.get("mu2", 0)
     order = 1 + max(0, n1 - 1) * (n1 + n2 - 2)
-    prod = product_expansion_level2(constant_vvform(values, cutoff=order), 1,
+    prod = product_expansion_level2(constant_vvform(v, cutoff=order), 1,
                                     n1, n2)
-    s = target(max(n1, n2))
+    s = eta_quotient(max(n1, n2) + 1, v0 - v2, v2)
     return prod.compare(bi_product(s, s, n1, n2))

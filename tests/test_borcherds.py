@@ -13,8 +13,7 @@ from cmfactor.borcherds import (WeylVector, weyl_vector, BiQSeries,
 from cmfactor.discform import (VVForm, build_weber_f, restrict_to_M,
                                constant_vvform)
 from cmfactor.series import (FracQSeries, j_series, omega2_series,
-                             eta_series, eta_quotient_2_series,
-                             euler_product, prod_one_plus)
+                             eta_quotient, euler_product)
 from cmfactor import borcherds, discform, series
 from cmfactor.verify import borcherds_verify
 
@@ -89,7 +88,7 @@ def test_constant_form_eta2_identity_small_box():
     # input phi_mu0 + phi_mu2 lifts to eta(2 z1) eta(2 z2) in rational form
     f = constant_vvform({"mu0": 1, "mu2": 1}, cutoff=60)
     got = product_expansion_level2(f, C=1, N1=3, N2=3)
-    e2 = eta_series(8).subst_power(2)
+    e2 = eta_quotient(8, 1, 0).subst_power(2)
     want = bi_product(e2, e2, 3, 3)
     ok, bad = got.compare(want)
     assert ok, bad[:3]
@@ -108,7 +107,7 @@ def test_bi_difference_region_checks():
 
 
 def test_bi_product_region_checks():
-    s = eta_series(3)
+    s = eta_quotient(3, 1, 0)
     with pytest.raises(ValueError):
         bi_product(s, s, 5, 1)
     p = bi_product(s, s, 2, 2)
@@ -179,8 +178,9 @@ def test_integer_expansion_matches_fraction_reference():
 
 def test_row_zero_matches_the_product_of_powers(monkeypatch):
     # the q1^0 row F_0 = prod (1 - q^m)^a0 (1 + q^m)^b0 of _expand_product
-    # against the reference E(q)^a0 prod (1 + q^m)^b0, E = prod (1 - q^m);
-    # neither side, nor any borcherds_verify case, takes a 0th Miller power
+    # against the reference E(q)^a0 prod (1 + q^m)^b0, E = prod (1 - q^m),
+    # the second factor eta(z)^-b0 eta(2z)^b0 at offset 0; neither side,
+    # nor any borcherds_verify case, takes a 0th or a first Miller power
     ks = []
     miller = series._miller
 
@@ -195,11 +195,54 @@ def test_row_zero_matches_the_product_of_powers(monkeypatch):
             for b0 in range(-30, 31):
                 minus, plus = (FracQSeries.dense(0, [c]) for c in (a0, b0))
                 got = _expand_product(minus, plus, rho, 1, 0, order)
-                want = euler_product(order) ** a0 * prod_one_plus(order, b0)
+                ones = eta_quotient(order, -b0, b0).a
+                want = euler_product(order) ** a0 * FracQSeries.dense(0, ones)
                 assert got.coeffs == {(0, e): c for e, c in want.terms()}
     for case in CASES:
         assert borcherds_verify(case, 3, 2)[0]
-    assert ks and 0 not in ks
+    assert ks and 0 not in ks and 1 not in ks
+
+
+def _at_1_24(a):
+    return FracQSeries.dense(Fraction(1, 24), a)
+
+
+def _naive_prod_one_plus(order):
+    # prod (1 + q^n) through q^order, factor by factor
+    c = [1] + [0] * order
+    for n in range(1, order + 1):
+        for i in range(order, n - 1, -1):
+            c[i] += c[i - n]
+    return c
+
+
+def test_constant_targets_are_derived_from_their_vectors(monkeypatch):
+    # borcherds_verify compares each constant case with S(z1) S(z2), S
+    # derived from its vector; for every n <= 30, S equals the eta series
+    # built by hand below the common cutoff: the pentagonal series at
+    # q^(1/24), the same at q -> q^2, and q^(1/24) prod (1 + q^n)
+    targets = []
+    bi_product = borcherds.bi_product
+
+    def recording(s1, s2, N1, N2):
+        targets.append(s1)
+        return bi_product(s1, s2, N1, N2)
+
+    monkeypatch.setattr(borcherds, "bi_product", recording)
+    for n in range(31):
+        by_hand = {"eta1": _at_1_24(euler_product(n + 1).a),
+                   "eta2": _at_1_24(euler_product(2 * n + 2).a
+                                    ).subst_power(2),
+                   "f2": _at_1_24(_naive_prod_one_plus(n + 1))}
+        for case, want in by_hand.items():
+            targets.clear()
+            # the box (0, n) is empty, K1 < 0, and reads S through q^n
+            assert borcherds_verify(case, 0, n) == (True, [])
+            (got,) = targets
+            assert got.off == want.off, (case, n)
+            assert got.cutoff == n + 2 + got.off, (case, n)
+            cut = min(got.cutoff, want.cutoff)
+            assert got.truncate(cut).a == want.truncate(cut).a, (case, n)
 
 
 def test_identities_on_asymmetric_and_zero_boxes():
@@ -313,9 +356,9 @@ def test_coefficients_are_ints_and_weyl_vectors_fractions(monkeypatch):
     weber = build_weber_f(4).components
     for s, kind in [*((weber[m], int) for m in ("mu0", "mu1", "mu2")),
                     (j_series(6), int), (weber["mu3"], Fraction),
-                    (eta_series(6), Fraction),
-                    (eta_series(3).subst_power(2), Fraction),
-                    (eta_quotient_2_series(6), Fraction)]:
+                    (eta_quotient(6, 1, 0), Fraction),
+                    (eta_quotient(3, 1, 0).subst_power(2), Fraction),
+                    (eta_quotient(6, -1, 1), Fraction)]:
         assert s.terms()
         assert type(s.off) is type(s.cutoff) is kind
         for e, c in s.terms():
@@ -328,7 +371,7 @@ def test_coefficients_are_ints_and_weyl_vectors_fractions(monkeypatch):
     with pytest.raises(ArithmeticError, match="fractional exponents"):
         restrict_to_M(f)
     # eta^24 = Delta has integer exponents, reached from the offset 1/24
-    f = VVForm(components={"mu0": eta_series(12) ** 24,
+    f = VVForm(components={"mu0": eta_quotient(12, 1, 0) ** 24,
                            "mu2": FracQSeries.constant(0, 5)})
     delta = FracQSeries({1: 1, 2: -24, 3: 252, 4: -1472}, 5)
     assert restrict_to_M(f).cutoff == 5 and restrict_to_M(f) == delta

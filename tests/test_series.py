@@ -6,9 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cmfactor.series import (FracQSeries, euler_product, prod_one_plus,
-                             e2_series, e4_series, eta_series, j_series,
-                             omega2_series, eta_quotient_2_series,
+from cmfactor.series import (FracQSeries, euler_product, eta_quotient,
+                             e2_series, e4_series, j_series, omega2_series,
                              product_sum, _miller)
 
 
@@ -31,8 +30,40 @@ def test_euler_product_matches_naive_oracle():
         assert got.coeff(k) == want.get(k, 0)
 
 
-def test_prod_one_plus_matches_naive_oracle():
+def naive_eta_product(order, a, b):
+    # direct oracle for prod_n (1 - q^n)^a (1 - q^2n)^b through q^order,
+    # factor by factor: (1 - q^m) multiplies, and 1/(1 - q^m) =
+    # sum_j q^(jm) divides, each |k| times
+    c = [1] + [0] * order
+    for m, k in [(n, a) for n in range(1, order + 1)] + \
+            [(2 * n, b) for n in range(1, order // 2 + 1)]:
+        for _ in range(abs(k)):
+            if k > 0:
+                for i in range(order, m - 1, -1):
+                    c[i] -= c[i - m]
+            else:
+                for i in range(m, order + 1):
+                    c[i] += c[i - m]
+    return c
+
+
+def test_eta_quotient_matches_naive_oracle():
+    # eta(z)^a eta(2z)^b = q^((a + 2b)/24) E(q)^a E(q^2)^b, exact below
+    # q^(order + 1 + (a + 2b)/24), at an int offset when it is integral
     order = 30
+    ks = (-24, -5, -1, 0, 1, 2, 24)
+    for a in ks:
+        for b in ks:
+            got = eta_quotient(order, a, b)
+            off = Fraction(a + 2 * b, 24)
+            assert got.off == off and got.cutoff == order + 1 + off, (a, b)
+            assert type(got.off) is (int if off.denominator == 1
+                                     else Fraction), (a, b)
+            assert got.a == naive_eta_product(order, a, b), (a, b)
+    assert eta_quotient(order, -24, 24).off == 1
+    assert eta_quotient(order, 24, -24).off == -1
+    # prod (1 + q^n)^k = eta(z)^-k eta(2z)^k at offset 0, against the
+    # product of its factors
     coeffs = {0: 1}
     for n in range(1, order + 1):
         new = dict(coeffs)
@@ -42,13 +73,13 @@ def test_prod_one_plus_matches_naive_oracle():
         coeffs = new
     naive = FracQSeries(coeffs, order + 1)
     for k in (1, 24, -24):
-        got = prod_one_plus(order, k)
+        got = FracQSeries.dense(0, eta_quotient(order, -k, k).a)
         assert got.cutoff == order + 1
         assert got == naive ** k, k
 
 
-def test_eta_series_leading_terms():
-    e = eta_series(5)
+def test_eta_leading_terms():
+    e = eta_quotient(5, 1, 0)
     assert e.terms()[:3] == [
         (Fraction(1, 24), 1), (Fraction(25, 24), -1), (Fraction(49, 24), -1)]
     # pentagonal exponent 5 + 1/24 reappears with sign +1
@@ -82,6 +113,9 @@ def test_omega2_series_leading_terms():
     o = omega2_series(4)
     assert [o.coeff(k) for k in range(1, 5)] == [4096, 98304, 1228800, 10747904]
     assert o.coeff(0) == 0
+    # order 0: the empty series, exact below q^1
+    o = omega2_series(0)
+    assert o.a == [] and o.off == o.cutoff == 1 and type(o.off) is int
 
 
 def test_prefix_stability():
@@ -106,6 +140,8 @@ def test_mul_pow_consistency():
     s = euler_product(20)
     assert (s * s * s) == s ** 3
     assert s ** 0 == FracQSeries.constant(1, 5)
+    # the first power is the series itself, with no recurrence
+    assert s ** 1 is s
 
 
 def test_negative_power_and_shift():
@@ -117,11 +153,11 @@ def test_negative_power_and_shift():
 
 
 def test_subst_power_and_eta_quotient():
-    e = eta_series(10)
+    e = eta_quotient(10, 1, 0)
     e2 = e.subst_power(2)
     assert e2.coeff(Fraction(2, 24)) == 1
     assert e2.coeff(Fraction(50, 24)) == -1
-    q = eta_quotient_2_series(6)
+    q = eta_quotient(6, -1, 1)
     # eta(2z)/eta(z) = q^(1/24) prod (1 + q^n)
     assert q.coeff(Fraction(1, 24)) == 1
     assert q.coeff(Fraction(25, 24)) == 1
@@ -255,7 +291,7 @@ def test_coeff_off_the_class_is_zero(s, den, k):
 def test_one_class_and_unit_steps():
     with pytest.raises(ValueError, match="class"):
         FracQSeries({0: 1, Fraction(1, 2): 1}, 3)
-    e = eta_series(10)
+    e = eta_quotient(10, 1, 0)
     assert len(e.a) == 11 and e.off == Fraction(1, 24)
     # offsets that are integers are stored as ints
     assert type((e ** 24).off) is int and (e ** 24).off == 1
