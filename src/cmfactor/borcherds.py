@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
-from .series import (FracQSeries, e2_series, eta_quotient, exponent,
-                     product_sum)
+from .series import FracQSeries, eta_quotient, exponent, product_sum
 from .discform import restrict_to_M
 
 
@@ -28,18 +27,13 @@ def weyl_vector(f_M):
     """Weyl vector of a scalar form f_M on the rank-(2,2) sublattice, for the
     Weyl chamber whose closure contains l_M.
 
-    rl = -c(0)/24 and rlp = constant term of f_M E2 / 24; for a form whose
-    principal part is a single q^-1 the latter equals -c(-1) + c(0)/24, which
-    is checked.
+    rl = -c(0)/24 and rlp = constant term of f_M E2 / 24.  With E2 = 1 - 24 q
+    + ... and a principal part at most q^-1 (checked), that constant term is
+    c(0) - 24 c(-1), so rlp = -c(-1) - rl.
     """
+    _check_principal_part(f_M)
     rl = Fraction(-f_M.coeff(0), 24)
-    depth = max(0, -int(f_M.off))
-    e2 = e2_series(depth + 1)
-    e2_term = sum(f_M.coeff(-k) * e2.coeff(k) for k in range(depth + 1))
-    rlp = Fraction(e2_term, 24)
-    if depth <= 1 and rlp != -f_M.coeff(-1) - rl:
-        raise ArithmeticError("Weyl vector cross-check failed")
-    return WeylVector(rl=rl, rlp=rlp)
+    return WeylVector(rl=rl, rlp=-f_M.coeff(-1) - rl)
 
 
 @dataclass
@@ -67,16 +61,21 @@ class BiQSeries:
         return (not bad, bad)
 
 
+def _check_principal_part(s):
+    """The engine's products have factors at mn >= -1 only: a product input
+    may have no nonzero term below q^-1."""
+    if s.a and s.off < -1:
+        raise ArithmeticError("principal part deeper than q^-1")
+
+
 def _exponents(s, lo, hi):
-    """The q^lo .. q^hi coefficients of s, an integer-exponent series, read
-    from its int list; each must vanish below q^-1 and lie below the cutoff."""
+    """The q^lo .. q^hi coefficients of s, an integer-exponent series with no
+    term below q^-1 (checked), read from its int list below the cutoff."""
     if s.off.denominator != 1:
         raise ArithmeticError("product exponents at fractional powers of q")
-    start = lo - s.off
+    _check_principal_part(s)
     ex = [s.a[i] if i >= 0 else 0
-          for i in range(start, len(s.a))[:hi - lo + 1]]
-    if any(ex[:max(0, -1 - lo)]):
-        raise ArithmeticError("principal part deeper than q^-1")
+          for i in range(lo - s.off, len(s.a))[:hi - lo + 1]]
     if len(ex) <= hi - lo:
         raise ValueError(f"coefficient of q^{hi} beyond cutoff {s.cutoff}")
     return ex
@@ -97,7 +96,8 @@ def _expand_product(minus, plus, rho, C, N1, N2):
     D_k F_{N-k}, one product_sum per row, gives the other rows, the
     division by N being exact (Borcherds, Invent. Math. 1998, Thm. 13.3;
     a remainder raises ArithmeticError).  The exponents are integers,
-    as every series coefficient is, and must vanish at mn < -1 (checked).
+    as every series coefficient is.  Neither input may have a term below
+    q^-1 (checked on the whole series), since no factor has mn < -1.
     The rows are integer series whose cutoffs the series layer tracks, so
     every stored coefficient is exact.  Rows q1^0..q1^K1 with terms through
     q2^K2 fill the box after the Weyl shift; exponents are read through

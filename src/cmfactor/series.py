@@ -235,10 +235,6 @@ class FracQSeries:
             return self
         return self.dense(k * self.off, _miller(self.a, k))
 
-    def inverse(self):
-        """Multiplicative inverse, valid where enough terms are known."""
-        return self ** -1
-
     def subst_power(self, r):
         """Substitute q -> q^r for a positive integer r."""
         a = [0] * (r * len(self.a))
@@ -284,12 +280,6 @@ def _divisor_power_sums(k, order):
         for n in range(d, order + 1, d):
             sums[n] += dk
     return sums
-
-
-def e2_series(order):
-    """Quasimodular Eisenstein series E2 = 1 - 24 sum sigma_1(n) q^n."""
-    s = _divisor_power_sums(1, order)
-    return FracQSeries.dense(0, [1] + [-24 * c for c in s[1:]])
 
 
 def e4_series(order):

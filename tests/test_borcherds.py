@@ -6,6 +6,7 @@ from fractions import Fraction
 from math import ceil, comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmfactor.borcherds import (WeylVector, weyl_vector, BiQSeries,
                                 product_expansion_level2, product_expansion_j,
@@ -317,6 +318,36 @@ def test_product_exponents_are_checked():
     # a half-integer exponent is refused when its series is built
     with pytest.raises(ValueError, match="integers"):
         FracQSeries({3: Fraction(1, 2)}, 41)
+
+
+def test_principal_part_is_checked_on_the_whole_series():
+    # a q^-6 term gives factors such as (n, m) = (3, -2), with mn < -1,
+    # that no product has: an input with one is refused, however few of its
+    # exponents the box reads
+    q6 = FracQSeries({-6: 1}, 300)
+    with pytest.raises(ArithmeticError, match="deeper"):
+        product_expansion_j(j_series(200) - 744 - q6, 14, 2)
+    # in the weber form the two deep terms cancel in the restriction, so
+    # the Weyl vector passes and the component read for the exponents
+    # raises
+    c = dict(build_weber_f(4 * 7).components)
+    c["mu0"], c["mu2"] = c["mu0"] - q6, c["mu2"] + q6
+    with pytest.raises(ArithmeticError, match="deeper"):
+        product_expansion_level2(VVForm(components=c), -4096, 4, 4)
+    with pytest.raises(ArithmeticError, match="deeper"):
+        weyl_vector(j_series(10) - 744 + FracQSeries({-2: 1}, 11))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-50, 50), st.integers(-50, 50),
+       st.lists(st.integers(-50, 50), max_size=6))
+def test_weyl_vector_is_the_e2_constant_term(c_1, c0, tail):
+    # rlp is the constant term of f E2 / 24, E2 = 1 - 24 q + ...: for a
+    # principal part at most q^-1 that is (c(0) - 24 c(-1)) / 24
+    coeffs = {-1: c_1, 0: c0, **{k + 1: c for k, c in enumerate(tail)}}
+    rho = weyl_vector(FracQSeries(coeffs, len(tail) + 1))
+    assert rho == WeylVector(rl=Fraction(-c0, 24),
+                             rlp=Fraction(c0 - 24 * c_1, 24))
 
 
 CONSTANT_FORMS = ({"mu0": 1, "mu1": 1}, {"mu0": 1, "mu2": 1},

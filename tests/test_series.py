@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cmfactor.series import (FracQSeries, euler_product, eta_quotient,
-                             e2_series, e4_series, j_series, omega2_series,
+                             e4_series, j_series, omega2_series,
                              product_sum, _miller)
 
 
@@ -88,8 +88,6 @@ def test_eta_leading_terms():
 
 
 def test_eisenstein_series():
-    e2 = e2_series(4)
-    assert [e2.coeff(k) for k in range(4)] == [1, -24, -72, -96]
     e4 = e4_series(3)
     assert [e4.coeff(k) for k in range(3)] == [1, 240, 2160]
 
@@ -130,7 +128,7 @@ def test_inverse_roundtrip():
     for k in range(1, 12):
         coeffs[k] = Fraction(random.randint(-9, 9))
     s = FracQSeries(coeffs, 12)
-    prod = s * s.inverse()
+    prod = s * s ** -1
     assert prod.coeff(0) == 1
     for k in range(1, 10):
         assert prod.coeff(k) == 0
@@ -180,8 +178,6 @@ def test_integer_coefficients_and_monic_powers_are_required():
     for k in (-1, 2):
         with pytest.raises(ValueError):
             s ** k
-    with pytest.raises(ValueError):
-        s.inverse()
 
 
 def test_truncate_cannot_extend():
@@ -237,10 +233,9 @@ def test_power_is_repeated_product(s, k):
 @PROPERTY
 @given(int_series)
 def test_inverse_is_a_unit(s):
-    p = s * s.inverse()
+    p = s * s ** -1
     assert p.cutoff == s.cutoff - s.off
     assert p == FracQSeries.constant(1, p.cutoff)
-    assert s.inverse() == s ** -1
 
 
 @PROPERTY
