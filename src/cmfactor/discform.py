@@ -29,29 +29,21 @@ def bilinear(mu, nu):
     return Fraction(1, 2)
 
 
-def _e_half(x):
-    """e(x) for x in (1/2) Z, as a rational sign."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return Fraction(1)
-    if x.denominator == 2:
-        return Fraction(-1)
-    raise ValueError("only half-integer arguments occur here")
-
-
 def weil_T():
-    """Action of T: phi_mu -> e(Q(mu)) phi_mu."""
-    return tuple(tuple(_e_half(QVAL[m]) if m == n else Fraction(0)
+    """Action of T: phi_mu -> e(Q(mu)) phi_mu, e(x) = (-1)^(2x) on the
+    half-integers Q takes."""
+    return tuple(tuple(Fraction(-1) ** (2 * QVAL[m]) if m == n else Fraction(0)
                        for n in COSETS) for m in COSETS)
 
 
 def weil_S():
-    """Action of S: phi_mu -> (1/2) sum_nu e(-(mu, nu)) phi_nu.
+    """Action of S: phi_mu -> (1/2) sum_nu e(-(mu, nu)) phi_nu, e(-x) =
+    (-1)^(2x) on the half-integers the pairing takes.
 
     The signature-(2,2) eighth root of unity is 1.
     """
-    return tuple(tuple(_e_half(-bilinear(m, n)) / 2 for n in COSETS)
-                 for m in COSETS)
+    return tuple(tuple(Fraction(-1) ** (2 * bilinear(m, n)) / 2
+                       for n in COSETS) for m in COSETS)
 
 
 def mat_mul(a, b):
@@ -63,49 +55,6 @@ def mat_mul(a, b):
 def mat_identity(n=4):
     return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n))
                  for i in range(n))
-
-
-def sl2_word(g):
-    """Decompose g in SL2(Z) as an ordered word in S and T.
-
-    Returns a list of tokens, each 'S' or ('T', n), whose left-to-right
-    product is g.
-    """
-    a, b, c, d = g
-    if a * d - b * c != 1:
-        raise ValueError("g must have determinant 1")
-    word = []
-    while c != 0:
-        q = a // c
-        # g = T^q S g' with g' = S^-1 T^-q g
-        word.append(("T", q))
-        word.append("S")
-        a, b, c, d = c, d, -(a - q * c), -(b - q * d)
-    if a == 1:
-        if b != 0:
-            word.append(("T", b))
-    else:
-        # a = d = -1: -I = S^2
-        word.append("S")
-        word.append("S")
-        if b != 0:
-            word.append(("T", -b))
-    return [w for w in word if w != ("T", 0)]
-
-
-def weil_matrix(g):
-    """Weil representation matrix of g in SL2(Z), acting on the coset basis."""
-    S = weil_S()
-    T = weil_T()
-    out = mat_identity()
-    for tok in sl2_word(g):
-        if tok == "S":
-            out = mat_mul(out, S)
-        else:
-            # T is diagonal with entries +-1, so T^n is T or the identity
-            if tok[1] % 2:
-                out = mat_mul(out, T)
-    return out
 
 
 @dataclass

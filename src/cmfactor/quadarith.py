@@ -192,7 +192,9 @@ def factor_norms(ms, chi):
     q > 1 left of |N(t)| < (B + 1)^2 is prime, and m^2 = D (mod q): off D,
     (D/q) = 1 and one symbol, (d1/q) = (d2/q), is chi[q] (legendre, which
     proves a composite q composite too); the pair's EFCharacter chi fills
-    the entry of a q | D when it is read."""
+    the entry of a q | D when it is read.  Each {p: e} is what the sieve
+    divided out of N(t), closed by that q, so it multiplies to N(t) by
+    construction."""
     D = chi.d1 * chi.d2
     norms = {}
     for m in ms:
@@ -214,16 +216,11 @@ def factor_norms(ms, chi):
                     v += 1
                 rest[m] = n
                 facts[m][p] = v
-    for (m, n), fact in zip(rest.items(), facts.values()):
+    for n, fact in zip(rest.values(), facts.values()):
         if n > 1:
             if D % n:
                 chi[n] = legendre(chi.d1, n) == 1
             fact[n] = 1
-        x = 1
-        for p, e in fact.items():
-            x *= p ** e
-        if x != norms[m]:
-            raise ArithmeticError("factorization does not multiply to N(t)")
     return facts
 
 
@@ -294,9 +291,6 @@ class PrimeLog:
 
     def exponents(self):
         return dict(sorted(self.terms.items()))
-
-    def max_prime(self):
-        return max(self.terms) if self.terms else None
 
     def value(self, prec):
         """The sum at prec bits, as one log: of the exact rational

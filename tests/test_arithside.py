@@ -2,10 +2,8 @@
 and the divisor-sum identity behind them."""
 
 import hashlib
-import inspect
 import json
 import random
-import textwrap
 from fractions import Fraction
 from math import gcd, isqrt, prod
 
@@ -141,7 +139,7 @@ def test_gz_rhs_anchor_163_4():
 def test_gz_rhs_prime_bound():
     for d1, d2 in [(-3, -163), (-4, -163), (-7, -19), (-8, -23)]:
         rhs = gz_rhs(d1, d2)
-        assert rhs.max_prime() <= max(d1 * d2 // 4, 3)
+        assert max(rhs.terms) <= max(d1 * d2 // 4, 3)
 
 
 def test_yz_rhs_anchor():
@@ -159,7 +157,7 @@ def test_yz_rhs_routes_agree(d1, d2):
 def test_yz_rhs_prime_bound(d1, d2):
     rhs = yz_rhs(d1, d2)
     if rhs.exponents():
-        assert rhs.max_prime() <= d1 * d2 // 16
+        assert max(rhs.terms) <= d1 * d2 // 16
 
 
 def test_yz_rhs_exponents_are_even_integers():
@@ -385,17 +383,6 @@ def recorded_terms(monkeypatch, kind, d1, d2):
     return terms
 
 
-def mutate(monkeypatch, name, old, new):
-    """Replace arithside.<name> by its own source with old put as new,
-    compiled against the live module, until the test ends."""
-    src = textwrap.dedent(inspect.getsource(getattr(arithside, name)))
-    assert src.count(old) == 1, (name, old)
-    ns = {}
-    exec(compile(src.replace(old, new), arithside.__file__, "exec"),
-         vars(arithside), ns)
-    monkeypatch.setattr(arithside, name, ns[name])
-
-
 def test_the_walk_matches_diff_set_at_every_t():
     twos, level2_t = set(), 0
     for d1, d2 in GZ_WALK_PAIRS + YZ_WALK_PAIRS:
@@ -425,36 +412,28 @@ def test_each_t_adds_the_reference_term(monkeypatch, kind, pairs):
     ("yz_rhs", "_cm_sum", "red[2] -= 2", "pass"),
     ("yz_rhs_whittaker", "yz_rhs_whittaker", "red.pop(2, 0)",
      "red.get(2, 0)")])
-def test_a_sum_that_keeps_P_t_in_rho_is_caught(monkeypatch, kind, name, old,
-                                               new):
+def test_a_sum_that_keeps_P_t_in_rho_is_caught(monkeypatch, mutate, kind,
+                                               name, old, new):
     pairs = YZ_WALK_PAIRS[:40]
-    mutate(monkeypatch, name, old, new)
+    mutate(f"arithside.{name}", old, new)
     caught = [q for q in pairs if recorded_terms(monkeypatch, kind, *q)
               != reference_terms(*q, kind)]
     assert len(caught) > 30
 
 
-def test_a_walk_that_lets_three_diff_primes_through_is_caught(monkeypatch):
+def test_a_walk_that_lets_three_diff_primes_through_is_caught(monkeypatch,
+                                                              mutate):
     three = [(d1, d2) for d1, d2 in GZ_WALK_PAIRS
              if any(len(diff_set(f, EFCharacter(d1, d2))) == 3 for f in
                     factor_norms(t_range(d1, d2), EFCharacter(d1, d2))
                     .values())]
     assert len(three) > 50
-    mutate(monkeypatch, "_odd_diff_terms", "if n == 1:", "if n % 2:")
+    mutate("arithside._odd_diff_terms", "if n == 1:", "if n % 2:")
     for d1, d2 in three:
         assert list(arithside._odd_diff_terms(EFCharacter(d1, d2))) != \
             reference_walk(EFCharacter(d1, d2)), (d1, d2)
         assert recorded_terms(monkeypatch, "gz_rhs", d1, d2) != \
             reference_terms(d1, d2, "gz_rhs"), (d1, d2)
-
-
-def test_the_whittaker_route_needs_2_split_in_E_over_F(monkeypatch):
-    # 2 is inert in Q(sqrt -3) and ramified in Q(sqrt -4), so its primes
-    # in F = Q(sqrt 12) do not split in E/F
-    assert not EFCharacter(-3, -4)[2]
-    monkeypatch.setattr(arithside, "check_yz_hypotheses", lambda d1, d2: None)
-    with pytest.raises(ArithmeticError, match="split in E/F"):
-        yz_rhs_whittaker(-3, -4)
 
 
 def recorded_calls(monkeypatch, kind, d1, d2):
@@ -501,15 +480,6 @@ def test_the_whittaker_route_factors_the_m_of_yz_rhs(monkeypatch):
         (ms,) = recorded_calls(monkeypatch, "yz_rhs_whittaker", d1, d2)[1]
         assert ms == recorded_calls(monkeypatch, "yz_rhs", d1, d2)[1][0]
         assert ms == list(filter(level2_keep(d1, d2), t_range(d1, d2)))
-
-
-def test_a_nonzero_weight_at_order_1_is_caught(monkeypatch):
-    # the route walks the t of level 2 only because 4 W(1) W(0) = 0
-    W = arithside.whittaker2_Ma
-    monkeypatch.setattr(arithside, "whittaker2_Ma", lambda a, o, s: (
-        Fraction(1, 2) if (a, o, s) == (0, 1, 0) else W(a, o, s)))
-    with pytest.raises(ArithmeticError, match="must vanish at s = 0"):
-        yz_rhs_whittaker(-7, -15)
 
 
 # Sums at rhs-large scale (D in [1e6, 1e7]) pinned by the number of primes

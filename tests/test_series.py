@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cmfactor.series import (FracQSeries, euler_product, eta_quotient,
                              e4_series, j_series, omega2_series,
-                             product_sum, _miller)
+                             product_sum)
 
 
 def naive_euler_product(order):
@@ -372,13 +372,6 @@ def test_product_sum_needs_one_class():
     zero = FracQSeries.dense(Fraction(1, 3), [])
     assert _same(product_sum([(x, x), (zero, x)]),
                  x * x + _schoolbook(zero, x))
-
-
-def test_miller_division_is_checked():
-    # sqrt(1 + q) = 1 + q/2 - ...: the recurrence leaves a remainder
-    assert _miller([1, 1, 0], -1) == [1, -1, 1]
-    with pytest.raises(ArithmeticError, match="remainder"):
-        _miller([1, 1, 0], Fraction(1, 2))
 
 
 def test_j_series_equals_the_miller_route():
