@@ -75,15 +75,16 @@ def t_range(d1, d2):
 
 def _odd_diff_terms(chi, level2=False):
     """The walk of both sums over the pair of the EFCharacter chi.  Factor
-    N(t) for the m in t_range (at level 2 those with 4 | N(t), i.e. m^2 = D
-    mod 16, even in m) at once; for each t whose Diff, read in one loop over
-    its {p: e}, is one prime P of F, inert in E/F at odd order e, yield
-    (red, p, w): red is that dict turned in place into the {p: e} of
-    t P^-1, p = N(P), and w = (1 + e)/2, doubled at m > 0 for t_-m."""
+    N(t) for the m in t_range at once, at level 2 those with 4 | N(t): as
+    D = 1 mod 8, m^2 = D mod 16 (even in m), m = +-(1 + 2 (D % 16 // 8))
+    mod 8.  For each t whose Diff, read in one loop over its {p: e}, is one
+    prime P of F, inert in E/F at odd order e, yield (red, p, w): red is
+    that dict turned in place into the {p: e} of t P^-1, p = N(P), and
+    w = (1 + e)/2, doubled at m > 0 for t_-m."""
     ms = t_range(chi.d1, chi.d2)
     if level2:
-        D = chi.d1 * chi.d2
-        ms = [m for m in ms if (m * m - D) % 16 == 0]
+        k = chi.d1 * chi.d2 % 16 // 8
+        ms = sorted([*ms[k::4], *ms[3 - k::4]])
     for m, fact in factor_norms(ms, chi).items():
         n = 0           # the number of Diff primes
         for q, e in fact.items():

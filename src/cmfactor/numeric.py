@@ -21,11 +21,13 @@ within 2^-TOL_BITS (class_poly).  The pair product runs at p_req, the bits
 at which it matches N, known exactly beforehand as the resultant of the
 class polynomials (pair_norm), and the log gate at gate_prec.
 
-One table keeps the class values of each (class-value function, d) at the
-highest precision computed so far (class_values) and their polynomial
-(class_poly).  What rounds does not depend on its state, but digits below
-the working precision, of a log of CM values, say, can differ between a
-cold and a warm table within one process.
+Two tables, each written by one function, keep per (class-value
+function, d) its class values at the highest precision computed so far
+(_values, class_values) and its polynomial once it rounds (_polys,
+class_poly).  Neither is bounded: every fundamental |d| <= 600 of both
+functions (184 of j, 63 of omega2) takes 1.3 MB.  What rounds does not
+depend on their state, but digits below the working precision, of a log of
+CM values, say, can differ between a cold and a warm table in one process.
 """
 
 from itertools import product
@@ -39,9 +41,9 @@ from .classgroup import reduced_forms
 GUARD_BITS = 64
 TOL_BITS = 32
 MAX_RETRIES = 3
-TABLE_SIZE = 256
 
-_table = {}     # (value, d) -> [prec, class values, integer polynomial]
+_values = {}    # (value, d) -> (prec, class values)
+_polys = {}     # (value, d) -> (precisions tried, integer polynomial)
 
 
 def _mul(x, y, w):
@@ -323,40 +325,34 @@ def resultant(f, g):
 
 
 def class_values(value, d, prec):
-    """The class values of d (cm_values) at prec from the table entry of
+    """The class values of d (cm_values) at prec from the _values entry of
     (value, d): at or below the entry's precision by a right shift, as they
-    meet the kernel's bound at any lower prec too, else recomputed, keeping
-    the entry's exact polynomial.  TABLE_SIZE entries hold every fundamental
-    |d| <= 600 of both functions (184 of j, 63 of omega2), the oldest
-    dropped when full."""
+    meet the kernel's bound at any lower prec too, else recomputed in its
+    place; no entry is dropped."""
     if prec < 1:
         raise ValueError(f"working precision {prec} must be at least 1 bit")
-    entry = _table.get((value, d))
-    if entry is None or entry[0] < prec:
-        vals = tuple(cm_values(value, d, prec))
-        if entry is None and len(_table) >= TABLE_SIZE:
-            del _table[next(iter(_table))]
-        entry = _table[value, d] = [prec, vals, entry and entry[2]]
-    e = entry[0] - prec
-    return tuple(((x >> e, y >> e), weight) for (x, y), weight in entry[1])
+    top, vals = _values.get((value, d), (0, ()))
+    if top < prec:
+        top, vals = _values[value, d] = prec, tuple(cm_values(value, d, prec))
+    e = top - prec
+    return tuple(((x >> e, y >> e), weight) for (x, y), weight in vals)
 
 
 def class_poly(value, d):
     """The precisions tried and the integer polynomial prod (X - v) over the
-    class values of d, kept in the table entry of (value, d) once it rounds
-    and read from it first: integer_polynomial at auto_prec(d) + GUARD_BITS,
-    whatever precision the entry's values have, that precision doubled at
-    most MAX_RETRIES times while it does not round, else None."""
-    entry = _table.get((value, d))
-    if entry and entry[2]:
-        return entry[2]
+    class values of d, kept in _polys once it rounds and read from there
+    first: integer_polynomial at auto_prec(d) + GUARD_BITS, whatever
+    precision the _values entry has, that precision doubled at most
+    MAX_RETRIES times while it does not round, else None."""
+    if (value, d) in _polys:
+        return _polys[value, d]
     tried, p = [], auto_prec(d, value=value)
     for k in range(MAX_RETRIES + 1):
         tried.append(p << k)
         poly = integer_polynomial(class_values(value, d, tried[-1]),
                                   tried[-1] + GUARD_BITS)
         if poly:
-            _table[value, d][2] = tried, poly
+            _polys[value, d] = tried, poly
             break
     return tried, poly
 
@@ -413,7 +409,7 @@ def pair_norm(value, d1, d2):
     def bits(b, h12):       # p_req for an N of b bits
         return min(prec, prec // 4 + TOL_BITS + prec - 64 - b
                    + h12.bit_length() - 3)
-    cold = [d for d in (d1, d2) if not _table.get((value, d), [None] * 3)[2]]
+    cold = [d for d in (d1, d2) if (value, d) not in _polys]
     if cold:
         logs = [[form_log(value, d, a) for a, _, _ in reduced_forms(d)]
                 for d in (d1, d2)]

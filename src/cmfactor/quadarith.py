@@ -162,13 +162,26 @@ def _prime_above(p, D, m):
     return PrimeOfF(p, "split", 1 if plus else -1)
 
 
+def _norms(ms, D):
+    """{m: |N(t)|} over ms, each t = (m + sqrt(D))/2 integral, N(t) != 0."""
+    norms = {}
+    for m in ms:
+        if (m - D) % 2:
+            raise ValueError("need m = D mod 2 for (m + sqrt(D))/2 integral")
+        n = abs(m * m - D) // 4
+        if n == 0:
+            raise ValueError("t must have nonzero norm")
+        norms[m] = n
+    return norms
+
+
 def _sieve_hits(norms, D):
     """(p, the m with p | N(t)) for the primes p <= isqrt(max N(t)) not
     inert in F: for odd p the m = c = +-sqrt(D) (mod p), one square root of
     D per prime, checked; for p = 2 every m if D = 1 mod 8, and if D is
     even, when N(t) = (m/2)^2 - D/4, the m = D/2 mod 4."""
-    lo, hi = min(norms), max(norms)
-    for p in _primes_upto(isqrt(max(norms.values()))):
+    lo, hi = min(norms, default=0), max(norms, default=0)
+    for p in _primes_upto(isqrt(max(norms.values(), default=0))):
         if p == 2:   # (class of m, its step), m = D mod 2 built in
             classes = (((1, 2),) if D % 8 == 1 else () if D % 2 else
                        ((D // 2 % 4, 4),))
@@ -196,14 +209,7 @@ def factor_norms(ms, chi):
     divided out of N(t), closed by that q, so it multiplies to N(t) by
     construction."""
     D = chi.d1 * chi.d2
-    norms = {}
-    for m in ms:
-        if (m - D) % 2:
-            raise ValueError("need m = D mod 2 for (m + sqrt(D))/2 integral")
-        n = abs(m * m - D) // 4
-        if n == 0:
-            raise ValueError("t must have nonzero norm")
-        norms[m] = n
+    norms = _norms(ms, D)
     rest = dict(norms)
     facts = {m: {} for m in norms}
     for p, ms in _sieve_hits(norms, D):
@@ -228,15 +234,11 @@ def factor_principal_ideal(m, d1, d2):
     """Factor the principal ideal t O_F, t = (m + sqrt(D))/2, as a dict
     PrimeOfF -> exponent, for a single t: trial division of N(t) (factorize),
     each p named by the prime of F above it that divides t (_prime_above),
-    with the checks of factor_norms on m.  Exponents at primes not dividing
-    t O_F are omitted."""
+    with the checks of _norms on m.  Exponents at primes not dividing t O_F
+    are omitted."""
     D = d1 * d2
-    if (m - D) % 2:
-        raise ValueError("need m = D mod 2 for (m + sqrt(D))/2 integral")
-    n = abs(m * m - D) // 4
-    if n == 0:
-        raise ValueError("t must have nonzero norm")
-    return {_prime_above(p, D, m): e for p, e in factorize(n).items()}
+    return {_prime_above(p, D, m): e
+            for p, e in factorize(_norms([m], D)[m]).items()}
 
 
 def rho(fact, chi):

@@ -10,11 +10,18 @@ import pytest
 from cmfactor import numeric
 
 
+def clear_class_tables():
+    """Empty numeric's tables of class values and of class polynomials."""
+    numeric._values.clear()
+    numeric._polys.clear()
+
+
 @pytest.fixture(autouse=True)
 def empty_class_value_table():
-    # every test starts from an empty table of class values, so a test that
-    # replaces an evaluator or the rounding sees it called, not the table
-    numeric._table.clear()
+    # every test starts from empty tables of class values and polynomials,
+    # so a test that replaces an evaluator or the rounding sees it called,
+    # not the tables
+    clear_class_tables()
 
 
 def forced_prec(monkeypatch):

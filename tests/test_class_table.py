@@ -14,6 +14,7 @@ from cmfactor.numeric import (GUARD_BITS, TOL_BITS, class_polynomial,
                               j_value, omega2_value)
 from cmfactor.quadarith import is_fundamental_discriminant
 from cmfactor.verify import gz_verify, yz_verify
+from conftest import clear_class_tables
 from test_numeric import scaled
 
 VERIFY = {"gz": gz_verify, "yz": yz_verify}
@@ -56,7 +57,7 @@ def test_exact_fields_do_not_depend_on_the_table(monkeypatch):
     seen.clear()
     cold = []
     for op in ops:
-        numeric._table.clear()
+        clear_class_tables()
         cold.append(exact(*op))
     assert warm == cold
     assert all(fields[0] == "ok" for fields in warm)
@@ -103,7 +104,7 @@ def test_a_shared_discriminant_is_evaluated_once_per_precision(monkeypatch,
     # omega2 has entries of its own
     assert yz_verify(-7, -15).ok()
     assert seen == [300] * 3
-    assert {key[0] for key in numeric._table} == {j_value, omega2_value}
+    assert {key[0] for key in numeric._values} == {j_value, omega2_value}
 
 
 def test_a_forced_retry_recomputes_at_the_doubled_precision(monkeypatch,
@@ -128,30 +129,22 @@ def test_a_forced_retry_recomputes_at_the_doubled_precision(monkeypatch,
     assert r.notes == ["retry at 400 bits for d=-15"]
     assert r.product_integer == -3 ** 6 * 5 ** 3 * 7 ** 2 * 13 ** 2
     assert seen == [78] + [200] * 2 + [400] * 2
-    assert [numeric._table[j_value, d][0] for d in (-7, -15)] == [78, 400]
-    assert numeric._table[j_value, -15][2] == ([200, 400],
-                                               (1, 191025, -121287375))
+    assert [numeric._values[j_value, d][0] for d in (-7, -15)] == [78, 400]
+    assert numeric._polys[j_value, -15] == ([200, 400],
+                                            (1, 191025, -121287375))
 
 
-def test_the_table_drops_its_oldest_entry_at_the_bound(monkeypatch):
-    # the bound holds every fundamental |d| <= 600 of both functions
-    fundamental = [d for d in range(-3, -601, -1)
-                   if is_fundamental_discriminant(d)]
-    assert len(fundamental) + sum(d % 8 == 1 for d in fundamental) \
-        <= numeric.TABLE_SIZE
-    discs = [d for d in range(-3, -10 ** 4, -1)
-             if d % 4 in (0, 1)][:numeric.TABLE_SIZE + 1]
+def test_the_table_keeps_every_entry(monkeypatch):
+    # no bound and no eviction: the values of 257 discriminants, more than
+    # the 247 of every fundamental |d| <= 600 of both functions, are all
+    # kept, and the first one is read again with no kernel call
+    discs = [d for d in range(-3, -10 ** 4, -1) if d % 4 in (0, 1)][:257]
     for d in discs:
         class_values(j_value, d, 8)
-    assert len(numeric._table) == numeric.TABLE_SIZE
-    assert (j_value, -3) not in numeric._table
-    assert list(numeric._table)[0] == (j_value, -4)
+    assert list(numeric._values) == [(j_value, d) for d in discs]
     seen = kernel_calls(monkeypatch)
-    class_values(j_value, -4, 8)
-    assert seen == []
     class_values(j_value, -3, 8)
-    assert seen == [8]
-    assert (j_value, -4) not in numeric._table
+    assert seen == []
 
 
 @pytest.mark.parametrize("prec", [0, -7])

@@ -30,7 +30,7 @@ from cmfactor.quadarith import EFCharacter, PrimeLog, factorize, valuation
 from cmfactor.series import FracQSeries, eta_quotient, j_series
 from cmfactor.verify import borcherds_verify, gz_verify
 
-from conftest import forced_prec
+from conftest import clear_class_tables, forced_prec
 
 
 def composite_modulus(mp):
@@ -253,10 +253,10 @@ ROWS = [
 
 
 def run_probe(monkeypatch, probe):
-    """The probe on an empty class-value table, its callee patch undone
-    when it returns."""
+    """The probe on empty class tables, its callee patch undone when it
+    returns."""
     with monkeypatch.context() as mp:
-        numeric._table.clear()
+        clear_class_tables()
         probe(mp)
 
 

@@ -14,6 +14,7 @@ from cmfactor.numeric import (eval_j, eval_omega2, recognize_integer,
                               omega2_value, pair_norm, GUARD_BITS, TOL_BITS)
 from cmfactor.quadarith import is_fundamental_discriminant
 from cmfactor.series import j_series
+from conftest import clear_class_tables
 from test_classgroup import heegner_point
 
 
@@ -495,7 +496,7 @@ def test_pair_norm_needs_no_mpmath_number(monkeypatch, value, d1, d2):
     # polynomials, N and the pair product, runs on ints: no mpmath sqrt,
     # expjpi or working precision
     want = pair_norm(value, d1, d2)
-    numeric._table.clear()
+    clear_class_tables()
 
     def forbidden(*args, **kwargs):
         raise AssertionError("an mpmath number in the analytic side")

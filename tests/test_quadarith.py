@@ -397,6 +397,12 @@ def test_factor_norms_and_factor_principal_ideal_reject_bad_elements():
         factor_norms([2, 4, 6], EFCharacter(-4, -4))
 
 
+def test_factor_norms_of_no_m_is_empty():
+    # no norm to bound the sieve by, and nothing to factor
+    assert factor_norms([], EFCharacter(-7, -15)) == {}
+    assert factor_norms(range(1, 1, 2), EFCharacter(-71, -127)) == {}
+
+
 def test_a_composite_cofactor_is_not_taken_for_a_prime(monkeypatch):
     # 561 = 3 11 17 is an Euler pseudoprime to base 2 and passes: the check
     # is one-sided

@@ -28,6 +28,7 @@ from cmfactor.quadarith import (PrimeLog, is_fundamental_discriminant,
                                 valuation)
 from cmfactor.classgroup import reduced_forms
 from cmfactor.series import FracQSeries
+from conftest import clear_class_tables
 from test_numeric import scaled
 
 # one small admissible pair per formula
@@ -265,7 +266,7 @@ def test_the_kernel_runs_at_the_bits_the_checks_need(monkeypatch, kind, d1,
     assert w - GUARD_BITS == p_req and calls == [(d1, p_req), (d2, p_req)]
     assert max(kernel) == max(p_req, *(auto_prec(d, value=value)
                                        for d in (d1, d2)))
-    numeric._table.clear()
+    clear_class_tables()
     calls.clear()
     assert pair_norm(value, d1, d2)[2][0] == n and calls == cold
 
@@ -279,7 +280,7 @@ def test_a_kernel_off_by_a_quarter_of_the_bits_is_a_mismatch(
     # the true resultant and factors exactly; the log gate sees the values,
     # and so does the product's match with N
     assert fn(d1, d2).ok()
-    numeric._table.clear()
+    clear_class_tables()
     prec = auto_prec(d1, d2, value=CLASS_VALUE[kind])
     n = prec // 4 - 8
     for name in ("eval_j", "eval_omega2"):
@@ -519,7 +520,7 @@ def test_log_gate_sees_perturbations_just_above_its_threshold(
     # by more than 2^-(prec//4) |N| too; the unperturbed pair is ok
     force_prec(bits, d1, d2)
     assert fn(d1, d2).ok()
-    numeric._table.clear()
+    clear_class_tables()
     for name in ("eval_j", "eval_omega2"):
         exact = getattr(numeric, name)
         monkeypatch.setattr(numeric, name, lambda tau, prec, f=exact:
@@ -656,7 +657,7 @@ def test_cli_json_of_a_large_pair_is_deterministic():
     runs = []
     for clear in (True, False, True):
         if clear:
-            numeric._table.clear()
+            clear_class_tables()
         runs.append(_run_cli(argv))
     assert runs[0] == runs[1] == runs[2] and runs[0][0] == EXIT_OK
     doc = json.loads(runs[0][1])
