@@ -9,16 +9,15 @@ It is expanded as the exponential of the theta lift: a recurrence on its q1
 logarithmic derivative whose rows are exact one-variable series in q2.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
+from typing import NamedTuple
 
 from .series import FracQSeries, eta_quotient, exponent, product_sum
 from .discform import restrict_to_M
 
 
-@dataclass(frozen=True)
-class WeylVector:
+class WeylVector(NamedTuple):
     rl: Fraction    # coefficient of l_M
     rlp: Fraction   # coefficient of l'_M
 
@@ -36,8 +35,7 @@ def weyl_vector(f_M):
     return WeylVector(rl=rl, rlp=-f_M.coeff(-1) - rl)
 
 
-@dataclass
-class BiQSeries:
+class BiQSeries(NamedTuple):
     """Truncated bivariate series: nonzero int coeffs at (e1, e2), exponents
     as in `series.exponent`, exact on the region e1 <= cut1, e2 <= cut2."""
     coeffs: dict

@@ -9,8 +9,8 @@ Signature is (2, 2), so the scalar factor in the S-action is 1 and the whole
 representation is defined over the rationals.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .series import FracQSeries, eta_quotient, omega2_series
 
@@ -57,8 +57,7 @@ def mat_identity(n=4):
                  for i in range(n))
 
 
-@dataclass
-class VVForm:
+class VVForm(NamedTuple):
     """A vector-valued q-expansion with one FracQSeries per coset.
 
     The exponents of component mu lie in Q(mu) + Z, the class that its

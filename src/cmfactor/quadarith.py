@@ -3,7 +3,8 @@ biquadratic extension E = Q(sqrt(d1), sqrt(d2)), at the level needed for
 counting ideals: Legendre symbols at primes, square roots mod p,
 factorization of the principal ideals t O_F, t = (m + sqrt(D))/2, each t
 named by its integer m, and the relative-norm counting function rho, which
-reads the pair's E/F character table.
+reads the pair's E/F character table.  All of it is exact, on the standard
+library; only PrimeLog.value, the log gate's arithmetic side, loads mpmath.
 
 d1 and d2 are coprime fundamental discriminants of imaginary quadratic fields,
 so D = d1 d2 is a fundamental discriminant of F and E/F is unramified.
@@ -19,8 +20,6 @@ factors as N(t) = (m^2 - D)/4 does, P being _prime_above's prime above p.
 from fractions import Fraction
 from math import isqrt, lcm, prod
 from typing import NamedTuple
-
-import mpmath
 
 
 def legendre(a, p):
@@ -303,6 +302,7 @@ class PrimeLog:
         ks = [(p, int(e * L)) for p, e in self.terms.items()]
         num = prod(p ** k for p, k in ks if k > 0)
         den = prod(p ** -k for p, k in ks if k < 0)
+        import mpmath
         with mpmath.workprec(prec):
             return mpmath.log(mpmath.mpf(num) / den) / L
 

@@ -2,43 +2,43 @@
 CM value formula exactly against its arithmetic side; plus exact checks of
 the underlying Borcherds product identities.
 
-One driver serves both formulas, which choose a class-value function
-(numeric.j_value or numeric.omega2_value) and the scale of the arithmetic
-side.  numeric.pair_norm gives N, the resultant of the two class
+One driver serves both formulas: its kind picks the class-value function
+(numeric.j_value or numeric.omega2_value), the formula the scale of the
+arithmetic side.  numeric.pair_norm gives N, the resultant of the two class
 polynomials up to sign, and the pair product of the CM values.  N must
 factor as the arithmetic side predicts, log |prod| agree with it to
 2^-(prec//4) (the log gate), and |prod - N| < 2^-(prec//4) |N|
-(resultant_match) tests the sign and phase the gate does not see.
+(resultant_match) tests the sign and phase the gate does not see.  Only
+gz/yz verification, the log gate, report printing and class-poly load
+mpmath and numeric; the exact layers use only the standard library.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 
-import mpmath
-
-from . import numeric
 from .classgroup import units_w
 from .quadarith import valuation
 from .arithside import gz_rhs, yz_rhs
 
 
-@dataclass
 class VerificationReport:
-    kind: str
-    d1: int
-    d2: int
-    prec: int
-    status: str                  # ok | mismatch | precision
-    lhs_log: object = None       # mpf
-    rhs_log: object = None       # mpf
-    residual: object = None      # mpf
-    product_integer: object = None
-    factorization: dict = field(default_factory=dict)
-    rhs_exponents: dict = field(default_factory=dict)
-    factor_match: bool = False
-    resultant_match: bool = None
-    notes: list = field(default_factory=list)
+    """status: ok | mismatch | precision; the logs and residual are mpf."""
+
+    def __init__(self, kind, d1, d2, prec, status, lhs_log=None, rhs_log=None,
+                 residual=None, product_integer=None, factorization=None,
+                 rhs_exponents=None, factor_match=False, resultant_match=None,
+                 notes=None):
+        self.kind, self.d1, self.d2, self.prec = kind, d1, d2, prec
+        self.status = status
+        self.lhs_log, self.rhs_log, self.residual = lhs_log, rhs_log, residual
+        self.product_integer = product_integer
+        self.factorization = {} if factorization is None else factorization
+        self.rhs_exponents = {} if rhs_exponents is None else rhs_exponents
+        self.factor_match, self.resultant_match = factor_match, resultant_match
+        self.notes = [] if notes is None else notes
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(other) == vars(self)
 
     def ok(self):
         return self.status == "ok"
@@ -71,9 +71,12 @@ def _factor_check(n, predicted, scale, notes):
     return fact, match
 
 
-def _verify(kind, d1, d2, value, scale, rhs):
+def _verify(kind, d1, d2, scale, rhs):
     """The driver: the checks of the module docstring, rhs at the given
     scale; a class polynomial that never rounds leaves a note and no N."""
+    import mpmath
+    from . import numeric
+    value = numeric.j_value if kind == "gz" else numeric.omega2_value
     prec, polys, norm = numeric.pair_norm(value, d1, d2)
     report = VerificationReport(
         kind=kind, d1=d1, d2=d2, prec=prec, status="precision",
@@ -118,15 +121,14 @@ def gz_verify(d1, d2):
     discriminants d1, d2."""
     rhs = gz_rhs(d1, d2)
     scale = Fraction(8, units_w(d1) * units_w(d2))
-    return _verify("gz", d1, d2, numeric.j_value, scale, rhs)
+    return _verify("gz", d1, d2, scale, rhs)
 
 
 def yz_verify(d1, d2):
     """Verify the level-2 Hauptmodul factorization for distinct coprime
     fundamental discriminants d1 = d2 = 1 mod 8.  The arithmetic side
     computes log |prod|^2, hence the scale 2."""
-    return _verify("yz", d1, d2, numeric.omega2_value, Fraction(2),
-                   yz_rhs(d1, d2))
+    return _verify("yz", d1, d2, Fraction(2), yz_rhs(d1, d2))
 
 
 def borcherds_verify(case, n1=8, n2=8):

@@ -27,6 +27,13 @@ def test_weyl_vector_of_weber_restriction():
     assert rho == WeylVector(rl=Fraction(-1), rlp=Fraction(0))
 
 
+def test_weyl_vectors_compare_by_value():
+    half = WeylVector(rl=Fraction(1, 2), rlp=Fraction(0))
+    assert half == WeylVector(rl=Fraction(2, 4), rlp=Fraction(0))
+    assert half != WeylVector(rl=Fraction(1, 2), rlp=Fraction(1))
+    assert len({half, WeylVector(rl=Fraction(1, 2), rlp=Fraction(0))}) == 1
+
+
 def test_weyl_vector_of_j_input():
     f_M = j_series(4) - 744
     rho = weyl_vector(f_M)

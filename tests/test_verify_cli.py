@@ -4,9 +4,11 @@ command line interface."""
 import ast
 import io
 import json
+import os
 import random
 import re
 import shlex
+import subprocess
 import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -459,6 +461,50 @@ def test_verify_leaves_the_analytic_side_to_numeric():
     assert {name for name in names if name.startswith("numeric.")} == {
         "numeric.pair_norm", "numeric.gate_prec", "numeric.j_value",
         "numeric.omega2_value"}
+
+
+def test_the_exact_side_loads_neither_mpmath_nor_numeric():
+    # in a fresh interpreter: both arithmetic sides, a Borcherds check and
+    # the rho command run on the standard library alone; gz_verify then
+    # loads the analytic side, so the probe sees a load when there is one
+    probe = """if True:
+        import json, sys
+        import cmfactor
+        from cmfactor import cli
+        heavy = ("mpmath", "dataclasses", "cmfactor.numeric")
+        cmfactor.gz_rhs(-3, -4)
+        cmfactor.yz_rhs(-7, -15)
+        cmfactor.borcherds_verify("j", 2, 2)
+        cli.main(["rho", "--d1", "-71", "--d2", "-127", "--m", "71"])
+        exact = [m for m in heavy if m in sys.modules]
+        cmfactor.gz_verify(-3, -4)
+        print(json.dumps([exact, [m for m in heavy if m in sys.modules]]))
+    """
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}).stdout
+    exact, analytic = json.loads(out.splitlines()[-1])
+    assert exact == []
+    assert {"mpmath", "cmfactor.numeric"} <= set(analytic)
+
+
+def test_a_report_has_the_defaults_and_containers_of_its_own():
+    a, b = (verify.VerificationReport(kind="gz", d1=-3, d2=-4, prec=77,
+                                      status="precision") for _ in "ab")
+    assert (a.lhs_log, a.rhs_log, a.residual, a.product_integer) == (
+        None, None, None, None)
+    assert (a.factorization, a.rhs_exponents, a.notes) == ({}, {}, [])
+    assert (a.factor_match, a.resultant_match) == (False, None)
+    assert a == b and not a.ok()
+    a.factorization[2] = 6
+    a.rhs_exponents[2] = Fraction(2)
+    a.notes.append("retry")
+    assert (b.factorization, b.rhs_exponents, b.notes) == ({}, {}, [])
+    assert a != b
+    # a verified report equals its recomputation, field by field
+    assert gz_verify(-3, -4) == gz_verify(-3, -4) != gz_verify(-3, -7)
 
 
 @pytest.mark.parametrize("d1,d2", [(-119, -127), (-23, -399)])
